@@ -22,8 +22,6 @@ import numpy as np
 
 from . import consolidation, exact, kcenter, lowerbound, metric
 
-LEGALITY_CAP = 25  # largest k whose scripted run is argmin-verified by default
-
 
 def parse_k_range(text: str) -> list[int]:
     """Accept "5", "2..10", or "2,3,5"."""
@@ -111,7 +109,7 @@ def cmd_run(args) -> int:
             policy = kcenter.TiePolicy.seeded_random(args.seed)
         else:
             policy = kcenter.TiePolicy.scripted(script)
-        trace = kcenter.reverse_greedy(m, k, policy, fast=args.fast)
+        trace = kcenter.reverse_greedy(m, k, policy)
     except (ValueError, kcenter.ScriptedStepError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -299,18 +297,15 @@ def cmd_verify(args) -> int:
     return handler(args)
 
 
-def _sweep_row(params: tuple) -> list:
-    k, fast = params
+def _sweep_row(k: int) -> list:
     inst = lowerbound.build_lower_bound_instance(k)
     sched = lowerbound.scripted_schedule(inst)
     start = time.perf_counter()
     trace = kcenter.reverse_greedy(inst.metric, k,
-                                   kcenter.TiePolicy.scripted(sched.script()),
-                                   fast=fast)
+                                   kcenter.TiePolicy.scripted(sched.script()))
     elapsed = time.perf_counter() - start
     final = trace.steps[-1].cost if trace.steps else 0
-    return [k, inst.n, final, 1, f"{final:g}", f"{elapsed:.4f}",
-            "verified" if not fast else "unverified"]
+    return [k, inst.n, final, 1, f"{final:g}", f"{elapsed:.4f}", "verified"]
 
 
 def cmd_sweep(args) -> int:
@@ -318,9 +313,7 @@ def cmd_sweep(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["k", "n", "final_cost", "opt", "ratio", "runtime_s", "legality"])
-    rows = _run_pool(_sweep_row,
-                     [(k, args.fast or k > LEGALITY_CAP) for k in ks],
-                     args.jobs)
+    rows = _run_pool(_sweep_row, ks, args.jobs)
     writer.writerows(rows)
     text = buf.getvalue()
     if args.out:
@@ -366,8 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="largest n the exact oracle will attempt")
     common.add_argument("--gamma-cap", type=int, default=2000,
                         help="largest maximal-clique count for gamma")
-    common.add_argument("--fast", action="store_true",
-                        help="trust scripted runs; skip argmin verification")
     common.add_argument("--jobs", type=int, default=1)
 
     gen = sub.add_parser("gen", help="generate an instance file")

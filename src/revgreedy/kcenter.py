@@ -2,8 +2,13 @@
 
 Facility sets are plain frozensets of point indices.  The reverse greedy
 engine re-derives, at every step, the exact marginal cost of deleting each
-remaining facility from per-client nearest/second-nearest tables, so a full
-run costs O(n^3) comparisons and every recorded step is argmin-verified.
+remaining facility, so every recorded step is argmin-verified.  It sorts
+each client's distance row once (O(n^2 log n), the one n x n table it keeps
+is the sorted indices) and keeps per client its nearest and second-nearest
+live facility.  A removal re-points only the clients that named the removed
+facility; second-nearest pointers only move forward, so all advances
+together cost O(n^2).  The marginal costs then come from per-facility
+maxima over the clients, O(n) work per step.
 """
 
 from __future__ import annotations
@@ -82,7 +87,6 @@ class Trace:
     steps: list[TraceStep]
     final: frozenset[int]
     instance: MetricSpace | None = None
-    legality_verified: bool = True
 
     @property
     def n(self) -> int:
@@ -128,18 +132,23 @@ def serves(m: MetricSpace, facilities, client: int) -> int:
     raise AssertionError("unreachable")
 
 
-def _service_tables(m: MetricSpace, fac: list[int]):
-    """Per-client (nearest index into fac, nearest dist, second-nearest dist)."""
-    d = m.dist[:, fac]
-    idx1 = d.argmin(axis=1)
-    val1 = d[np.arange(m.n), idx1]
-    masked = d.copy()
-    if m.mode == "int":
-        masked[np.arange(m.n), idx1] = np.iinfo(np.int64).max
-    else:
-        masked[np.arange(m.n), idx1] = np.inf
-    val2 = masked.min(axis=1)
-    return idx1, val1, val2
+def _group_margins(groups: np.ndarray, val1: np.ndarray, val2: np.ndarray,
+                   size: int) -> np.ndarray:
+    """Cost after removing each group's facility, from per-client service.
+
+    Client c is served at val1[c] by facility group groups[c] (in 0..size-1)
+    and at val2[c] >= val1[c] without that facility.  Removing group j's
+    facility costs the max of val2 over group j and of val1 over the other
+    groups; as val2 >= val1, the latter may run over every client.
+    """
+    margins = np.full(size, val1.max())
+    np.maximum.at(margins, groups, val2)
+    return margins
+
+
+def _above_all(m: MetricSpace):
+    """A value above every distance, masking facilities out of a minimum."""
+    return np.iinfo(np.int64).max if m.mode == "int" else np.inf
 
 
 def marginal_costs(m: MetricSpace, facilities) -> dict[int, int | float]:
@@ -152,37 +161,26 @@ def marginal_costs(m: MetricSpace, facilities) -> dict[int, int | float]:
     fac = sorted(facilities)
     if len(fac) < 2:
         raise ValueError("marginal costs need at least two facilities")
-    idx1, val1, val2 = _service_tables(m, fac)
-    nfac = len(fac)
-
-    lowest = np.float64("-inf") if m.mode == "float" else np.int64(-1)
-    group_max1 = np.full(nfac, lowest, dtype=val1.dtype)
-    group_max2 = np.full(nfac, lowest, dtype=val2.dtype)
-    np.maximum.at(group_max1, idx1, val1)
-    np.maximum.at(group_max2, idx1, val2)
-
-    # Max of val1 over clients outside group j = max of group_max1 excluding j.
-    top = int(group_max1.argmax())
-    top_val = group_max1[top]
-    rest = np.delete(group_max1, top)
-    second_val = rest.max() if rest.size else lowest
-
-    out: dict[int, int | float] = {}
-    for j, g in enumerate(fac):
-        others = top_val if j != top else second_val
-        value = max(others, group_max2[j])
-        out[g] = int(value) if m.mode == "int" else float(value)
-    return out
+    d = m.dist[:, fac]
+    rows = np.arange(m.n)
+    nearest = d.argmin(axis=1)
+    val1 = d[rows, nearest]
+    masked = d.copy()
+    masked[rows, nearest] = _above_all(m)
+    margins = _group_margins(nearest, val1, masked.min(axis=1), len(fac))
+    scalar = int if m.mode == "int" else float
+    return {g: scalar(v) for g, v in zip(fac, margins)}
 
 
 def reverse_greedy(m: MetricSpace, k: int, policy: TiePolicy | None = None,
-                   *, record_argmin: bool = False, fast: bool = False) -> Trace:
+                   *, record_argmin: bool = False) -> Trace:
     """Delete the cheapest facility until k remain, under the given tie policy.
 
     Every step records the removed facility and the exact cost of the
-    shrunken set.  Scripted removals are checked for argmin membership
-    unless `fast` is set, in which case the script is trusted and only the
-    per-step costs are computed (usable for large scripted runs only).
+    shrunken set, and every scripted removal is checked for membership in
+    the step's argmin set.  Each client keeps its nearest and second-nearest
+    live facility, the latter as a pointer into the client's distance row
+    sorted once up front; a removal advances only the pointers that named it.
     """
     n = m.n
     if not (1 <= k <= n):
@@ -191,47 +189,61 @@ def reverse_greedy(m: MetricSpace, k: int, policy: TiePolicy | None = None,
     if policy.kind == "scripted" and len(policy.script) != n - k:
         raise ValueError(
             f"scripted policy names {len(policy.script)} removals, need {n - k}")
-    if fast and policy.kind != "scripted":
-        raise ValueError("fast mode only applies to scripted policies")
 
     rng = Random(policy.seed) if policy.kind == "seeded-random" else None
-    current = set(range(n))
-    steps: list[TraceStep] = []
+    scalar = int if m.mode == "int" else float
     tol = m.tol()
+    above_all = _above_all(m)
+    live = np.ones(n, dtype=bool)
+    steps: list[TraceStep] = []
+
+    if n > k:
+        # Stable: equidistant facilities stay in index order on any platform.
+        order = np.argsort(m.dist, axis=1, kind="stable")
+        rows = np.arange(n)
+        second = np.ones(n, dtype=np.intp)  # position of f2 in each sorted row
+        f1, f2 = order[:, 0].copy(), order[:, 1].copy()
+        d1, d2 = m.dist[rows, f1], m.dist[rows, f2]
 
     for i in range(1, n - k + 1):
-        if fast:
-            removed = policy.script[i - 1]
-            if removed not in current:
-                raise ScriptedStepError(
-                    f"illegal scripted step {i}: facility {removed} already removed")
-            current.discard(removed)
-            steps.append(TraceStep(removed, cost(m, current)))
-            continue
-
-        margins = marginal_costs(m, current)
-        minimum = min(margins.values())
-        argmin = sorted(g for g, v in margins.items() if v <= minimum + tol)
+        margins = _group_margins(f1, d1, d2, n)
+        margins[~live] = above_all
+        minimum = margins.min()
+        argmin = (margins <= minimum + tol).nonzero()[0].tolist()
         if policy.kind == "lowest-index":
             removed = argmin[0]
         elif policy.kind == "seeded-random":
             removed = rng.choice(argmin)
         else:
             removed = policy.script[i - 1]
-            if removed not in current:
+            if not (0 <= removed < n and live[removed]):
                 raise ScriptedStepError(
                     f"illegal scripted step {i}: facility {removed} already removed")
-            if removed not in argmin:
+            if margins[removed] > minimum + tol:
                 raise ScriptedStepError(
                     f"illegal scripted step {i}: facility {removed} has marginal "
-                    f"cost {margins[removed]} > minimum {minimum}")
-        current.discard(removed)
-        steps.append(TraceStep(removed, margins[removed],
+                    f"cost {scalar(margins[removed])} > minimum {scalar(minimum)}")
+        live[removed] = False
+        steps.append(TraceStep(removed, scalar(margins[removed]),
                                tuple(argmin) if record_argmin else None))
+        if i == n - k:
+            break
+
+        # Clients served by `removed` fall back to their second-nearest; they
+        # and the clients whose second-nearest it was advance to the next
+        # live facility in their row.  Each pointer only moves forward.
+        lost = f1 == removed
+        stale = (lost | (f2 == removed)).nonzero()[0]
+        f1[lost], d1[lost] = f2[lost], d2[lost]
+        moving = stale
+        while moving.size:
+            second[moving] += 1
+            moving = moving[~live[order[moving, second[moving]]]]
+        f2[stale] = order[stale, second[stale]]
+        d2[stale] = m.dist[stale, f2[stale]]
 
     return Trace(k=k, policy=policy.describe(), steps=steps,
-                 final=frozenset(current), instance=m,
-                 legality_verified=not fast)
+                 final=frozenset(np.flatnonzero(live).tolist()), instance=m)
 
 
 def greedy_farthest_first(m: MetricSpace, k: int, first: int = 0) -> frozenset[int]:

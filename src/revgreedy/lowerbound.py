@@ -276,6 +276,11 @@ def rebuild_if_lower_bound(m: MetricSpace, k: int) -> LowerBoundInstance | None:
     """Reconstruct the family member matching this metric, if it is one."""
     if m.mode != "int" or k is None or k <= 1 or m.n < size_formula(k):
         return None
+    # Distance-1 pairs are exactly the weight-1 edges: the star and padding
+    # leaves, the C_0-C_1 center edge and the 2k-2 C_0-C_1 leaf matchings,
+    # n + k - 1 edges in all.  Cheap to count, costly to build and compare.
+    if np.count_nonzero(m.dist == 1) != 2 * (m.n + k - 1):
+        return None
     inst = build_lower_bound_instance(k, m.n)
     if np.array_equal(inst.metric.dist, m.dist):
         return inst

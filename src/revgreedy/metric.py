@@ -65,6 +65,8 @@ class MetricSpace:
             raise ValueError("distance matrix must be square")
         if self.mode not in ("int", "float"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if np.issubdtype(d.dtype, np.floating) and not np.isfinite(d).all():
+            raise ValueError("distances must be finite (no NaN or inf)")
         if self.mode == "int" and not np.issubdtype(d.dtype, np.integer):
             if not np.array_equal(d, np.round(d)):
                 raise ValueError("integer mode needs integer distances")
@@ -227,7 +229,12 @@ def save_instance(path, m: MetricSpace, k: int | None = None,
 def load_instance(path) -> tuple[MetricSpace, int | None]:
     """Read an instance JSON file; returns (metric, k or None)."""
     doc = json.loads(Path(path).read_text())
-    if doc.get("version") != 1:
+    if not isinstance(doc, dict):
+        raise ValueError("instance file must hold a JSON object")
+    missing = [key for key in ("version", "mode", "n") if key not in doc]
+    if missing:
+        raise ValueError(f"instance file lacks {', '.join(map(repr, missing))}")
+    if doc["version"] != 1:
         raise ValueError("unsupported instance file version")
     if "graph" in doc and "matrix" in doc:
         raise ValueError("instance file must not carry both a graph and a matrix")

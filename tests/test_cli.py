@@ -85,6 +85,26 @@ def test_run_malformed_instance_exits_2(tmp_path):
     assert run_cli(["run", "--instance", str(bad), "--k", "2"]) == 2
 
 
+def test_run_nan_matrix_exits_2(tmp_path, capsys):
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"version": 1, "mode": "float", "n": 2, "k": 1, '
+                   '"matrix": [[0, NaN], [NaN, 0]]}')
+    assert run_cli(["run", "--instance", str(bad)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_instance_without_mode_exits_2(tmp_path, capsys):
+    bad = tmp_path / "nomode.json"
+    save_instance(bad, uniform_metric(4), k=2)
+    doc = json.loads(bad.read_text())
+    del doc["mode"]
+    bad.write_text(json.dumps(doc))
+    for argv in (["verify", "gamma", "--instance", str(bad)],
+                 ["export-dot", "--instance", str(bad)]):
+        assert run_cli(argv) == 2
+        assert "lacks 'mode'" in capsys.readouterr().err
+
+
 def test_run_writes_trace(tmp_path):
     out = tmp_path / "trace.json"
     assert run_cli(["run", "--lowerbound", "3", "--policy", "scripted",
@@ -168,20 +188,11 @@ def test_sweep_empty_range_is_header_only(tmp_path):
     assert lines == ["k,n,final_cost,opt,ratio,runtime_s,legality"]
 
 
-def test_sweep_fast_flagged_unverified(tmp_path):
-    out = tmp_path / "sweep.csv"
-    assert run_cli(["sweep", "--k", "3", "--fast", "--out", str(out)]) == 0
-    rows = list(csv.DictReader(out.read_text().splitlines()))
-    assert rows[0]["legality"] == "unverified"
-    assert rows[0]["ratio"] == "4"
-
-
-def test_sweep_beyond_legality_cap_goes_fast(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "LEGALITY_CAP", 3)
-    out = tmp_path / "sweep.csv"
-    assert run_cli(["sweep", "--k", "3..4", "--out", str(out)]) == 0
-    rows = list(csv.DictReader(out.read_text().splitlines()))
-    assert [r["legality"] for r in rows] == ["verified", "unverified"]
+def test_fast_flag_rejected():
+    # Every run is argmin-verified; there is no unverified mode to select.
+    assert run_cli(["sweep", "--k", "3", "--fast"]) == 2
+    assert run_cli(["run", "--lowerbound", "3", "--policy", "scripted",
+                    "--fast"]) == 2
 
 
 # --- export-dot ---

@@ -1,0 +1,132 @@
+"""Differential test of the incremental reverse greedy engine against a
+per-step reference loop that rebuilds `marginal_costs` from scratch and
+takes its argmin.  For small n the reference is itself checked against one
+direct `cost()` evaluation per removal, so the margin formula the two share
+is not its own oracle."""
+
+from random import Random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from revgreedy.kcenter import (ScriptedStepError, TiePolicy, TraceStep, cost,
+                               marginal_costs, reverse_greedy)
+from revgreedy.lowerbound import build_lower_bound_instance, size_formula
+from revgreedy.metric import MetricSpace, random_metric, uniform_metric
+
+COMMON = dict(deadline=None, derandomize=True)
+
+
+@st.composite
+def instances(draw):
+    """Int and float metrics, with and without exact ties."""
+    source = draw(st.sampled_from(
+        ["euclidean", "random-graph", "graph-as-float", "family", "uniform"]))
+    if source == "family":
+        k = draw(st.integers(2, 4))
+        m = build_lower_bound_instance(k, size_formula(k) + draw(st.integers(0, 3))).metric
+    elif source == "uniform":
+        m = uniform_metric(draw(st.integers(2, 12)))
+    else:
+        n, seed = draw(st.integers(2, 16)), draw(st.integers(0, 10_000))
+        m = random_metric("euclidean" if source == "euclidean" else "random-graph",
+                          n, seed)
+        if source == "graph-as-float":
+            # Float mode with ties, exact or off by less than the tolerance,
+            # so the tolerance decides the argmin.
+            rng = np.random.default_rng(seed)
+            noise = np.triu(rng.integers(0, 3, (n, n)) * 3e-10, 1)
+            m = MetricSpace(dist=m.dist + noise + noise.T, mode="float")
+    return m, draw(st.integers(1, m.n))
+
+
+def reference_argmin(m, current, step):
+    """Marginal costs, minimum and argmin set of one step, from scratch."""
+    margins = marginal_costs(m, current)
+    if m.n <= 10:
+        assert margins == {g: cost(m, current - {g}) for g in current}, step
+    minimum = min(margins.values())
+    argmin = tuple(sorted(g for g, v in margins.items() if v <= minimum + m.tol()))
+    return margins, minimum, argmin
+
+
+def reference_run(m, k, choose):
+    """Reverse greedy one step at a time; `choose(argmin)` picks the removal."""
+    current = set(range(m.n))
+    steps = []
+    for i in range(1, m.n - k + 1):
+        margins, _, argmin = reference_argmin(m, current, i)
+        removed = choose(argmin)
+        current.discard(removed)
+        steps.append(TraceStep(removed, margins[removed], argmin))
+    return steps, frozenset(current)
+
+
+def as_rows(steps):
+    # repr pins the cost's type as well as its value: int or float, never numpy.
+    return [(s.removed, repr(s.cost), s.argmin) for s in steps]
+
+
+@pytest.mark.parametrize("kind", ["lowest-index", "seeded-random", "scripted"])
+@settings(max_examples=120, **COMMON)
+@given(case=instances(), seed=st.integers(0, 10_000), data=st.data())
+def test_engine_matches_reference_loop(kind, case, seed, data):
+    m, k = case
+    if kind == "lowest-index":
+        steps, final = reference_run(m, k, lambda argmin: argmin[0])
+        policy = TiePolicy.lowest_index()
+    elif kind == "seeded-random":
+        rng = Random(seed)
+        steps, final = reference_run(m, k, lambda argmin: rng.choice(argmin))
+        policy = TiePolicy.seeded_random(seed)
+    else:
+        steps, final = reference_run(
+            m, k, lambda argmin: data.draw(st.sampled_from(argmin)))
+        policy = (TiePolicy.scripted([s.removed for s in steps])
+                  if steps else None)
+    trace = reverse_greedy(m, k, policy, record_argmin=True)
+    assert as_rows(trace.steps) == as_rows(steps)
+    assert trace.final == final
+
+
+@settings(max_examples=150, **COMMON)
+@given(case=instances(), data=st.data())
+def test_illegal_script_rejected_like_reference(case, data):
+    m, k = case
+    current = set(range(m.n))
+    script = []
+    for i in range(1, m.n - k + 1):
+        margins, minimum, argmin = reference_argmin(m, current, i)
+        outside = sorted(current - set(argmin))
+        if outside and data.draw(st.booleans()):
+            bad = data.draw(st.sampled_from(outside))
+            rest = sorted(current - {bad})
+            script += [bad] + rest[:m.n - k - len(script) - 1]
+            with pytest.raises(ScriptedStepError) as err:
+                reverse_greedy(m, k, TiePolicy.scripted(script))
+            assert str(err.value) == (
+                f"illegal scripted step {i}: facility {bad} has marginal "
+                f"cost {margins[bad]} > minimum {minimum}")
+            return
+        removed = data.draw(st.sampled_from(argmin))
+        script.append(removed)
+        current.discard(removed)
+
+
+@pytest.mark.parametrize("point", [7, -1])
+def test_out_of_range_scripted_removal_rejected(point):
+    with pytest.raises(ScriptedStepError,
+                       match=rf"step 2: facility {point} already removed"):
+        reverse_greedy(uniform_metric(5), 2, TiePolicy.scripted((0, point, 1)))
+
+
+def test_engine_keeps_zero_distance_duplicates_apart():
+    # Points 0 and 2 coincide: client 2 is served by facility 0 (lowest
+    # index among equidistant facilities), so facility 2 serves no client.
+    d = np.array([[0, 3, 0], [3, 0, 3], [0, 3, 0]])
+    m = MetricSpace(dist=d)
+    steps, final = reference_run(m, 1, lambda argmin: argmin[0])
+    trace = reverse_greedy(m, 1, record_argmin=True)
+    assert as_rows(trace.steps) == as_rows(steps)
+    assert trace.final == final

@@ -185,16 +185,6 @@ def test_record_argmin_captures_tied_candidates():
     assert plain.steps[0].argmin is None
 
 
-def test_fast_mode_matches_verified_run():
-    inst = build_lower_bound_instance(4)
-    script = scripted_schedule(inst).script()
-    slow = reverse_greedy(inst.metric, 4, TiePolicy.scripted(script))
-    fast = reverse_greedy(inst.metric, 4, TiePolicy.scripted(script), fast=True)
-    assert [s.cost for s in slow.steps] == [s.cost for s in fast.steps]
-    assert slow.final == fast.final
-    assert not fast.legality_verified and slow.legality_verified
-
-
 # --- farthest-first baseline ---
 
 def test_farthest_first_k1():

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from revgreedy import lowerbound
 from revgreedy.exact import exact_opt
 from revgreedy.kcenter import TiePolicy, cost, reverse_greedy
 from revgreedy.lowerbound import (build_lower_bound_instance, expected_survivors,
@@ -184,14 +185,21 @@ def test_wrong_length_schedule_reported():
 # --- recognition and files ---
 
 def test_rebuild_recognizes_generated_metric():
-    inst = build_lower_bound_instance(4)
-    again = rebuild_if_lower_bound(inst.metric, 4)
-    assert again is not None
-    assert again.n == inst.n
+    for k in range(2, 11):
+        for pad in (0, 3):
+            inst = build_lower_bound_instance(k, size_formula(k) + pad)
+            again = rebuild_if_lower_bound(inst.metric, k)
+            assert again is not None, (k, pad)
+            assert again.n == inst.n
 
 
-def test_rebuild_rejects_other_metrics():
+def test_rebuild_rejects_other_metrics(monkeypatch):
     assert rebuild_if_lower_bound(random_metric("random-graph", 14, 3), 3) is None
+    # The distance-1 pair count turns non-members away before any build.
+    monkeypatch.setattr(lowerbound, "build_lower_bound_instance", None)
+    assert rebuild_if_lower_bound(random_metric("random-graph", 40, 1), 5) is None
+    wrong_k = build_lower_bound_instance(4, size_formula(5))
+    assert rebuild_if_lower_bound(wrong_k.metric, 5) is None
 
 
 def test_schedule_roundtrip(tmp_path):

@@ -144,3 +144,21 @@ def test_instance_rejects_graph_and_matrix(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="both"):
         load_instance(path)
+
+
+@pytest.mark.parametrize("mode", ["int", "float"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_metric_rejects_non_finite(mode, bad):
+    d = np.array([[0.0, bad], [bad, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        MetricSpace(dist=d, mode=mode)
+
+
+@pytest.mark.parametrize("key", ["version", "mode", "n"])
+def test_instance_missing_schema_key(tmp_path, key):
+    doc = {"version": 1, "mode": "int", "n": 2, "matrix": [[0, 1], [1, 0]]}
+    del doc[key]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"lacks '{key}'"):
+        load_instance(path)

@@ -4,7 +4,7 @@ approximation-ratio verification at desk scale."""
 from .consolidation import (Consolidation, GammaCapError, critical_indices,
                             gamma, is_consolidation, verify_gamma_decrement)
 from .exact import (OptimalSolution, OracleCapError, ball, exact_opt,
-                    exact_opt_candidate_radius, exact_opt_enumeration, opt_balls)
+                    exact_opt_enumeration, opt_balls)
 from .kcenter import (ScriptedStepError, TiePolicy, Trace, cost,
                       greedy_farthest_first, marginal_costs, reverse_greedy,
                       serves)
@@ -19,7 +19,7 @@ __all__ = [
     "Consolidation", "GammaCapError", "critical_indices", "gamma",
     "is_consolidation", "verify_gamma_decrement",
     "OptimalSolution", "OracleCapError", "ball", "exact_opt",
-    "exact_opt_candidate_radius", "exact_opt_enumeration", "opt_balls",
+    "exact_opt_enumeration", "opt_balls",
     "ScriptedStepError", "TiePolicy", "Trace", "cost",
     "greedy_farthest_first", "marginal_costs", "reverse_greedy", "serves",
     "LowerBoundInstance", "PhaseSchedule", "build_lower_bound_instance",

@@ -91,26 +91,22 @@ def cmd_run(args) -> int:
         print("error: no k given (flag or instance file)", file=sys.stderr)
         return 2
 
-    script = None
-    if args.policy == "scripted":
-        if args.schedule:
-            script = lowerbound.load_schedule(args.schedule).script()
-        elif lb is not None:
-            script = lowerbound.scripted_schedule(lb).script()
-        else:
-            print("error: scripted policy requires --schedule or a "
-                  "lower-bound instance", file=sys.stderr)
-            return 2
-
     try:
         if args.policy == "lowest-index":
             policy = kcenter.TiePolicy.lowest_index()
         elif args.policy == "seeded-random":
             policy = kcenter.TiePolicy.seeded_random(args.seed)
         else:
-            policy = kcenter.TiePolicy.scripted(script)
+            if args.schedule:
+                sched = lowerbound.load_schedule(args.schedule)
+            elif lb is not None:
+                sched = lowerbound.scripted_schedule(lb)
+            else:
+                raise ValueError("scripted policy requires --schedule or a "
+                                 "lower-bound instance")
+            policy = kcenter.TiePolicy.scripted(sched.script())
         trace = kcenter.reverse_greedy(m, k, policy)
-    except (ValueError, kcenter.ScriptedStepError) as err:
+    except (ValueError, OSError, kcenter.ScriptedStepError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
@@ -327,13 +323,13 @@ def cmd_sweep(args) -> int:
 def cmd_export_dot(args) -> int:
     try:
         m, k, lb = _load_source(args)
+        trace = kcenter.load_trace(args.trace) if args.trace else None
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     if lb is None:
         print("error: DOT export needs a lower-bound instance", file=sys.stderr)
         return 2
-    trace = kcenter.load_trace(args.trace) if args.trace else None
     text = lowerbound.export_dot(lb, trace)
     if args.out:
         Path(args.out).write_text(text)
@@ -353,8 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="output file")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--format", choices=["json", "csv", "dot"], default=None,
-                        help="output format (each command has a fixed one)")
     common.add_argument("--exact-cap", type=int, default=20,
                         help="largest n the exact oracle will attempt")
     common.add_argument("--gamma-cap", type=int, default=2000,
@@ -409,20 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMAND_FORMAT = {"gen": "json", "run": "json", "verify": "json",
-                   "sweep": "csv", "export-dot": "dot"}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     for cap in ("exact_cap", "gamma_cap"):
         if getattr(args, cap, 1) <= 0:
             parser.error(f"--{cap.replace('_', '-')} must be positive")
-    wanted = getattr(args, "format", None)
-    if wanted and wanted != _COMMAND_FORMAT[args.command]:
-        parser.error(f"{args.command} emits {_COMMAND_FORMAT[args.command]}, "
-                     f"not {wanted}")
 
     if args.command == "gen":
         if not args.out:

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb
 
-from .exact import OptimalSolution
+from .exact import OptimalSolution, _BudgetExhausted, _can_cover
 from .kcenter import Trace
 from .metric import FLOAT_EPS, MetricSpace
 
@@ -113,9 +112,8 @@ def required_pairs(opt: OptimalSolution, facilities: frozenset[int]) -> frozense
 
 
 def gamma(m: MetricSpace, opt: OptimalSolution, facilities, *,
-          n_cap: int = 40, clique_cap: int = 2000,
-          search_budget: int = 5_000_000) -> int:
-    """Exact consolidation number by brute force over maximal cliques.
+          clique_cap: int = 2000, search_budget: int = 5_000_000) -> int:
+    """Exact consolidation number by a set-cover search over maximal cliques.
 
     The search space is restricted to maximal cliques of the threshold
     graph.  This is lossless: a set has diameter <= 2*OPT exactly when it is
@@ -123,14 +121,14 @@ def gamma(m: MetricSpace, opt: OptimalSolution, facilities, *,
     clique containing it preserves all three properties (covering and
     optimal pairs survive under supersets, and a superset clique still has
     diameter <= 2*OPT).  So some minimum-size family consists of maximal
-    cliques only.
+    cliques only.  Each clique becomes one bitmask over the facilities and
+    the required pairs, and the least number of masks covering all those
+    bits is found size by size; `search_budget` bounds the backtrack nodes
+    of each size's search.
     """
     facilities = frozenset(facilities)
     if not facilities:
         raise ValueError("consolidation number undefined for empty facility set")
-    if m.n > n_cap:
-        raise GammaCapError(
-            f"gamma brute force infeasible: n={m.n} > cap={n_cap}")
 
     cliques = _maximal_cliques(threshold_adjacency(m, opt.opt_value))
     if len(cliques) > clique_cap:
@@ -138,41 +136,23 @@ def gamma(m: MetricSpace, opt: OptimalSolution, facilities, *,
             f"gamma brute force infeasible: {len(cliques)} maximal cliques "
             f"> cap={clique_cap}")
 
-    needed = required_pairs(opt, facilities)
-
-    # Collapse cliques to (facility cover, pairs satisfied) signatures and
-    # drop dominated ones; only those two components matter to validity.
-    signatures: list[tuple[frozenset[int], frozenset]] = []
+    ordered = sorted(facilities)
+    pairs = sorted(required_pairs(opt, facilities))
+    masks = []
     for clique in cliques:
-        cover = clique & facilities
-        pairs = frozenset(p for p in needed if p[0] in clique and p[1] in clique)
-        if not cover:
-            continue
-        dominated = False
-        kept = []
-        for other_cover, other_pairs in signatures:
-            if cover <= other_cover and pairs <= other_pairs:
-                dominated = True
-                kept.append((other_cover, other_pairs))
-            elif not (other_cover <= cover and other_pairs <= pairs):
-                kept.append((other_cover, other_pairs))
-        if not dominated:
-            kept.append((cover, pairs))
-        signatures = kept
+        bits = ([f in clique for f in ordered]
+                + [f in clique and g in clique for f, g in pairs])
+        masks.append(sum(1 << b for b, inside in enumerate(bits) if inside))
+    full = (1 << (len(facilities) + len(pairs))) - 1
 
-    k = len(opt.balls)
-    for size in range(1, k + 1):
-        if comb(len(signatures), size) > search_budget:
-            raise GammaCapError(
-                f"gamma brute force infeasible: C({len(signatures)},{size}) "
-                f"combinations exceed budget", lower_bound=size)
-        for combo in combinations(signatures, size):
-            cover = frozenset().union(*(c for c, _ in combo))
-            if not facilities <= cover:
-                continue
-            pairs = frozenset().union(*(p for _, p in combo))
-            if needed <= pairs:
+    for size in range(1, len(opt.balls) + 1):
+        try:
+            if _can_cover(masks, full, size, budget=search_budget):
                 return size
+        except _BudgetExhausted:
+            raise GammaCapError(
+                f"gamma brute force infeasible: more than {search_budget} "
+                f"backtrack nodes at size {size}", lower_bound=size) from None
     raise AssertionError("the optimal balls themselves form a consolidation; "
                          "search must succeed by size k")
 
@@ -235,7 +215,7 @@ class GammaDecrementReport:
 
 
 def verify_gamma_decrement(m: MetricSpace, trace: Trace, opt: OptimalSolution,
-                           *, n_cap: int = 40, clique_cap: int = 2000) -> GammaDecrementReport:
+                           *, clique_cap: int = 2000) -> GammaDecrementReport:
     """Check the potential drop along a trace, against a supplied optimum.
 
     Applies only when some optimal ball keeps at least two of the final
@@ -259,7 +239,7 @@ def verify_gamma_decrement(m: MetricSpace, trace: Trace, opt: OptimalSolution,
     for level in sorted(critical):
         try:
             gamma_values[level] = gamma(m, opt, trace.facilities_at(critical[level]),
-                                        n_cap=n_cap, clique_cap=clique_cap)
+                                        clique_cap=clique_cap)
         except GammaCapError as err:
             complete = False
             note = str(err)

@@ -1,10 +1,12 @@
 """Exact small-instance k-center oracle.
 
-Two independent strategies are kept side by side on purpose: full subset
-enumeration, and binary search over candidate radii (the optimum is always
-one of the pairwise distances) with a set-cover backtracker.  They are
-cross-checked in the test suite; the oracle is the trust anchor for every
-ratio claim downstream.
+`exact_opt` binary-searches the pairwise distances, deciding each
+candidate radius with one most-constrained-first set-cover search
+(`_can_cover`), which also picks the lexicographically smallest optimal set
+and serves the consolidation-number search.  `exact_opt_enumeration`
+tries every k-subset; it is kept as the independent reference the test
+suite checks the oracle against, since the oracle is the trust anchor for
+every ratio claim downstream.
 """
 
 from __future__ import annotations
@@ -66,64 +68,63 @@ def _cover_masks(m: MetricSpace, radius) -> list[int]:
     return masks
 
 
-def _feasible(masks: list[int], n: int, k: int) -> bool:
-    """Can k centers cover everything?  Most-constrained-first backtracking."""
-    full = (1 << n) - 1
-    coverers = [[c for c in range(n) if masks[c] >> p & 1] for p in range(n)]
+class _BudgetExhausted(RuntimeError):
+    """A cover search visited more backtrack nodes than its budget allows."""
+
+
+def _can_cover(masks: list[int], full: int, slots: int, covered: int = 0,
+               first: int = 0, budget: int | None = None) -> bool:
+    """Do at most `slots` masks from masks[first:], together with
+    `covered`, cover every bit of `full`?
+
+    Backtracking branches on the uncovered bit with the fewest candidate
+    masks.  With a budget, more than `budget` branching nodes raise
+    _BudgetExhausted.
+    """
+    candidates = range(first, len(masks))
+    coverers: dict[int, list[int]] = {}
+    rest = full & ~covered
+    while rest:
+        bit = rest & -rest
+        coverers[bit] = [c for c in candidates if masks[c] & bit]
+        rest ^= bit
+    nodes = 0
 
     def search(covered: int, slots: int) -> bool:
+        nonlocal nodes
         if covered == full:
             return True
         if slots == 0:
             return False
-        # Branch on the uncovered point with the fewest candidate centers.
-        best_opts = None
-        for p in range(n):
-            if covered >> p & 1:
-                continue
-            opts = coverers[p]
-            if best_opts is None or len(opts) < len(best_opts):
-                best_opts = opts
-                if not opts:
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise _BudgetExhausted
+        best = None
+        for bit, options in coverers.items():
+            if not covered & bit and (best is None or len(options) < len(best)):
+                best = options
+                if not options:
                     return False
-        for c in best_opts:
-            if search(covered | masks[c], slots - 1):
-                return True
-        return False
+        return any(search(covered | masks[c], slots - 1) for c in best)
 
-    return search(0, k)
+    return search(covered, slots)
 
 
-def _lex_smallest_cover(masks: list[int], n: int, k: int) -> frozenset[int]:
-    """Lexicographically smallest k-subset of centers covering everything.
-
-    Depth-first over index-increasing subsets, so the first complete
-    solution found is the lexicographic minimum.
-    """
-    full = (1 << n) - 1
-    # Highest-indexed center covering each point, for dead-branch pruning.
-    highest = [max(c for c in range(n) if masks[c] >> p & 1) for p in range(n)]
-
-    def search(start: int, chosen: list[int], covered: int):
-        if len(chosen) == k:
-            return list(chosen) if covered == full else None
-        for p in range(n):
-            if not (covered >> p & 1) and highest[p] < start:
-                return None
-        for c in range(start, n):
-            if n - c < k - len(chosen):
-                break
-            chosen.append(c)
-            found = search(c + 1, chosen, covered | masks[c])
-            if found is not None:
-                return found
-            chosen.pop()
-        return None
-
-    found = search(0, [], 0)
-    if found is None:
-        raise AssertionError("no cover at a radius proven feasible")
-    return frozenset(found)
+def _first_cover(masks: list[int], full: int, k: int) -> list[int]:
+    """The lexicographically smallest k indices whose masks cover `full`
+    (one must exist), filling the slots in turn with the smallest index
+    that still extends to a cover.  That index is at most the optimum's
+    own, so it always leaves room for k distinct indices."""
+    chosen: list[int] = []
+    covered = 0
+    for slot in range(k):
+        start = chosen[-1] + 1 if chosen else 0
+        c = next(c for c in range(start, len(masks))
+                 if _can_cover(masks, full, k - slot - 1, covered | masks[c],
+                               first=c + 1))
+        chosen.append(c)
+        covered |= masks[c]
+    return chosen
 
 
 def exact_opt_enumeration(m: MetricSpace, k: int) -> OptimalSolution:
@@ -139,40 +140,14 @@ def exact_opt_enumeration(m: MetricSpace, k: int) -> OptimalSolution:
     return _with_balls(m, best_value, best_set)
 
 
-def exact_opt_candidate_radius(m: MetricSpace, k: int) -> OptimalSolution:
-    """Optimal via binary search over the pairwise distances.
-
-    Coverage at each candidate radius is decided by backtracking search;
-    feasibility is monotone in the radius so binary search is sound.
-    """
-    n = m.n
-    iu = np.triu_indices(n, k=1)
-    cands = np.unique(m.dist[iu])
-    cands = cands[cands > 0]
-    lo, hi = 0, len(cands) - 1
-    best = None
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        radius = cands[mid]
-        if _feasible(_cover_masks(m, radius), n, k):
-            best = radius
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    if best is None:
-        raise AssertionError("even the largest pairwise distance is infeasible")
-    value = int(best) if m.mode == "int" else float(best)
-    facilities = _lex_smallest_cover(_cover_masks(m, best), n, k)
-    return _with_balls(m, value, facilities)
-
-
-def exact_opt(m: MetricSpace, k: int, *, cap: int = 20,
-              strategy: str = "auto") -> OptimalSolution:
+def exact_opt(m: MetricSpace, k: int, *, cap: int = 20) -> OptimalSolution:
     """Certified optimal k-center solution for a small instance.
 
-    The optimum value is one of the pairwise distances (or 0 when k = n).
-    When several optimal sets exist the lexicographically smallest is
-    returned, so downstream verifiers are reproducible.
+    The optimum value is one of the pairwise distances (0 when k = n), and
+    feasibility is monotone in the radius, so a binary search over those
+    distances with a set-cover search at each finds it.  When several
+    optimal sets exist the lexicographically smallest is returned, so
+    downstream verifiers are reproducible.
     """
     n = m.n
     if not (1 <= k <= n):
@@ -182,10 +157,15 @@ def exact_opt(m: MetricSpace, k: int, *, cap: int = 20,
     if k == n:
         zero = 0 if m.mode == "int" else 0.0
         return _with_balls(m, zero, range(n))
-    if strategy == "auto":
-        strategy = "enumeration" if n <= 14 else "candidate-radius"
-    if strategy == "enumeration":
-        return exact_opt_enumeration(m, k)
-    if strategy == "candidate-radius":
-        return exact_opt_candidate_radius(m, k)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    full = (1 << n) - 1
+    cands = np.unique(m.dist[np.triu_indices(n, k=1)])
+    lo, hi = 0, len(cands) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _can_cover(_cover_masks(m, cands[mid]), full, k):
+            hi = mid
+        else:
+            lo = mid + 1
+    value = int(cands[lo]) if m.mode == "int" else float(cands[lo])
+
+    return _with_balls(m, value, _first_cover(_cover_masks(m, cands[lo]), full, k))

@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .metric import MetricSpace
+from .metric import MetricSpace, check_object, read_document
 
 
 class ScriptedStepError(ValueError):
@@ -280,9 +280,10 @@ def save_trace(path, trace: Trace) -> None:
 
 
 def load_trace(path) -> Trace:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("version") != 1:
-        raise ValueError("unsupported trace file version")
+    doc = read_document(path, "trace", {"k": int, "policy": dict,
+                                        "steps": list, "final": list})
+    for i, s in enumerate(doc["steps"]):
+        check_object(s, f"trace step {i}", {"removed": int, "cost": (int, str)})
     steps = [
         TraceStep(s["removed"],
                   s["cost"] if isinstance(s["cost"], int) else float(s["cost"]))

@@ -26,7 +26,8 @@ import numpy as np
 
 from .exact import OptimalSolution, opt_balls
 from .kcenter import ScriptedStepError, TiePolicy, Trace, reverse_greedy, serves
-from .metric import MetricSpace, WeightedGraph, metric_from_graph
+from .metric import (MetricSpace, WeightedGraph, check_object, metric_from_graph,
+                     read_document)
 
 
 def size_formula(k: int) -> int:
@@ -352,8 +353,8 @@ def save_schedule(path, sched: PhaseSchedule) -> None:
 
 
 def load_schedule(path) -> PhaseSchedule:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("version") != 1:
-        raise ValueError("unsupported schedule file version")
+    doc = read_document(path, "schedule", {"k": int, "n": int, "steps": list})
+    for i, s in enumerate(doc["steps"]):
+        check_object(s, f"schedule step {i}", {"point": int, "phase": int})
     steps = tuple(ScheduledStep(s["point"], s["phase"]) for s in doc["steps"])
     return PhaseSchedule(k=doc["k"], n=doc["n"], steps=steps)

@@ -39,10 +39,16 @@ class WeightedGraph:
         for u, v, w in self.edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
+            if not (isinstance(u, (int, np.integer)) and isinstance(v, (int, np.integer))
+                    and 0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
                 raise ValueError(f"edge ({u},{v}) out of range")
             if not isinstance(w, (int, np.integer)) or w < 1:
                 raise ValueError(f"edge ({u},{v}) weight {w} must be an integer >= 1")
+            # A shortest path has at most n-1 edges; no path sum may reach
+            # the "no path yet" sentinel.
+            if int(w) * (self.vertex_count - 1) >= _INT_INF:
+                raise ValueError(f"edge ({u},{v}) weight {w} too large for "
+                                 f"{self.vertex_count} vertices")
 
 
 @dataclass(frozen=True)
@@ -65,9 +71,15 @@ class MetricSpace:
             raise ValueError("distance matrix must be square")
         if self.mode not in ("int", "float"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if d.dtype.kind not in "biuf" and not all(
+                isinstance(x, (int, float)) for x in d.flat):
+            raise ValueError("distances must be numbers")
         if np.issubdtype(d.dtype, np.floating) and not np.isfinite(d).all():
             raise ValueError("distances must be finite (no NaN or inf)")
         if self.mode == "int" and not np.issubdtype(d.dtype, np.integer):
+            if ((d < -2.0**63) | (d >= 2.0**63)).any():
+                raise ValueError("integer mode needs distances within the "
+                                 "int64 range")
             if not np.array_equal(d, np.round(d)):
                 raise ValueError("integer mode needs integer distances")
         d = d.astype(np.int64 if self.mode == "int" else np.float64)
@@ -131,6 +143,36 @@ def metric_from_graph(g: WeightedGraph) -> MetricSpace:
     return MetricSpace(dist=d, mode="int")
 
 
+def _pairwise_axioms(m: MetricSpace) -> MetricValidationReport:
+    """Check identity, symmetry and positivity: the O(n^2) axioms."""
+    d = m.dist
+    tol = m.tol()
+    report = MetricValidationReport()
+
+    diag = np.flatnonzero(np.abs(np.diagonal(d)) > tol)
+    if diag.size:
+        a = int(diag[0])
+        report.violations.append(("identity", (a, a)))
+
+    # Loaded matrices are checked while their parsed JSON is still held,
+    # so an exactly symmetric one must cost no n x n array of numbers.
+    if not np.array_equal(d, d.T):
+        asym = np.argwhere(np.abs(d - d.T) > tol)
+        if asym.size:
+            a, b = (int(x) for x in asym[0])
+            if a > b:
+                a, b = b, a
+            report.violations.append(("symmetry", (a, b)))
+
+    offdiag = d <= tol
+    np.fill_diagonal(offdiag, False)
+    nonpos = np.argwhere(offdiag)
+    if nonpos.size:
+        a, b = (int(x) for x in nonpos[0])
+        report.violations.append(("positivity", (a, b)))
+    return report
+
+
 def validate_metric(m: MetricSpace) -> MetricValidationReport:
     """Check identity, symmetry, positivity, and the triangle inequality.
 
@@ -140,25 +182,7 @@ def validate_metric(m: MetricSpace) -> MetricValidationReport:
     d = m.dist
     n = m.n
     tol = m.tol()
-    report = MetricValidationReport()
-
-    diag = np.flatnonzero(np.abs(np.diagonal(d)) > tol)
-    if diag.size:
-        a = int(diag[0])
-        report.violations.append(("identity", (a, a)))
-
-    asym = np.argwhere(np.abs(d - d.T) > tol)
-    if asym.size:
-        a, b = (int(x) for x in asym[0])
-        if a > b:
-            a, b = b, a
-        report.violations.append(("symmetry", (a, b)))
-
-    offdiag = d + np.where(np.eye(n, dtype=bool), np.inf, 0)
-    nonpos = np.argwhere(offdiag <= tol)
-    if nonpos.size:
-        a, b = (int(x) for x in nonpos[0])
-        report.violations.append(("positivity", (a, b)))
+    report = _pairwise_axioms(m)
 
     for b in range(n):
         viol = np.argwhere(d > d[:, b : b + 1] + d[b : b + 1, :] + tol)
@@ -226,21 +250,41 @@ def save_instance(path, m: MetricSpace, k: int | None = None,
     Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
+def check_object(obj, what: str, fields: dict) -> None:
+    """Raise ValueError unless obj is a JSON object carrying every field,
+    each of the given type (or tuple of types)."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must hold a JSON object")
+    missing = [key for key in fields if key not in obj]
+    if missing:
+        raise ValueError(f"{what} lacks {', '.join(map(repr, missing))}")
+    for key, kind in fields.items():
+        if not isinstance(obj[key], kind):
+            raise ValueError(f"{what} has {key}={obj[key]!r} of the wrong type")
+
+
+def read_document(path, what: str, fields: dict) -> dict:
+    """Parse a version-1 JSON file whose top level passes check_object."""
+    doc = json.loads(Path(path).read_text())
+    check_object(doc, f"{what} file", {"version": int, **fields})
+    if doc["version"] != 1:
+        raise ValueError(f"unsupported {what} file version")
+    return doc
+
+
 def load_instance(path) -> tuple[MetricSpace, int | None]:
     """Read an instance JSON file; returns (metric, k or None)."""
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict):
-        raise ValueError("instance file must hold a JSON object")
-    missing = [key for key in ("version", "mode", "n") if key not in doc]
-    if missing:
-        raise ValueError(f"instance file lacks {', '.join(map(repr, missing))}")
-    if doc["version"] != 1:
-        raise ValueError("unsupported instance file version")
+    doc = read_document(path, "instance", {"mode": str, "n": int})
     if "graph" in doc and "matrix" in doc:
         raise ValueError("instance file must not carry both a graph and a matrix")
+    if not isinstance(doc.get("k"), (int, type(None))):
+        raise ValueError(f"instance file has k={doc['k']!r}, not an integer")
     mode = doc["mode"]
     labels = tuple(doc["labels"]) if doc.get("labels") else None
     if "graph" in doc:
+        check_object(doc["graph"], "instance graph", {"edges": list})
+        if not all(isinstance(e, list) for e in doc["graph"]["edges"]):
+            raise ValueError("instance graph edges must be [u, v, weight] lists")
         g = WeightedGraph(doc["n"], tuple(tuple(e) for e in doc["graph"]["edges"]))
         m = metric_from_graph(g)
         if mode != "int":
@@ -250,6 +294,11 @@ def load_instance(path) -> tuple[MetricSpace, int | None]:
         m = MetricSpace(dist=np.asarray(doc["matrix"]), mode=mode, labels=labels)
         if m.n != doc["n"]:
             raise ValueError("matrix size does not match declared n")
+        # The O(n^3) triangle check is left to validate_metric: at a few
+        # hundred points it costs as much as a whole run.
+        broken = _pairwise_axioms(m)
+        if not broken.ok:
+            raise ValueError(f"matrix is not a metric: {broken}")
     else:
         raise ValueError("instance file needs a graph or a matrix")
     return m, doc.get("k")

@@ -13,8 +13,7 @@ from conftest import battery_instance, gamma_unrestricted
 
 from revgreedy.consolidation import (Consolidation, gamma, is_consolidation,
                                      verify_gamma_decrement)
-from revgreedy.exact import (exact_opt, exact_opt_candidate_radius,
-                             exact_opt_enumeration)
+from revgreedy.exact import exact_opt, exact_opt_enumeration
 from revgreedy.kcenter import (TiePolicy, cost, greedy_farthest_first,
                                reverse_greedy, save_trace)
 from revgreedy.lowerbound import (build_lower_bound_instance, known_opt,
@@ -133,7 +132,7 @@ def test_criterion_5_oracle_self_consistency():
     for trial in range(100):
         m, k = battery_instance(trial, seed_base=9000)
         a = exact_opt_enumeration(m, k)
-        b = exact_opt_candidate_radius(m, k)
+        b = exact_opt(m, k)
         same = (a.opt_value == b.opt_value if m.mode == "int"
                 else abs(a.opt_value - b.opt_value) <= m.eps)
         disagreements += not same

@@ -2,6 +2,7 @@ import csv
 import json
 import re
 
+import pytest
 
 from revgreedy import cli
 from revgreedy.metric import save_instance, uniform_metric
@@ -105,6 +106,32 @@ def test_instance_without_mode_exits_2(tmp_path, capsys):
         assert "lacks 'mode'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, text, message", [
+    ("big.json", '{"version": 1, "mode": "int", "n": 2, "k": 1, '
+                 '"matrix": [[0, 1e30], [1e30, 0]]}', "int64"),
+    ("neg.json", '{"version": 1, "mode": "int", "n": 3, "k": 1, '
+                 '"matrix": [[0, -5, 1], [-5, 0, 1], [1, 1, 0]]}',
+     "positivity violation at (0, 1)"),
+])
+def test_run_bad_matrix_exits_2(tmp_path, capsys, name, text, message):
+    bad = tmp_path / name
+    bad.write_text(text)
+    assert run_cli(["run", "--instance", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_schemaless_schedule_and_trace_exit_2(tmp_path, capsys):
+    bad = tmp_path / "s.json"
+    bad.write_text('{"version": 1}')
+    assert run_cli(["run", "--lowerbound", "2", "--policy", "scripted",
+                    "--schedule", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: schedule file lacks 'k', 'n', 'steps'\n"
+    assert run_cli(["export-dot", "--lowerbound", "2", "--trace", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: trace file lacks 'k'")
+
+
 def test_run_writes_trace(tmp_path):
     out = tmp_path / "trace.json"
     assert run_cli(["run", "--lowerbound", "3", "--policy", "scripted",
@@ -151,6 +178,13 @@ def test_verify_gamma_lower_bound(tmp_path, capsys):
     assert doc["status"] == "ok"
     assert doc["gamma"] == {"0": 3, "1": 2}
     assert "sequence [3, 2]" in capsys.readouterr().out
+
+
+def test_verify_gamma_family_up_to_k10(capsys):
+    for k in range(6, 11):
+        assert run_cli(["verify", "gamma", "--k", str(k)]) == 0
+        seq = list(range(k, 1, -1))
+        assert f"gamma check: ok; sequence {seq}" in capsys.readouterr().out
 
 
 def test_verify_gamma_on_instance_file(tmp_path):
@@ -250,12 +284,9 @@ def test_parse_k_range():
     assert cli.parse_k_range("2,9") == [2, 9]
 
 
-def test_format_flag_checked_against_command(tmp_path):
-    out = tmp_path / "sweep.csv"
-    assert run_cli(["sweep", "--k", "2", "--format", "csv",
-                    "--out", str(out)]) == 0
-    assert run_cli(["sweep", "--k", "2", "--format", "dot",
-                    "--out", str(out)]) == 2
+def test_format_flag_rejected():
+    # Each command has one output format; there is nothing to select.
+    assert run_cli(["sweep", "--k", "2", "--format", "csv"]) == 2
 
 
 def test_sweep_parallel_jobs_match_serial(tmp_path):

@@ -113,8 +113,10 @@ def test_gamma_empty_facilities_errors():
 
 def test_gamma_cap_errors():
     inst, opt = lb_context(4)
-    with pytest.raises(GammaCapError, match="infeasible"):
-        gamma(inst.metric, opt, frozenset(range(inst.n)), n_cap=10)
+    with pytest.raises(GammaCapError, match="infeasible") as err:
+        gamma(inst.metric, opt, frozenset(range(inst.n)), search_budget=1)
+    # Size 1 needs only the root node; size 2 is the first to branch.
+    assert err.value.lower_bound == 2
     with pytest.raises(GammaCapError, match="infeasible"):
         gamma(inst.metric, opt, frozenset(range(inst.n)), clique_cap=2)
 

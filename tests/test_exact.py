@@ -1,14 +1,15 @@
 from itertools import combinations
+from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from revgreedy.exact import (OracleCapError, ball, exact_opt,
-                             exact_opt_candidate_radius,
-                             exact_opt_enumeration, opt_balls)
+from revgreedy.exact import (OracleCapError, _can_cover, _first_cover, ball,
+                             exact_opt, exact_opt_enumeration, opt_balls)
 from revgreedy.kcenter import cost
 from revgreedy.lowerbound import build_lower_bound_instance, known_opt
-from revgreedy.metric import random_metric, uniform_metric
+from revgreedy.metric import MetricSpace, random_metric, uniform_metric
 
 
 def test_k_equals_n():
@@ -28,7 +29,7 @@ def test_uniform_any_k_is_one():
 def test_lower_bound_k2_unique_optimum():
     inst = build_lower_bound_instance(2)
     centers = frozenset(s.center for s in inst.stars)
-    for solver in (exact_opt_enumeration, exact_opt_candidate_radius):
+    for solver in (exact_opt_enumeration, exact_opt):
         sol = solver(inst.metric, 2)
         assert sol.opt_value == 1
         assert sol.facilities == centers
@@ -102,13 +103,49 @@ def test_strategies_agree_and_match_enumeration():
         k = 2 + seed % 3
         m = random_metric(kind, n, 500 + seed)
         a = exact_opt_enumeration(m, k)
-        b = exact_opt_candidate_radius(m, k)
+        b = exact_opt(m, k)
         if m.mode == "int":
             assert a.opt_value == b.opt_value
         else:
             assert a.opt_value == pytest.approx(b.opt_value, abs=m.eps)
         assert cost(m, a.facilities) == a.opt_value
         assert cost(m, b.facilities) == b.opt_value
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=st.integers(2, 12), seed=st.integers(0, 10_000),
+       max_weight=st.sampled_from([1, 2, 3, 9]), data=st.data())
+def test_oracle_matches_enumeration_exactly(n, seed, max_weight, data):
+    # Small weights make many optimal sets, so the lexicographic choice
+    # among them is exercised, not just the optimum value.
+    k = data.draw(st.integers(1, n - 1))
+    m = random_metric("random-graph", n, seed, max_weight=max_weight)
+    assert exact_opt(m, k) == exact_opt_enumeration(m, k)
+
+
+def test_coincident_points_give_zero_optimum():
+    # Zero is a candidate radius too: coincident points share a center.
+    d = np.ones((16, 16), dtype=np.int64)
+    np.fill_diagonal(d, 0)
+    d[0, 1] = d[1, 0] = 0
+    m = MetricSpace(dist=d, mode="int")
+    assert exact_opt(m, 15) == exact_opt_enumeration(m, 15)
+    assert exact_opt(m, 15).opt_value == 0
+
+
+def test_first_cover_is_first_covering_combination():
+    rng = Random(7)
+    for trial in range(300):
+        n, bits = rng.randint(1, 9), rng.randint(1, 10)
+        full = (1 << bits) - 1
+        masks = [rng.getrandbits(bits) & rng.getrandbits(bits) for _ in range(n)]
+        k = rng.randint(1, n)
+        covering = [c for c in combinations(range(n), k)
+                    if sum(1 << b for b in range(bits)
+                           if any(masks[i] >> b & 1 for i in c)) == full]
+        assert _can_cover(masks, full, k) == bool(covering), trial
+        if covering:
+            assert _first_cover(masks, full, k) == list(covering[0]), trial
 
 
 def test_no_smaller_cost_among_k_subsets():
@@ -134,5 +171,5 @@ def test_k_out_of_range():
 
 def test_lower_bound_k3_exact_matches_known():
     inst = build_lower_bound_instance(3)
-    sol = exact_opt(inst.metric, 3, strategy="candidate-radius")
+    sol = exact_opt(inst.metric, 3)
     assert sol.opt_value == known_opt(inst).opt_value == 1

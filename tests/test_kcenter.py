@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -229,3 +231,20 @@ def test_trace_roundtrip_float_decimal_strings(tmp_path):
     assert '"cost": "' in raw  # decimal strings, not JSON numbers
     loaded = load_trace(path)
     assert [s.cost for s in loaded.steps] == [s.cost for s in trace.steps]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1, 2], "JSON object"),
+    ({"version": 1}, "lacks 'k', 'policy', 'steps', 'final'"),
+    ({"version": 1, "k": "3", "policy": {}, "steps": [], "final": []}, "k='3'"),
+    ({"version": 2, "k": 1, "policy": {}, "steps": [], "final": [0]}, "version"),
+    ({"version": 1, "k": 1, "policy": {}, "steps": [{"removed": 0}],
+      "final": [1]}, "trace step 0 lacks 'cost'"),
+    ({"version": 1, "k": 1, "policy": {}, "steps": [{"removed": 0, "cost": None}],
+      "final": [1]}, "cost=None"),
+])
+def test_trace_file_schema_checked(tmp_path, doc, message):
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        load_trace(path)

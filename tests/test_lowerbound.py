@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -83,7 +84,7 @@ def test_known_opt_centers_cost_one(k):
 def test_known_opt_agrees_with_exact_oracle():
     for k in (2, 3):
         inst = build_lower_bound_instance(k)
-        sol = exact_opt(inst.metric, k, strategy="candidate-radius")
+        sol = exact_opt(inst.metric, k)
         assert sol.opt_value == known_opt(inst).opt_value
 
 
@@ -209,6 +210,21 @@ def test_schedule_roundtrip(tmp_path):
     save_schedule(path, sched)
     loaded = load_schedule(path)
     assert loaded == sched
+
+
+@pytest.mark.parametrize("doc, message", [
+    ("not an object", "JSON object"),
+    ({"version": 1}, "lacks 'k', 'n', 'steps'"),
+    ({"version": 1, "k": 2, "n": 6, "steps": {}}, "steps={}"),
+    ({"version": 1, "k": 2, "n": 6, "steps": [[0, 1]]}, "schedule step 0 must"),
+    ({"version": 1, "k": 2, "n": 6, "steps": [{"point": 1.5, "phase": 1}]},
+     "point=1.5"),
+])
+def test_schedule_file_schema_checked(tmp_path, doc, message):
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        load_schedule(path)
 
 
 # --- DOT export ---

@@ -1,10 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from revgreedy.lowerbound import build_lower_bound_instance
-from revgreedy.metric import (DisconnectedGraphError, MetricSpace,
+from revgreedy.metric import (_INT_INF, DisconnectedGraphError, MetricSpace,
                               WeightedGraph, load_instance, metric_from_graph,
                               random_metric, save_instance, uniform_metric,
                               validate_metric)
@@ -161,4 +162,55 @@ def test_instance_missing_schema_key(tmp_path, key):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=f"lacks '{key}'"):
+        load_instance(path)
+
+
+@pytest.mark.parametrize("big", [2**63, 1e30, -1e30, 10**30])
+def test_int_mode_rejects_values_outside_int64(big):
+    with pytest.raises(ValueError, match="int64"):
+        MetricSpace(dist=[[0, big], [big, 0]], mode="int")
+    # The largest int64 still fits.
+    top = np.iinfo(np.int64).max
+    assert MetricSpace(dist=[[0, top], [top, 0]], mode="int").dist[0, 1] == top
+
+
+def test_graph_rejects_weights_whose_paths_reach_the_sentinel():
+    n = 4
+    limit = -(-_INT_INF // (n - 1))  # smallest w with w * (n - 1) >= _INT_INF
+    edges = ((0, 1, 1), (1, 2, 1), (2, 3, limit))
+    with pytest.raises(ValueError, match="too large") as err:
+        WeightedGraph(n, edges)
+    assert not isinstance(err.value, DisconnectedGraphError)
+    ok = metric_from_graph(WeightedGraph(n, edges[:2] + ((2, 3, limit - 1),)))
+    assert ok.d(0, 3) == limit + 1
+
+
+@pytest.mark.parametrize("matrix, witness", [
+    ([[1, 1, 1], [1, 0, 1], [1, 1, 0]], "identity violation at (0, 0)"),
+    ([[0, 1, 2], [1, 0, 1], [1, 1, 0]], "symmetry violation at (0, 2)"),
+    ([[0, -5, 1], [-5, 0, 1], [1, 1, 0]], "positivity violation at (0, 1)"),
+    ([[0, 0, 1], [0, 0, 1], [1, 1, 0]], "positivity violation at (0, 1)"),
+])
+def test_instance_rejects_non_metric_matrix(tmp_path, matrix, witness):
+    doc = {"version": 1, "mode": "int", "n": 3, "matrix": matrix}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(witness)):
+        load_instance(path)
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"graph": {}}, "instance graph lacks 'edges'"),
+    ({"graph": {"edges": [3]}}, "lists"),
+    ({"graph": {"edges": [[0, 1]]}}, "not enough values to unpack"),
+    ({"graph": {"edges": [[0, "1", 2]]}}, "edge (0,1) out of range"),
+    ({"matrix": [[0, "a"], ["a", 0]]}, "numbers"),
+    ({"matrix": [[0, None], [None, 0]]}, "numbers"),
+    ({"matrix": [[0, 1], [1, 0]], "k": "1"}, "k='1'"),
+])
+def test_instance_rejects_malformed_content(tmp_path, extra, message):
+    doc = {"version": 1, "mode": "int", "n": 2, **extra}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(message)):
         load_instance(path)

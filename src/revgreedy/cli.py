@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -33,95 +34,87 @@ def parse_k_range(text: str) -> list[int]:
     return [int(text)]
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
+
+
 def _write_report(out: str | None, doc: dict) -> None:
     if out:
         Path(out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
-def _load_source(args):
-    """Resolve the single instance source: (metric, k, lower-bound or None)."""
-    sources = [s for s in (args.instance, args.lowerbound) if s is not None]
-    if len(sources) != 1:
-        raise ValueError("exactly one of --instance/--lowerbound is required")
-    if args.lowerbound is not None:
-        inst = lowerbound.build_lower_bound_instance(args.lowerbound,
-                                                     getattr(args, "n", None))
+def _load_source(instance, family_k, k=None, n=None):
+    """Resolve the single instance source, an instance file or the family
+    member for family_k: (metric, k, lower-bound instance or None)."""
+    if (instance is None) == (family_k is None):
+        raise ValueError("exactly one instance source is required: "
+                         "--instance or the family's k")
+    if family_k is not None:
+        inst = lowerbound.build_lower_bound_instance(family_k, n)
         return inst.metric, inst.k, inst
-    m, file_k = metric.load_instance(args.instance)
-    k = args.k if getattr(args, "k", None) is not None else file_k
-    inst = lowerbound.rebuild_if_lower_bound(m, k) if k else None
-    return m, k, inst
+    m, file_k = metric.load_instance(instance)
+    k = k if k is not None else file_k
+    if k is None:
+        raise ValueError("no k given (flag or instance file)")
+    return m, k, lowerbound.rebuild_if_lower_bound(m, k)
 
 
-def cmd_gen(args) -> int:
-    if args.family == "lowerbound":
-        try:
-            inst = lowerbound.build_lower_bound_instance(args.k, args.n)
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-        metric.save_instance(args.out, inst.metric, k=args.k, graph=inst.graph)
-        print(f"n={inst.n} k={args.k} formula_n={lowerbound.size_formula(args.k)} "
-              f"-> {args.out}")
-        if args.schedule_out:
-            lowerbound.save_schedule(args.schedule_out,
-                                     lowerbound.scripted_schedule(inst))
-            print(f"schedule -> {args.schedule_out}")
-        return 0
+def _optimum(m, k, lb, exact_cap) -> exact.OptimalSolution:
+    """The family's known optimum, else the exact oracle's."""
+    if lb is not None:
+        return lowerbound.known_opt(lb)
+    return exact.exact_opt(m, k, cap=exact_cap)
 
-    try:
-        m = metric.random_metric(args.kind, args.n, args.seed, dim=args.dim,
-                                 edge_prob=args.edge_prob,
-                                 max_weight=args.max_weight)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+
+def cmd_gen_lowerbound(args) -> int:
+    inst = lowerbound.build_lower_bound_instance(args.k, args.n)
+    metric.save_instance(args.out, inst.metric, k=args.k, graph=inst.graph)
+    print(f"n={inst.n} k={args.k} formula_n={lowerbound.size_formula(args.k)} "
+          f"-> {args.out}")
+    if args.schedule_out:
+        lowerbound.save_schedule(args.schedule_out,
+                                 lowerbound.scripted_schedule(inst))
+        print(f"schedule -> {args.schedule_out}")
+    return 0
+
+
+def cmd_gen_random(args) -> int:
+    m = metric.random_metric(args.kind, args.n, args.seed, dim=args.dim,
+                             edge_prob=args.edge_prob,
+                             max_weight=args.max_weight)
     metric.save_instance(args.out, m, k=args.k)
     print(f"n={m.n} k={args.k} mode={m.mode} -> {args.out}")
     return 0
 
 
 def cmd_run(args) -> int:
-    try:
-        m, k, lb = _load_source(args)
-    except (ValueError, OSError, KeyError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    if k is None:
-        print("error: no k given (flag or instance file)", file=sys.stderr)
-        return 2
-
-    try:
-        if args.policy == "lowest-index":
-            policy = kcenter.TiePolicy.lowest_index()
-        elif args.policy == "seeded-random":
-            policy = kcenter.TiePolicy.seeded_random(args.seed)
+    m, k, lb = _load_source(args.instance, args.lowerbound, args.k, args.n)
+    if args.policy == "lowest-index":
+        policy = kcenter.TiePolicy.lowest_index()
+    elif args.policy == "seeded-random":
+        policy = kcenter.TiePolicy.seeded_random(args.seed)
+    else:
+        if args.schedule:
+            sched = lowerbound.load_schedule(args.schedule)
+        elif lb is not None:
+            sched = lowerbound.scripted_schedule(lb)
         else:
-            if args.schedule:
-                sched = lowerbound.load_schedule(args.schedule)
-            elif lb is not None:
-                sched = lowerbound.scripted_schedule(lb)
-            else:
-                raise ValueError("scripted policy requires --schedule or a "
-                                 "lower-bound instance")
-            policy = kcenter.TiePolicy.scripted(sched.script())
-        trace = kcenter.reverse_greedy(m, k, policy)
-    except (ValueError, OSError, kcenter.ScriptedStepError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+            raise ValueError("scripted policy requires --schedule or a "
+                             "lower-bound instance")
+        policy = kcenter.TiePolicy.scripted(sched.script())
+    trace = kcenter.reverse_greedy(m, k, policy)
 
     if args.out:
         kcenter.save_trace(args.out, trace)
     final_cost = trace.steps[-1].cost if trace.steps else 0
-
-    if lb is not None:
-        opt_value = lowerbound.known_opt(lb).opt_value
-    else:
-        try:
-            opt_value = exact.exact_opt(m, k, cap=args.exact_cap).opt_value
-        except exact.OracleCapError as err:
-            print(f"final_cost={final_cost:g} (ratio omitted: {err})")
-            return 0
+    try:
+        opt_value = _optimum(m, k, lb, args.exact_cap).opt_value
+    except exact.OracleCapError as err:
+        print(f"final_cost={final_cost:g} (ratio omitted: {err})")
+        return 0
     ratio = final_cost / opt_value if opt_value else 0.0
     print(f"final_cost={final_cost:g} opt={opt_value:g} ratio={ratio:g}")
     return 0
@@ -130,7 +123,7 @@ def cmd_run(args) -> int:
 def _verify_lower(args) -> int:
     rows = []
     all_ok = True
-    for k in parse_k_range(args.k):
+    for k in args.k:
         inst = lowerbound.build_lower_bound_instance(k)
         report = lowerbound.verify_schedule(inst, lowerbound.scripted_schedule(inst))
         rows.append(report.to_json())
@@ -173,10 +166,6 @@ def _run_pool(worker, params, jobs: int) -> list:
 
 
 def _verify_upper(args) -> int:
-    if args.n > args.exact_cap:
-        print(f"verification incomplete: n={args.n} exceeds exact oracle "
-              f"cap {args.exact_cap}", file=sys.stderr)
-        return 3
     params = [(t, args.n, args.k, args.seed + t, args.exact_cap)
               for t in range(args.trials)]
     results = _run_pool(_upper_trial, params, args.jobs)
@@ -194,33 +183,12 @@ def _verify_upper(args) -> int:
 
 
 def _verify_gamma(args) -> int:
-    if args.instance:
-        try:
-            m, file_k = metric.load_instance(args.instance)
-        except (ValueError, OSError) as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-        k = args.k if args.k is not None else file_k
-        if k is None:
-            print("error: no k given", file=sys.stderr)
-            return 2
-        lb = lowerbound.rebuild_if_lower_bound(m, k)
-    else:
-        if args.k is None:
-            print("error: verify gamma needs --k or --instance", file=sys.stderr)
-            return 2
-        lb = lowerbound.build_lower_bound_instance(args.k)
-        m, k = lb.metric, lb.k
-
+    family_k = args.k if args.instance is None else None
+    m, k, lb = _load_source(args.instance, family_k, args.k)
+    opt = _optimum(m, k, lb, args.exact_cap)
     if lb is not None:
-        opt = lowerbound.known_opt(lb)
         policy = kcenter.TiePolicy.scripted(lowerbound.scripted_schedule(lb).script())
     else:
-        try:
-            opt = exact.exact_opt(m, k, cap=args.exact_cap)
-        except exact.OracleCapError as err:
-            print(f"verification incomplete: {err}", file=sys.stderr)
-            return 3
         policy = kcenter.TiePolicy.lowest_index()
     trace = kcenter.reverse_greedy(m, k, policy)
 
@@ -246,11 +214,7 @@ def _separated_instance(k: int, seed: int, per_cluster: int = 4,
         radii = radius * np.sqrt(rng.random(per_cluster))
         coords.extend((cx + r * np.cos(a), cy + r * np.sin(a))
                       for a, r in zip(angles, radii))
-    pts = np.array(coords)
-    diff = pts[:, None, :] - pts[None, :, :]
-    d = np.sqrt((diff * diff).sum(axis=2))
-    np.fill_diagonal(d, 0.0)
-    return metric.MetricSpace(dist=d, mode="float")
+    return metric.euclidean_metric(np.array(coords))
 
 
 def _separation_trial(params: tuple) -> dict:
@@ -283,16 +247,6 @@ def _verify_separation(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    handler = {
-        "lower": _verify_lower,
-        "upper": _verify_upper,
-        "gamma": _verify_gamma,
-        "separation": _verify_separation,
-    }[args.target]
-    return handler(args)
-
-
 def _sweep_row(k: int) -> list:
     inst = lowerbound.build_lower_bound_instance(k)
     sched = lowerbound.scripted_schedule(inst)
@@ -305,31 +259,25 @@ def _sweep_row(k: int) -> list:
 
 
 def cmd_sweep(args) -> int:
-    ks = parse_k_range(args.k) if args.k else []
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["k", "n", "final_cost", "opt", "ratio", "runtime_s", "legality"])
-    rows = _run_pool(_sweep_row, ks, args.jobs)
+    rows = _run_pool(_sweep_row, args.k, args.jobs)
     writer.writerows(rows)
     text = buf.getvalue()
     if args.out:
         Path(args.out).write_text(text)
-        print(f"{len(ks)} rows -> {args.out}")
+        print(f"{len(args.k)} rows -> {args.out}")
     else:
         sys.stdout.write(text)
     return 0
 
 
 def cmd_export_dot(args) -> int:
-    try:
-        m, k, lb = _load_source(args)
-        trace = kcenter.load_trace(args.trace) if args.trace else None
-    except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    m, k, lb = _load_source(args.instance, args.lowerbound, args.k, args.n)
+    trace = kcenter.load_trace(args.trace) if args.trace else None
     if lb is None:
-        print("error: DOT export needs a lower-bound instance", file=sys.stderr)
-        return 2
+        raise ValueError("DOT export needs a lower-bound instance")
     text = lowerbound.export_dot(lb, trace)
     if args.out:
         Path(args.out).write_text(text)
@@ -339,6 +287,30 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
+# Flags that several commands take; each command declares the ones it reads.
+_SHARED = {
+    "--out": dict(help="output file"),
+    "--seed": dict(type=int, default=0),
+    "--exact-cap": dict(type=positive_int, default=20,
+                        help="largest n the exact oracle will attempt"),
+    "--jobs": dict(type=positive_int, default=1),
+    "--trials": dict(type=positive_int, default=100),
+    "--instance": dict(),
+    "--lowerbound": dict(type=int, metavar="K"),
+}
+
+
+def _command(sub, name, func, *shared, help=None) -> argparse.ArgumentParser:
+    parser = sub.add_parser(name, help=help)
+    for flag in shared:
+        parser.add_argument(flag, **_SHARED[flag])
+    parser.set_defaults(func=func)
+    return parser
+
+
+# Built once per process: in-process callers run many commands, and building
+# the parser for each of them costs a sizeable share of a small verify target.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="revgreedy",
@@ -346,93 +318,76 @@ def build_parser() -> argparse.ArgumentParser:
                     "ratio verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="output file")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--exact-cap", type=int, default=20,
-                        help="largest n the exact oracle will attempt")
-    common.add_argument("--gamma-cap", type=int, default=2000,
-                        help="largest maximal-clique count for gamma")
-    common.add_argument("--jobs", type=int, default=1)
-
     gen = sub.add_parser("gen", help="generate an instance file")
     gen_sub = gen.add_subparsers(dest="family", required=True)
-    gen_lb = gen_sub.add_parser("lowerbound", parents=[common])
+    gen_lb = _command(gen_sub, "lowerbound", cmd_gen_lowerbound)
     gen_lb.add_argument("--k", type=int, required=True)
-    gen_lb.add_argument("--n", type=int, default=None)
-    gen_lb.add_argument("--schedule-out", default=None)
-    gen_rand = gen_sub.add_parser("random", parents=[common])
+    gen_lb.add_argument("--n", type=int)
+    gen_lb.add_argument("--out", required=True)
+    gen_lb.add_argument("--schedule-out")
+    gen_rand = _command(gen_sub, "random", cmd_gen_random, "--seed")
     gen_rand.add_argument("--kind", choices=["euclidean", "random-graph"],
                           required=True)
     gen_rand.add_argument("--n", type=int, required=True)
-    gen_rand.add_argument("--k", type=int, default=None)
+    gen_rand.add_argument("--k", type=int)
+    gen_rand.add_argument("--out", required=True)
     gen_rand.add_argument("--dim", type=int, default=2)
     gen_rand.add_argument("--edge-prob", type=float, default=0.3)
     gen_rand.add_argument("--max-weight", type=int, default=9)
 
-    run = sub.add_parser("run", parents=[common], help="run reverse greedy")
-    run.add_argument("--instance", default=None)
-    run.add_argument("--lowerbound", type=int, default=None, metavar="K")
-    run.add_argument("--n", type=int, default=None)
-    run.add_argument("--k", type=int, default=None)
+    # run, verify lower and verify gamma take --jobs unread: perfbench passes it.
+    run = _command(sub, "run", cmd_run, "--instance", "--lowerbound", "--seed",
+                   "--exact-cap", "--out", "--jobs", help="run reverse greedy")
+    run.add_argument("--n", type=int)
+    run.add_argument("--k", type=int)
     run.add_argument("--policy", default="lowest-index",
                      choices=["lowest-index", "seeded-random", "scripted"])
-    run.add_argument("--schedule", default=None)
+    run.add_argument("--schedule")
 
-    verify = sub.add_parser("verify", parents=[common],
-                            help="check one of the ratio claims")
-    verify.add_argument("target", choices=["lower", "upper", "gamma", "separation"])
-    verify.add_argument("--k", default=None,
-                        help="k range for lower (e.g. 2..10), integer otherwise")
-    verify.add_argument("--n", type=int, default=12)
-    verify.add_argument("--trials", type=int, default=100)
-    verify.add_argument("--instance", default=None)
+    verify = sub.add_parser("verify", help="check one of the ratio claims")
+    targets = verify.add_subparsers(dest="target", required=True)
+    lower = _command(targets, "lower", _verify_lower, "--out", "--jobs")
+    lower.add_argument("--k", type=parse_k_range, default="2..10",
+                       help="k range, e.g. 2..10 or 2,3,5")
+    upper = _command(targets, "upper", _verify_upper, "--trials", "--seed",
+                     "--exact-cap", "--out", "--jobs")
+    upper.add_argument("--n", type=int, default=12)
+    upper.add_argument("--k", type=int, default=3)
+    gamma = _command(targets, "gamma", _verify_gamma, "--instance",
+                     "--exact-cap", "--out", "--jobs")
+    gamma.add_argument("--k", type=int,
+                       help="the family member, or k for --instance")
+    gamma.add_argument("--gamma-cap", type=positive_int, default=2000,
+                       help="largest maximal-clique count for gamma")
+    separation = _command(targets, "separation", _verify_separation,
+                          "--trials", "--seed", "--out", "--jobs")
+    separation.add_argument("--k", type=positive_int, default=3)
 
-    sweep = sub.add_parser("sweep", parents=[common],
-                           help="ratio table over the adversarial family")
-    sweep.add_argument("--k", default="")
+    sweep = _command(sub, "sweep", cmd_sweep, "--out", "--jobs",
+                     help="ratio table over the adversarial family")
+    sweep.add_argument("--k", type=parse_k_range, default=(),
+                       help="k range, e.g. 2..10 or 2,3,5")
 
-    dot = sub.add_parser("export-dot", parents=[common],
-                         help="DOT drawing of a lower-bound instance")
-    dot.add_argument("--instance", default=None)
-    dot.add_argument("--lowerbound", type=int, default=None, metavar="K")
-    dot.add_argument("--n", type=int, default=None)
-    dot.add_argument("--k", type=int, default=None)
-    dot.add_argument("--trace", default=None)
+    dot = _command(sub, "export-dot", cmd_export_dot, "--instance",
+                   "--lowerbound", "--out",
+                   help="DOT drawing of a lower-bound instance")
+    dot.add_argument("--n", type=int)
+    dot.add_argument("--k", type=int)
+    dot.add_argument("--trace")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    for cap in ("exact_cap", "gamma_cap"):
-        if getattr(args, cap, 1) <= 0:
-            parser.error(f"--{cap.replace('_', '-')} must be positive")
-
-    if args.command == "gen":
-        if not args.out:
-            parser.error("gen requires --out")
-        return cmd_gen(args)
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "verify":
-        if args.target == "lower":
-            args.k = args.k or "2..10"
-        elif args.k is None:
-            if args.target in ("upper", "separation"):
-                args.k = 3
-        else:
-            try:
-                args.k = int(args.k)
-            except ValueError:
-                parser.error(f"verify {args.target} needs an integer --k")
-        return cmd_verify(args)
-    if args.command == "sweep":
-        return cmd_sweep(args)
-    if args.command == "export-dot":
-        return cmd_export_dot(args)
-    parser.error(f"unknown command {args.command!r}")
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    except exact.OracleCapError as err:
+        print(f"verification incomplete: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

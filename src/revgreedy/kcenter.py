@@ -282,12 +282,16 @@ def save_trace(path, trace: Trace) -> None:
 def load_trace(path) -> Trace:
     doc = read_document(path, "trace", {"k": int, "policy": dict,
                                         "steps": list, "final": list})
+    if not all(isinstance(p, int) for p in doc["final"]):
+        raise ValueError("trace file final must list integer points")
+    steps = []
     for i, s in enumerate(doc["steps"]):
         check_object(s, f"trace step {i}", {"removed": int, "cost": (int, str)})
-    steps = [
-        TraceStep(s["removed"],
-                  s["cost"] if isinstance(s["cost"], int) else float(s["cost"]))
-        for s in doc["steps"]
-    ]
+        cost = s["cost"]
+        if isinstance(cost, str):
+            cost = float(cost)
+            if not np.isfinite(cost):
+                raise ValueError(f"trace step {i} has non-finite cost {s['cost']!r}")
+        steps.append(TraceStep(s["removed"], cost))
     return Trace(k=doc["k"], policy=doc["policy"], steps=steps,
                  final=frozenset(doc["final"]), instance=None)

@@ -71,9 +71,15 @@ class MetricSpace:
             raise ValueError("distance matrix must be square")
         if self.mode not in ("int", "float"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if d.dtype.kind not in "biuf" and not all(
-                isinstance(x, (int, float)) for x in d.flat):
-            raise ValueError("distances must be numbers")
+        if d.dtype.kind not in "biuf":
+            if not all(isinstance(x, (int, float)) for x in d.flat):
+                raise ValueError("distances must be numbers")
+            # Python ints outside int64 (JSON numbers have no size limit);
+            # one beyond the float range is no finite distance either.
+            try:
+                d = d.astype(np.float64)
+            except OverflowError:
+                raise ValueError("distances must be finite (no NaN or inf)") from None
         if np.issubdtype(d.dtype, np.floating) and not np.isfinite(d).all():
             raise ValueError("distances must be finite (no NaN or inf)")
         if self.mode == "int" and not np.issubdtype(d.dtype, np.integer):
@@ -185,13 +191,27 @@ def validate_metric(m: MetricSpace) -> MetricValidationReport:
     report = _pairwise_axioms(m)
 
     for b in range(n):
-        viol = np.argwhere(d > d[:, b : b + 1] + d[b : b + 1, :] + tol)
+        ab, bc = d[:, b : b + 1], d[b : b + 1, :]
+        s = ab + bc
+        # An int64 sum wraps exactly when its sign differs from that of two
+        # like-signed terms; the true sum then lies beyond every entry,
+        # above them all for non-negative terms and below for negative ones.
+        wrapped = ((ab < 0) == (bc < 0)) & ((s < 0) != (ab < 0))
+        viol = np.argwhere(np.where(wrapped, ab < 0, d > s + tol))
         if viol.size:
             a, c = (int(x) for x in viol[0])
             report.violations.append(("triangle", (a, b, c)))
             break
 
     return report
+
+
+def euclidean_metric(coords: np.ndarray) -> MetricSpace:
+    """Pairwise Euclidean distances of the rows of coords, floating mode."""
+    diff = coords[:, None, :] - coords[None, :, :]
+    d = np.sqrt((diff * diff).sum(axis=2))
+    np.fill_diagonal(d, 0.0)
+    return MetricSpace(dist=d, mode="float")
 
 
 def random_metric(kind: str, n: int, seed: int, *, dim: int = 2,
@@ -205,11 +225,7 @@ def random_metric(kind: str, n: int, seed: int, *, dim: int = 2,
         raise ValueError("random_metric requires n >= 1")
     rng = np.random.default_rng(seed)
     if kind == "euclidean":
-        coords = rng.random((n, dim))
-        diff = coords[:, None, :] - coords[None, :, :]
-        d = np.sqrt((diff * diff).sum(axis=2))
-        np.fill_diagonal(d, 0.0)
-        return MetricSpace(dist=d, mode="float")
+        return euclidean_metric(rng.random((n, dim)))
     if kind == "random-graph":
         edges = []
         for v in range(1, n):
@@ -280,12 +296,21 @@ def load_instance(path) -> tuple[MetricSpace, int | None]:
     if not isinstance(doc.get("k"), (int, type(None))):
         raise ValueError(f"instance file has k={doc['k']!r}, not an integer")
     mode = doc["mode"]
-    labels = tuple(doc["labels"]) if doc.get("labels") else None
+    labels = doc.get("labels")
+    if labels is not None:
+        if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+            raise ValueError("instance labels must be a list of strings")
+        labels = tuple(labels)
     if "graph" in doc:
         check_object(doc["graph"], "instance graph", {"edges": list})
-        if not all(isinstance(e, list) for e in doc["graph"]["edges"]):
+        edges = doc["graph"]["edges"]
+        if not all(isinstance(e, list) for e in edges):
             raise ValueError("instance graph edges must be [u, v, weight] lists")
-        g = WeightedGraph(doc["n"], tuple(tuple(e) for e in doc["graph"]["edges"]))
+        # Checked before the n x n shortest-path table is allocated.
+        if len(edges) < doc["n"] - 1:
+            raise DisconnectedGraphError(f"{len(edges)} edges cannot connect "
+                                         f"{doc['n']} vertices")
+        g = WeightedGraph(doc["n"], tuple(tuple(e) for e in edges))
         m = metric_from_graph(g)
         if mode != "int":
             raise ValueError("graph instances must be integer mode")

@@ -132,6 +132,26 @@ def test_schemaless_schedule_and_trace_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: trace file lacks 'k'")
 
 
+@pytest.mark.parametrize("what, edit, message", [
+    ("instance", lambda doc: doc.update(labels=5), "labels must be a list of strings"),
+    ("trace", lambda doc: doc["steps"][0].update(cost="nan"), "non-finite cost 'nan'"),
+    ("trace", lambda doc: doc["steps"][0].update(cost="1e400"), "non-finite cost '1e400'"),
+], ids=["labels=5", "cost=nan", "cost=1e400"])
+def test_loader_holes_exit_2(tmp_path, capsys, what, edit, message):
+    inst, trace = tmp_path / "i.json", tmp_path / "t.json"
+    assert run_cli(["gen", "lowerbound", "--k", "2", "--out", str(inst)]) == 0
+    assert run_cli(["run", "--instance", str(inst), "--policy", "scripted",
+                    "--out", str(trace)]) == 0
+    capsys.readouterr()
+    path = inst if what == "instance" else trace
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    assert run_cli(["export-dot", "--instance", str(inst), "--trace", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_run_writes_trace(tmp_path):
     out = tmp_path / "trace.json"
     assert run_cli(["run", "--lowerbound", "3", "--policy", "scripted",
@@ -276,6 +296,33 @@ def test_bad_subcommand_usage_error():
 
 def test_nonpositive_cap_rejected():
     assert run_cli(["verify", "upper", "--exact-cap", "0"]) == 2
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "gamma", "--k", "1"], 2),
+    (["sweep", "--k", "1"], 2),
+    (["verify", "lower", "--k", "x"], 2),
+    (["verify", "upper", "--n", "5", "--k", "7"], 2),
+    (["verify", "separation", "--k", "0"], 2),
+    (["verify", "separation", "--k", "17"], 3),
+    (["verify", "gamma", "--instance", "K0"], 2),
+    (["verify", "gamma", "--instance", "K7"], 2),
+    (["verify", "upper", "--trials", "0"], 2),
+    (["sweep", "--k", "2", "--jobs", "0"], 2),
+    # Flags a command does not read are not accepted.
+    (["gen", "lowerbound", "--k", "3", "--seed", "1", "--out", "OUT"], 2),
+    (["run", "--lowerbound", "3", "--gamma-cap", "5"], 2),
+    (["verify", "lower", "--k", "2", "--exact-cap", "5"], 2),
+    (["export-dot", "--lowerbound", "3", "--jobs", "1"], 2),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_bad_input_exit_code_without_traceback(tmp_path, capsys, argv, code):
+    # K0 and K7: a 5-point instance file whose k is 0 or above n.
+    for k in (0, 7):
+        save_instance(tmp_path / f"K{k}.json", uniform_metric(5), k=k)
+    argv = [str(tmp_path / f"{a}.json") if a in ("K0", "K7", "OUT") else a
+            for a in argv]
+    assert run_cli(argv) == code
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_parse_k_range():

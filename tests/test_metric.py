@@ -68,6 +68,19 @@ def test_validate_triangle_violation():
     assert d[a][c] > d[a][b] + d[b][c]
 
 
+def test_validate_triangle_without_int64_wrap():
+    # 2^62 + 2^62 wraps to -2^63 in int64; the metric is still valid.
+    big = 2**62
+    d = np.array([[0, big, big], [big, 0, big], [big, big, 0]])
+    assert validate_metric(MetricSpace(dist=d)).ok
+    d = np.array([[0, 2**61, big + 1], [2**61, 0, 2**61], [big + 1, 2**61, 0]])
+    assert validate_metric(MetricSpace(dist=d)).violations == [("triangle", (0, 1, 2))]
+    # Two entries below -2^62 sum past -2^63: 0 > d01 + d10 is a violation.
+    d = np.array([[0, -big - 1], [-big - 1, 0]])
+    assert validate_metric(MetricSpace(dist=d)).violations == [
+        ("positivity", (0, 1)), ("triangle", (1, 0, 1))]
+
+
 def test_validate_identity_and_positivity():
     d = np.array([[1, 1], [1, 0]])
     assert ("identity", (0, 0)) in validate_metric(MetricSpace(dist=d)).violations
@@ -153,6 +166,21 @@ def test_metric_rejects_non_finite(mode, bad):
     d = np.array([[0.0, bad], [bad, 0.0]])
     with pytest.raises(ValueError, match="finite"):
         MetricSpace(dist=d, mode=mode)
+
+
+def test_graph_instance_with_too_few_edges_rejected_before_apsp(tmp_path):
+    # A million vertices would need an n x n table; one edge cannot connect them.
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps({"version": 1, "mode": "int", "n": 10**6,
+                                "graph": {"edges": [[0, 1, 1]]}}))
+    with pytest.raises(DisconnectedGraphError, match="1 edges cannot connect"):
+        load_instance(path)
+
+
+def test_float_metric_rejects_ints_beyond_float_range():
+    d = np.array([[0, 10**400], [10**400, 0]], dtype=object)
+    with pytest.raises(ValueError, match="finite"):
+        MetricSpace(dist=d, mode="float")
 
 
 @pytest.mark.parametrize("key", ["version", "mode", "n"])

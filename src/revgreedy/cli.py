@@ -149,7 +149,7 @@ def _upper_trial(params: tuple) -> dict:
     for policy in policies:
         trace = kcenter.reverse_greedy(m, k, policy)
         final = trace.steps[-1].cost if trace.steps else 0
-        ratio = final / opt.opt_value
+        ratio = final / opt.opt_value if opt.opt_value else 0.0
         worst = max(worst, ratio)
         if final > 2 * k * opt.opt_value + m.tol():
             violations.append({"trial": trial, "kind": kind,
@@ -202,9 +202,9 @@ def _verify_gamma(args) -> int:
     return 0 if report.ok else 1
 
 
-def _separated_instance(k: int, seed: int, per_cluster: int = 4,
-                        radius: float = 0.5, spacing: float = 10.0):
+def _separated_instance(k: int, seed: int):
     """Euclidean clusters far enough apart that optimal balls never touch."""
+    per_cluster, radius, spacing = 4, 0.5, 10.0
     rng = np.random.default_rng(seed)
     side = int(np.ceil(np.sqrt(k)))
     centers = [(spacing * (i % side), spacing * (i // side)) for i in range(k)]

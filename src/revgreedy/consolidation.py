@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .exact import OptimalSolution, _BudgetExhausted, _can_cover
+from .exact import OptimalSolution, _BudgetExhausted, _can_cover, _cover_masks
 from .kcenter import Trace
 from .metric import FLOAT_EPS, MetricSpace
 
@@ -74,32 +74,28 @@ def is_consolidation(candidate: Consolidation) -> ConsolidationReport:
     return ConsolidationReport(True)
 
 
-def _maximal_cliques(adjacency: list[set[int]]) -> list[frozenset[int]]:
-    """Bron-Kerbosch with pivoting."""
-    cliques: list[frozenset[int]] = []
+def _maximal_cliques(adjacency: list[int]) -> list[int]:
+    """Bron-Kerbosch with pivoting over bitmask neighbourhoods (no vertex is
+    its own neighbour); returns every maximal clique once, as a bitmask."""
+    cliques: list[int] = []
 
-    def expand(clique: set[int], candidates: set[int], excluded: set[int]):
-        if not candidates and not excluded:
-            cliques.append(frozenset(clique))
+    def expand(clique: int, candidates: int, excluded: int):
+        pool = candidates | excluded
+        if not pool:
+            cliques.append(clique)
             return
-        pivot = max(candidates | excluded,
-                    key=lambda v: len(adjacency[v] & candidates))
-        for v in sorted(candidates - adjacency[pivot]):
-            expand(clique | {v}, candidates & adjacency[v], excluded & adjacency[v])
-            candidates.remove(v)
-            excluded.add(v)
+        pivot = max((v for v in range(pool.bit_length()) if pool >> v & 1),
+                    key=lambda v: (adjacency[v] & candidates).bit_count())
+        rest = candidates & ~adjacency[pivot]
+        for v in range(rest.bit_length()):
+            if rest >> v & 1:
+                near = adjacency[v]
+                expand(clique | 1 << v, candidates & near, excluded & near)
+                candidates &= ~(1 << v)
+                excluded |= 1 << v
 
-    expand(set(), set(range(len(adjacency))), set())
+    expand(0, (1 << len(adjacency)) - 1, 0)
     return cliques
-
-
-def threshold_adjacency(m: MetricSpace, opt_value) -> list[set[int]]:
-    """Graph on all points with an edge wherever distance <= 2 * optimum."""
-    limit = 2 * opt_value + m.tol()
-    return [
-        {int(q) for q in range(m.n) if q != p and m.dist[p, q] <= limit}
-        for p in range(m.n)
-    ]
 
 
 def required_pairs(opt: OptimalSolution, facilities: frozenset[int]) -> frozenset:
@@ -116,34 +112,35 @@ def gamma(m: MetricSpace, opt: OptimalSolution, facilities, *,
     """Exact consolidation number by a set-cover search over maximal cliques.
 
     The search space is restricted to maximal cliques of the threshold
-    graph.  This is lossless: a set has diameter <= 2*OPT exactly when it is
+    graph, the oracle's cover masks at radius 2*OPT without self-loops.
+    This is lossless: a set has diameter <= 2*OPT exactly when it is
     a clique there, and replacing any member of a valid family by a maximal
     clique containing it preserves all three properties (covering and
     optimal pairs survive under supersets, and a superset clique still has
     diameter <= 2*OPT).  So some minimum-size family consists of maximal
-    cliques only.  Each clique becomes one bitmask over the facilities and
-    the required pairs, and the least number of masks covering all those
-    bits is found size by size; `search_budget` bounds the backtrack nodes
-    of each size's search.
+    cliques only.  Each clique becomes one bitmask, with facility f as bit f
+    and required pair j as bit n + j, and the least number of masks covering
+    all those bits is found size by size; `search_budget` bounds the
+    backtrack nodes of each size's search.
     """
     facilities = frozenset(facilities)
     if not facilities:
         raise ValueError("consolidation number undefined for empty facility set")
 
-    cliques = _maximal_cliques(threshold_adjacency(m, opt.opt_value))
+    cliques = _maximal_cliques([mask & ~(1 << p) for p, mask in
+                                enumerate(_cover_masks(m, 2 * opt.opt_value))])
     if len(cliques) > clique_cap:
         raise GammaCapError(
             f"gamma brute force infeasible: {len(cliques)} maximal cliques "
             f"> cap={clique_cap}")
 
-    ordered = sorted(facilities)
-    pairs = sorted(required_pairs(opt, facilities))
-    masks = []
-    for clique in cliques:
-        bits = ([f in clique for f in ordered]
-                + [f in clique and g in clique for f, g in pairs])
-        masks.append(sum(1 << b for b, inside in enumerate(bits) if inside))
-    full = (1 << (len(facilities) + len(pairs))) - 1
+    facility_bits = sum(1 << f for f in facilities)
+    pair_bits = [((1 << f) | (1 << g), 1 << (m.n + j)) for j, (f, g)
+                 in enumerate(sorted(required_pairs(opt, facilities)))]
+    masks = [(clique & facility_bits)
+             | sum(bit for both, bit in pair_bits if clique & both == both)
+             for clique in cliques]
+    full = facility_bits | sum(bit for _, bit in pair_bits)
 
     for size in range(1, len(opt.balls) + 1):
         try:
@@ -157,7 +154,7 @@ def gamma(m: MetricSpace, opt: OptimalSolution, facilities, *,
                          "search must succeed by size k")
 
 
-def critical_indices(trace: Trace, opt_value, eps: float = FLOAT_EPS) -> dict[int, int]:
+def critical_indices(trace: Trace, opt_value) -> dict[int, int]:
     """Map each threshold level l to the last step index still within 2l*OPT.
 
     Level l is present exactly when the trace's cost eventually exceeds
@@ -170,7 +167,7 @@ def critical_indices(trace: Trace, opt_value, eps: float = FLOAT_EPS) -> dict[in
         if b < a:
             raise ValueError("trace cost sequence must be nondecreasing")
     exact = all(isinstance(c, int) for c in costs) and isinstance(opt_value, int)
-    tol = 0 if exact else eps
+    tol = 0 if exact else FLOAT_EPS
 
     entries: dict[int, int] = {}
     final = costs[-1]

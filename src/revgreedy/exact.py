@@ -57,15 +57,10 @@ def _with_balls(m: MetricSpace, value, facilities) -> OptimalSolution:
 
 
 def _cover_masks(m: MetricSpace, radius) -> list[int]:
-    """Bitmask per candidate center of the points it covers at this radius."""
-    within = m.dist <= radius + m.tol()
-    masks = []
-    for c in range(m.n):
-        mask = 0
-        for p in np.flatnonzero(within[c]):
-            mask |= 1 << int(p)
-        masks.append(mask)
-    return masks
+    """Bitmask per point of the points within `radius` of it: bit q of
+    entry p is set when dist(p, q) <= radius (within the mode's slack)."""
+    rows = np.packbits(m.dist <= radius + m.tol(), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
 class _BudgetExhausted(RuntimeError):

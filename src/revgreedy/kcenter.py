@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .metric import MetricSpace, check_object, read_document
+from .metric import MetricSpace, check_object, is_int, read_document
 
 
 class ScriptedStepError(ValueError):
@@ -86,7 +86,6 @@ class Trace:
     policy: dict
     steps: list[TraceStep]
     final: frozenset[int]
-    instance: MetricSpace | None = None
 
     @property
     def n(self) -> int:
@@ -243,7 +242,7 @@ def reverse_greedy(m: MetricSpace, k: int, policy: TiePolicy | None = None,
         d2[stale] = m.dist[stale, f2[stale]]
 
     return Trace(k=k, policy=policy.describe(), steps=steps,
-                 final=frozenset(np.flatnonzero(live).tolist()), instance=m)
+                 final=frozenset(np.flatnonzero(live).tolist()))
 
 
 def greedy_farthest_first(m: MetricSpace, k: int, first: int = 0) -> frozenset[int]:
@@ -282,7 +281,7 @@ def save_trace(path, trace: Trace) -> None:
 def load_trace(path) -> Trace:
     doc = read_document(path, "trace", {"k": int, "policy": dict,
                                         "steps": list, "final": list})
-    if not all(isinstance(p, int) for p in doc["final"]):
+    if not all(is_int(p) for p in doc["final"]):
         raise ValueError("trace file final must list integer points")
     steps = []
     for i, s in enumerate(doc["steps"]):
@@ -294,4 +293,4 @@ def load_trace(path) -> Trace:
                 raise ValueError(f"trace step {i} has non-finite cost {s['cost']!r}")
         steps.append(TraceStep(s["removed"], cost))
     return Trace(k=doc["k"], policy=doc["policy"], steps=steps,
-                 final=frozenset(doc["final"]), instance=None)
+                 final=frozenset(doc["final"]))

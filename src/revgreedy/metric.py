@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,6 +26,11 @@ class DisconnectedGraphError(ValueError):
     """Raised when a graph has no path between some pair of vertices."""
 
 
+def is_int(x) -> bool:
+    """An integer that is not a bool (JSON true/false load as bool, an int)."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     """Undirected graph with positive integer edge weights."""
@@ -37,12 +43,12 @@ class WeightedGraph:
             raise ValueError("graph needs at least one vertex")
         object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
         for u, v, w in self.edges:
+            if not (is_int(u) and is_int(v)
+                    and 0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
+                raise ValueError(f"edge ({u},{v}) out of range or not integers")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (isinstance(u, (int, np.integer)) and isinstance(v, (int, np.integer))
-                    and 0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise ValueError(f"edge ({u},{v}) out of range")
-            if not isinstance(w, (int, np.integer)) or w < 1:
+            if not is_int(w) or w < 1:
                 raise ValueError(f"edge ({u},{v}) weight {w} must be an integer >= 1")
             # A shortest path has at most n-1 edges; no path sum may reach
             # the "no path yet" sentinel.
@@ -60,9 +66,9 @@ class MetricSpace:
     (comparisons within `eps`).
     """
 
+    eps: ClassVar[float] = FLOAT_EPS
     dist: np.ndarray
     mode: str = "int"
-    eps: float = FLOAT_EPS
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
@@ -71,8 +77,12 @@ class MetricSpace:
             raise ValueError("distance matrix must be square")
         if self.mode not in ("int", "float"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        # np.asarray reads booleans among numbers as 0 and 1.
+        if d.dtype.kind == "b" or (isinstance(self.dist, list) and any(
+                bool in set(map(type, row)) for row in self.dist if isinstance(row, list))):
+            raise ValueError("distances must be numbers, not booleans")
         if d.dtype.kind not in "biuf":
-            if not all(isinstance(x, (int, float)) for x in d.flat):
+            if not all(is_int(x) or isinstance(x, float) for x in d.flat):
                 raise ValueError("distances must be numbers")
             # Python ints outside int64 (JSON numbers have no size limit);
             # one beyond the float range is no finite distance either.
@@ -257,10 +267,8 @@ def save_instance(path, m: MetricSpace, k: int | None = None,
     doc: dict = {"version": 1, "mode": m.mode, "n": m.n, "k": k}
     if graph is not None:
         doc["graph"] = {"edges": [[int(u), int(v), int(w)] for u, v, w in graph.edges]}
-    elif m.mode == "int":
-        doc["matrix"] = [[int(x) for x in row] for row in m.dist]
     else:
-        doc["matrix"] = [[float(x) for x in row] for row in m.dist]
+        doc["matrix"] = m.dist.tolist()
     if m.labels is not None:
         doc["labels"] = list(m.labels)
     Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
@@ -275,7 +283,8 @@ def check_object(obj, what: str, fields: dict) -> None:
     if missing:
         raise ValueError(f"{what} lacks {', '.join(map(repr, missing))}")
     for key, kind in fields.items():
-        if not isinstance(obj[key], kind):
+        # No field is a boolean, and bool subclasses int.
+        if isinstance(obj[key], bool) or not isinstance(obj[key], kind):
             raise ValueError(f"{what} has {key}={obj[key]!r} of the wrong type")
 
 
@@ -293,7 +302,7 @@ def load_instance(path) -> tuple[MetricSpace, int | None]:
     doc = read_document(path, "instance", {"mode": str, "n": int})
     if "graph" in doc and "matrix" in doc:
         raise ValueError("instance file must not carry both a graph and a matrix")
-    if not isinstance(doc.get("k"), (int, type(None))):
+    if not (doc.get("k") is None or is_int(doc["k"])):
         raise ValueError(f"instance file has k={doc['k']!r}, not an integer")
     mode = doc["mode"]
     labels = doc.get("labels")
@@ -307,16 +316,15 @@ def load_instance(path) -> tuple[MetricSpace, int | None]:
         if not all(isinstance(e, list) for e in edges):
             raise ValueError("instance graph edges must be [u, v, weight] lists")
         # Checked before the n x n shortest-path table is allocated.
+        if mode != "int":
+            raise ValueError("graph instances must be integer mode")
         if len(edges) < doc["n"] - 1:
             raise DisconnectedGraphError(f"{len(edges)} edges cannot connect "
                                          f"{doc['n']} vertices")
-        g = WeightedGraph(doc["n"], tuple(tuple(e) for e in edges))
-        m = metric_from_graph(g)
-        if mode != "int":
-            raise ValueError("graph instances must be integer mode")
+        m = metric_from_graph(WeightedGraph(doc["n"], edges))
         m = MetricSpace(dist=m.dist, mode="int", labels=labels)
     elif "matrix" in doc:
-        m = MetricSpace(dist=np.asarray(doc["matrix"]), mode=mode, labels=labels)
+        m = MetricSpace(dist=doc["matrix"], mode=mode, labels=labels)
         if m.n != doc["n"]:
             raise ValueError("matrix size does not match declared n")
         # The O(n^3) triangle check is left to validate_metric: at a few

@@ -37,6 +37,23 @@ def gamma_unrestricted(m, opt, facilities):
     raise AssertionError("no consolidation found up to size k")
 
 
+def maximal_cliques_brute(adjacency):
+    """Every maximal clique of the graph whose neighbour sets are given,
+    by testing every vertex subset (n <= 10 territory)."""
+    n = len(adjacency)
+    cliques = [frozenset(c) for size in range(1, n + 1)
+               for c in combinations(range(n), size)
+               if all(b in adjacency[a] for a, b in combinations(c, 2))]
+    return {c for c in cliques if not any(c < d for d in cliques)}
+
+
+def cover_masks_reference(m, radius):
+    """Per point, the bitmask of the points within radius of it, one
+    comparison and one bit at a time."""
+    return [sum(1 << q for q in range(m.n) if m.dist[p, q] <= radius + m.tol())
+            for p in range(m.n)]
+
+
 def battery_instance(trial: int, *, n_span=(6, 12), k_span=(2, 4), seed_base=1000):
     """Deterministic mixed-kind random instance for ratio batteries."""
     kind = "euclidean" if trial % 2 == 0 else "random-graph"

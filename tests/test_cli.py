@@ -136,7 +136,8 @@ def test_schemaless_schedule_and_trace_exit_2(tmp_path, capsys):
     ("instance", lambda doc: doc.update(labels=5), "labels must be a list of strings"),
     ("trace", lambda doc: doc["steps"][0].update(cost="nan"), "non-finite cost 'nan'"),
     ("trace", lambda doc: doc["steps"][0].update(cost="1e400"), "non-finite cost '1e400'"),
-], ids=["labels=5", "cost=nan", "cost=1e400"])
+    ("trace", lambda doc: doc["final"].__setitem__(0, True), "final must list integer points"),
+], ids=["labels=5", "cost=nan", "cost=1e400", "final=true"])
 def test_loader_holes_exit_2(tmp_path, capsys, what, edit, message):
     inst, trace = tmp_path / "i.json", tmp_path / "t.json"
     assert run_cli(["gen", "lowerbound", "--k", "2", "--out", str(inst)]) == 0
@@ -150,6 +151,40 @@ def test_loader_holes_exit_2(tmp_path, capsys, what, edit, message):
     assert run_cli(["export-dot", "--instance", str(inst), "--trace", str(trace)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+SQUARE3 = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"version": True, "mode": "int", "n": 3, "k": True, "matrix": SQUARE3},
+     "version=True of the wrong type"),
+    ({"version": 1, "mode": "int", "n": 2, "k": 1,
+      "matrix": [[False, True], [True, False]]}, "not booleans"),
+    ({"version": 1, "mode": "int", "n": 2, "k": 1,
+      "graph": {"edges": [[0, True, 1]]}}, "edge (0,True) out of range"),
+], ids=["version-k", "matrix", "graph-edge"])
+def test_run_rejects_boolean_instance_values(tmp_path, capsys, doc, message):
+    # JSON true/false load as Python bools, which subclass int.
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["run", "--instance", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_run_rejects_boolean_schedule_point(tmp_path, capsys):
+    inst, sched = tmp_path / "i.json", tmp_path / "s.json"
+    assert run_cli(["gen", "lowerbound", "--k", "2", "--out", str(inst),
+                    "--schedule-out", str(sched)]) == 0
+    doc = json.loads(sched.read_text())
+    doc["steps"][0]["point"] = True
+    sched.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli(["run", "--instance", str(inst), "--policy", "scripted",
+                    "--schedule", str(sched)]) == 2
+    assert "schedule step 0 has point=True of the wrong type" in capsys.readouterr().err
 
 
 def test_run_writes_trace(tmp_path):
@@ -184,6 +219,15 @@ def test_verify_upper_small_battery(tmp_path):
     doc = json.loads(report.read_text())
     assert doc["passed"] is True
     assert doc["max_ratio"] <= doc["bound"]
+
+
+def test_verify_upper_k_equals_n_has_ratio_zero(tmp_path):
+    # With k = n the optimum is 0; the ratio is then reported as 0, as in run.
+    report = tmp_path / "upper.json"
+    assert run_cli(["verify", "upper", "--n", "5", "--k", "5", "--trials", "1",
+                    "--out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert doc["passed"] is True and doc["max_ratio"] == 0
 
 
 def test_verify_upper_cap_incomplete():

@@ -4,7 +4,9 @@ Each case takes a valid document, replaces one value anywhere in it (a
 top-level field, a list entry or a nested field) with an arbitrary JSON
 value, and loads the result.  A loader must return or raise ValueError,
 which the CLI reports with exit code 2; any other exception would escape
-that boundary as a traceback.
+that boundary as a traceback.  No field of any document is a boolean, so
+a value holding one must be rejected, except inside a trace's policy,
+which is carried without being read.
 """
 
 import json
@@ -64,6 +66,14 @@ def _paths(node, prefix):
         yield from _paths(node[key], prefix + (key,))
 
 
+def _holds_bool(value) -> bool:
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return any(_holds_bool(x) for x in value)
+    return isinstance(value, bool)
+
+
 def _replaced(doc, path, value):
     doc = json.loads(json.dumps(doc))
     node = doc
@@ -86,4 +96,5 @@ def test_loaders_return_or_raise_value_error(tmp_path, name, loader, doc, key,
     try:
         loader(fuzzed)
     except ValueError:
-        pass
+        return
+    assert not _holds_bool(value) or path[0] == "policy"

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from revgreedy import metric
 from revgreedy.lowerbound import build_lower_bound_instance
 from revgreedy.metric import (_INT_INF, DisconnectedGraphError, MetricSpace,
                               WeightedGraph, load_instance, metric_from_graph,
@@ -177,6 +178,27 @@ def test_graph_instance_with_too_few_edges_rejected_before_apsp(tmp_path):
         load_instance(path)
 
 
+def test_float_graph_instance_rejected_before_apsp(tmp_path, monkeypatch):
+    def no_apsp(graph):
+        raise AssertionError("shortest paths computed for a rejected instance")
+
+    monkeypatch.setattr(metric, "metric_from_graph", no_apsp)
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"version": 1, "mode": "float", "n": 700, "graph": {
+        "edges": [[v, v + 1, 1] for v in range(699)]}}))
+    with pytest.raises(ValueError, match="graph instances must be integer mode"):
+        load_instance(path)
+
+
+@pytest.mark.parametrize("dist", [
+    np.array([[False, True], [True, False]]),
+    np.array([[0, True], [True, 0]], dtype=object),
+], ids=["bool-dtype", "bool-entries"])
+def test_metric_rejects_booleans(dist):
+    with pytest.raises(ValueError, match="must be numbers"):
+        MetricSpace(dist=dist)
+
+
 def test_float_metric_rejects_ints_beyond_float_range():
     d = np.array([[0, 10**400], [10**400, 0]], dtype=object)
     with pytest.raises(ValueError, match="finite"):
@@ -235,6 +257,11 @@ def test_instance_rejects_non_metric_matrix(tmp_path, matrix, witness):
     ({"matrix": [[0, "a"], ["a", 0]]}, "numbers"),
     ({"matrix": [[0, None], [None, 0]]}, "numbers"),
     ({"matrix": [[0, 1], [1, 0]], "k": "1"}, "k='1'"),
+    ({"matrix": [[0, 1], [1, 0]], "k": True}, "k=True"),
+    ({"matrix": [[0, True], [True, 0]]}, "not booleans"),
+    ({"matrix": [[0.0, True], [True, 0.0]], "mode": "float"}, "not booleans"),
+    ({"graph": {"edges": [[True, 1, 1]]}}, "edge (True,1) out of range"),
+    ({"graph": {"edges": [[0, 1, True]]}}, "weight True must be an integer"),
 ])
 def test_instance_rejects_malformed_content(tmp_path, extra, message):
     doc = {"version": 1, "mode": "int", "n": 2, **extra}

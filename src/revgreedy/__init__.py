@@ -1,10 +1,10 @@
 """Reverse greedy for k-center: algorithms, adversarial instances, and
 approximation-ratio verification at desk scale."""
 
-from .consolidation import (Consolidation, GammaCapError, critical_indices,
-                            gamma, is_consolidation, verify_gamma_decrement)
-from .exact import (OptimalSolution, OracleCapError, ball, exact_opt,
-                    exact_opt_enumeration, opt_balls)
+from .consolidation import (GammaCapError, critical_indices, gamma,
+                            is_consolidation, verify_gamma_decrement)
+from .exact import (OptimalSolution, OracleCapError, exact_opt,
+                    exact_opt_enumeration, optimal_solution)
 from .kcenter import (ScriptedStepError, TiePolicy, Trace, cost,
                       greedy_farthest_first, marginal_costs, reverse_greedy,
                       serves)
@@ -16,10 +16,10 @@ from .metric import (DisconnectedGraphError, MetricSpace, WeightedGraph,
                      validate_metric)
 
 __all__ = [
-    "Consolidation", "GammaCapError", "critical_indices", "gamma",
-    "is_consolidation", "verify_gamma_decrement",
-    "OptimalSolution", "OracleCapError", "ball", "exact_opt",
-    "exact_opt_enumeration", "opt_balls",
+    "GammaCapError", "critical_indices", "gamma", "is_consolidation",
+    "verify_gamma_decrement",
+    "OptimalSolution", "OracleCapError", "exact_opt", "exact_opt_enumeration",
+    "optimal_solution",
     "ScriptedStepError", "TiePolicy", "Trace", "cost",
     "greedy_farthest_first", "marginal_costs", "reverse_greedy", "serves",
     "LowerBoundInstance", "PhaseSchedule", "build_lower_bound_instance",

@@ -12,7 +12,6 @@ import argparse
 import csv
 import functools
 import io
-import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -43,7 +42,7 @@ def positive_int(text: str) -> int:
 
 def _write_report(out: str | None, doc: dict) -> None:
     if out:
-        Path(out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        metric.write_document(out, doc)
 
 
 def _load_source(instance, family_k, k=None, n=None):
@@ -109,14 +108,13 @@ def cmd_run(args) -> int:
 
     if args.out:
         kcenter.save_trace(args.out, trace)
-    final_cost = trace.steps[-1].cost if trace.steps else 0
     try:
         opt_value = _optimum(m, k, lb, args.exact_cap).opt_value
     except exact.OracleCapError as err:
-        print(f"final_cost={final_cost:g} (ratio omitted: {err})")
+        print(f"final_cost={trace.final_cost:g} (ratio omitted: {err})")
         return 0
-    ratio = final_cost / opt_value if opt_value else 0.0
-    print(f"final_cost={final_cost:g} opt={opt_value:g} ratio={ratio:g}")
+    ratio = trace.final_cost / opt_value if opt_value else 0.0
+    print(f"final_cost={trace.final_cost:g} opt={opt_value:g} ratio={ratio:g}")
     return 0
 
 
@@ -147,8 +145,7 @@ def _upper_trial(params: tuple) -> dict:
     worst = 0.0
     violations = []
     for policy in policies:
-        trace = kcenter.reverse_greedy(m, k, policy)
-        final = trace.steps[-1].cost if trace.steps else 0
+        final = kcenter.reverse_greedy(m, k, policy).final_cost
         ratio = final / opt.opt_value if opt.opt_value else 0.0
         worst = max(worst, ratio)
         if final > 2 * k * opt.opt_value + m.tol():
@@ -226,8 +223,7 @@ def _separation_trial(params: tuple) -> dict:
                for x in opt.balls[a] for y in opt.balls[b]),
               default=float("inf"))
     separated = gap >= 2 * opt.opt_value - m.eps
-    trace = kcenter.reverse_greedy(m, k)
-    final = trace.steps[-1].cost if trace.steps else 0.0
+    final = kcenter.reverse_greedy(m, k).final_cost
     return {"trial": trial, "separated": separated,
             "ratio": final / opt.opt_value}
 
@@ -254,7 +250,7 @@ def _sweep_row(k: int) -> list:
     trace = kcenter.reverse_greedy(inst.metric, k,
                                    kcenter.TiePolicy.scripted(sched.script()))
     elapsed = time.perf_counter() - start
-    final = trace.steps[-1].cost if trace.steps else 0
+    final = trace.final_cost
     return [k, inst.n, final, 1, f"{final:g}", f"{elapsed:.4f}", "verified"]
 
 
@@ -278,6 +274,8 @@ def cmd_export_dot(args) -> int:
     trace = kcenter.load_trace(args.trace) if args.trace else None
     if lb is None:
         raise ValueError("DOT export needs a lower-bound instance")
+    if trace is not None and trace.n != lb.n:
+        raise ValueError(f"trace has {trace.n} points, the instance {lb.n}")
     text = lowerbound.export_dot(lb, trace)
     if args.out:
         Path(args.out).write_text(text)

@@ -26,17 +26,6 @@ class GammaCapError(RuntimeError):
         self.lower_bound = lower_bound
 
 
-@dataclass(frozen=True)
-class Consolidation:
-    """A candidate family together with the context it is judged against."""
-
-    sets: tuple[frozenset[int], ...]
-    metric: MetricSpace
-    opt_value: int | float
-    balls: tuple[frozenset[int], ...]
-    facilities: frozenset[int]
-
-
 @dataclass
 class ConsolidationReport:
     valid: bool
@@ -49,34 +38,38 @@ class ConsolidationReport:
         return f"{self.violated} violation at {self.witness}"
 
 
-def is_consolidation(candidate: Consolidation) -> ConsolidationReport:
-    """Check covering, diameter, and optimal pairs; report the first failure."""
-    m = candidate.metric
-    limit = 2 * candidate.opt_value + m.tol()
-    union = frozenset().union(*candidate.sets) if candidate.sets else frozenset()
+def is_consolidation(m: MetricSpace, opt: OptimalSolution, facilities,
+                     sets) -> ConsolidationReport:
+    """Check that `sets` is a consolidation of `facilities` against `opt`:
+    covering, diameter, and optimal pairs; report the first failure."""
+    facilities = frozenset(facilities)
+    sets = [frozenset(part) for part in sets]
+    limit = 2 * opt.opt_value + m.tol()
+    union = frozenset().union(*sets)
 
-    for f in sorted(candidate.facilities):
+    for f in sorted(facilities):
         if f not in union:
             return ConsolidationReport(False, "covering", (f,))
 
-    for s, part in enumerate(candidate.sets):
+    for s, part in enumerate(sets):
         members = sorted(part)
         for x, y in combinations(members, 2):
             if m.dist[x, y] > limit:
                 return ConsolidationReport(False, "diameter", (s, x, y))
 
-    for t, ball_t in enumerate(candidate.balls):
-        shared = sorted(candidate.facilities & ball_t)
+    for t, ball_t in enumerate(opt.balls):
+        shared = sorted(facilities & ball_t)
         for f, g in combinations(shared, 2):
-            if not any(f in part and g in part for part in candidate.sets):
+            if not any(f in part and g in part for part in sets):
                 return ConsolidationReport(False, "optimal-pairs", (t, f, g))
 
     return ConsolidationReport(True)
 
 
-def _maximal_cliques(adjacency: list[int]) -> list[int]:
+def _maximal_cliques(adjacency: list[int], vertices: int) -> list[int]:
     """Bron-Kerbosch with pivoting over bitmask neighbourhoods (no vertex is
-    its own neighbour); returns every maximal clique once, as a bitmask."""
+    its own neighbour); returns every maximal clique of the subgraph induced
+    on the bitmask `vertices` once, as a bitmask."""
     cliques: list[int] = []
 
     def expand(clique: int, candidates: int, excluded: int):
@@ -94,7 +87,7 @@ def _maximal_cliques(adjacency: list[int]) -> list[int]:
                 candidates &= ~(1 << v)
                 excluded |= 1 << v
 
-    expand(0, (1 << len(adjacency)) - 1, 0)
+    expand(0, vertices, 0)
     return cliques
 
 
@@ -112,13 +105,14 @@ def gamma(m: MetricSpace, opt: OptimalSolution, facilities, *,
     """Exact consolidation number by a set-cover search over maximal cliques.
 
     The search space is restricted to maximal cliques of the threshold
-    graph, the oracle's cover masks at radius 2*OPT without self-loops.
-    This is lossless: a set has diameter <= 2*OPT exactly when it is
-    a clique there, and replacing any member of a valid family by a maximal
-    clique containing it preserves all three properties (covering and
-    optimal pairs survive under supersets, and a superset clique still has
-    diameter <= 2*OPT).  So some minimum-size family consists of maximal
-    cliques only.  Each clique becomes one bitmask, with facility f as bit f
+    graph induced on the facilities, the oracle's cover masks at radius
+    2*OPT without self-loops.  This is lossless: a set has diameter <= 2*OPT
+    exactly when it is a clique there; dropping the non-facilities from
+    every member of a valid family keeps it valid (they only add diameter
+    constraints), and so does replacing a member by a maximal clique
+    containing it (covering and optimal pairs survive under supersets).  So
+    some minimum-size family consists of maximal cliques of that induced
+    graph only.  Each clique becomes one bitmask, with facility f as bit f
     and required pair j as bit n + j, and the least number of masks covering
     all those bits is found size by size; `search_budget` bounds the
     backtrack nodes of each size's search.
@@ -127,18 +121,18 @@ def gamma(m: MetricSpace, opt: OptimalSolution, facilities, *,
     if not facilities:
         raise ValueError("consolidation number undefined for empty facility set")
 
+    facility_bits = sum(1 << f for f in facilities)
     cliques = _maximal_cliques([mask & ~(1 << p) for p, mask in
-                                enumerate(_cover_masks(m, 2 * opt.opt_value))])
+                                enumerate(_cover_masks(m, 2 * opt.opt_value))],
+                               facility_bits)
     if len(cliques) > clique_cap:
         raise GammaCapError(
             f"gamma brute force infeasible: {len(cliques)} maximal cliques "
             f"> cap={clique_cap}")
 
-    facility_bits = sum(1 << f for f in facilities)
     pair_bits = [((1 << f) | (1 << g), 1 << (m.n + j)) for j, (f, g)
                  in enumerate(sorted(required_pairs(opt, facilities)))]
-    masks = [(clique & facility_bits)
-             | sum(bit for both, bit in pair_bits if clique & both == both)
+    masks = [clique | sum(bit for both, bit in pair_bits if clique & both == both)
              for clique in cliques]
     full = facility_bits | sum(bit for _, bit in pair_bits)
 
@@ -215,12 +209,11 @@ def verify_gamma_decrement(m: MetricSpace, trace: Trace, opt: OptimalSolution,
                            *, clique_cap: int = 2000) -> GammaDecrementReport:
     """Check the potential drop along a trace, against a supplied optimum.
 
-    Applies only when some optimal ball keeps at least two of the final
-    facilities; results are reported for the given optimum, not quantified
-    over all optima.
+    Applies only when the final facilities have a required pair (two of
+    them share an optimal ball); results are reported for the given
+    optimum, not quantified over all optima.
     """
-    premise = any(len(ball_t & trace.final) >= 2 for ball_t in opt.balls)
-    if not premise:
+    if not required_pairs(opt, trace.final):
         return GammaDecrementReport(status="premise not applicable",
                                     premise_holds=False)
 

@@ -33,27 +33,13 @@ class OptimalSolution:
     balls: tuple[frozenset[int], ...]
 
 
-def ball(m: MetricSpace, center: int, r: float, opt_value) -> frozenset[int]:
-    """Points within r * opt_value of the center (closed ball)."""
-    if opt_value <= 0:
-        raise ValueError("ball needs a positive optimum value")
-    radius = r * opt_value
-    return frozenset(int(p) for p in np.flatnonzero(m.dist[center] <= radius + m.tol()))
-
-
-def opt_balls(m: MetricSpace, sol: "OptimalSolution") -> list[frozenset[int]]:
-    """One ball per facility (ascending facility index), radius = optimum."""
-    out = []
-    for o in sorted(sol.facilities):
-        out.append(frozenset(int(p) for p in
-                             np.flatnonzero(m.dist[o] <= sol.opt_value + m.tol())))
-    return out
-
-
-def _with_balls(m: MetricSpace, value, facilities) -> OptimalSolution:
+def optimal_solution(m: MetricSpace, value, facilities) -> OptimalSolution:
+    """The optimum `value` attained by `facilities`, with one closed ball of
+    radius `value` per facility (ascending facility index)."""
     facilities = frozenset(facilities)
-    sol = OptimalSolution(value, facilities, ())
-    return OptimalSolution(value, facilities, tuple(opt_balls(m, sol)))
+    balls = tuple(frozenset(np.flatnonzero(m.dist[o] <= value + m.tol()).tolist())
+                  for o in sorted(facilities))
+    return OptimalSolution(value, facilities, balls)
 
 
 def _cover_masks(m: MetricSpace, radius) -> list[int]:
@@ -132,7 +118,7 @@ def exact_opt_enumeration(m: MetricSpace, k: int) -> OptimalSolution:
         if best_value is None or value < best_value:
             best_value = value
             best_set = combo
-    return _with_balls(m, best_value, best_set)
+    return optimal_solution(m, best_value, best_set)
 
 
 def exact_opt(m: MetricSpace, k: int, *, cap: int = 20) -> OptimalSolution:
@@ -151,7 +137,7 @@ def exact_opt(m: MetricSpace, k: int, *, cap: int = 20) -> OptimalSolution:
         raise OracleCapError(f"exact oracle cap exceeded (n={n} > cap={cap})")
     if k == n:
         zero = 0 if m.mode == "int" else 0.0
-        return _with_balls(m, zero, range(n))
+        return optimal_solution(m, zero, range(n))
     full = (1 << n) - 1
     cands = np.unique(m.dist[np.triu_indices(n, k=1)])
     lo, hi = 0, len(cands) - 1
@@ -162,5 +148,5 @@ def exact_opt(m: MetricSpace, k: int, *, cap: int = 20) -> OptimalSolution:
         else:
             lo = mid + 1
     value = int(cands[lo]) if m.mode == "int" else float(cands[lo])
-
-    return _with_balls(m, value, _first_cover(_cover_masks(m, cands[lo]), full, k))
+    return optimal_solution(m, value,
+                            _first_cover(_cover_masks(m, cands[lo]), full, k))

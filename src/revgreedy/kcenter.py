@@ -13,15 +13,13 @@ maxima over the clients, O(n) work per step.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from random import Random
 from typing import Iterable
 
 import numpy as np
 
-from .metric import MetricSpace, check_object, is_int, read_document
+from .metric import MetricSpace, check_object, is_int, read_document, write_document
 
 
 class ScriptedStepError(ValueError):
@@ -90,6 +88,11 @@ class Trace:
     @property
     def n(self) -> int:
         return self.k + len(self.steps)
+
+    @property
+    def final_cost(self) -> int | float:
+        """Cost of the final set: the last step's, 0 when nothing was removed."""
+        return self.steps[-1].cost if self.steps else 0
 
     def cost_sequence(self) -> list:
         """Costs of the shrinking facility sets, starting from the full set."""
@@ -275,7 +278,7 @@ def save_trace(path, trace: Trace) -> None:
         ],
         "final": sorted(trace.final),
     }
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    write_document(path, doc)
 
 
 def load_trace(path) -> Trace:
@@ -283,14 +286,23 @@ def load_trace(path) -> Trace:
                                         "steps": list, "final": list})
     if not all(is_int(p) for p in doc["final"]):
         raise ValueError("trace file final must list integer points")
-    steps = []
+    if doc["k"] < 1:
+        raise ValueError(f"trace file has k={doc['k']}, need k >= 1")
+    n = doc["k"] + len(doc["steps"])
+    steps, removed = [], set()
     for i, s in enumerate(doc["steps"]):
         check_object(s, f"trace step {i}", {"removed": int, "cost": (int, str)})
+        if not 0 <= s["removed"] < n or s["removed"] in removed:
+            raise ValueError(f"trace step {i} removes {s['removed']}, not a "
+                             f"remaining point of 0..{n - 1}")
+        removed.add(s["removed"])
         cost = s["cost"]
         if isinstance(cost, str):
             cost = float(cost)
             if not np.isfinite(cost):
                 raise ValueError(f"trace step {i} has non-finite cost {s['cost']!r}")
         steps.append(TraceStep(s["removed"], cost))
+    if sorted(doc["final"]) != [p for p in range(n) if p not in removed]:
+        raise ValueError("trace file final is not the complement of its removals")
     return Trace(k=doc["k"], policy=doc["policy"], steps=steps,
                  final=frozenset(doc["final"]))

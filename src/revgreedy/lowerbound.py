@@ -18,16 +18,14 @@ script.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .exact import OptimalSolution, opt_balls
+from .exact import OptimalSolution, optimal_solution
 from .kcenter import ScriptedStepError, TiePolicy, Trace, reverse_greedy, serves
 from .metric import (MetricSpace, WeightedGraph, check_object, metric_from_graph,
-                     read_document)
+                     read_document, write_document)
 
 
 def size_formula(k: int) -> int:
@@ -142,9 +140,7 @@ def known_opt(inst: LowerBoundInstance) -> OptimalSolution:
     so any solution missing some point costs at least 1, and the centers
     achieve exactly 1.
     """
-    centers = frozenset(s.center for s in inst.stars)
-    sol = OptimalSolution(1, centers, ())
-    return OptimalSolution(1, centers, tuple(opt_balls(inst.metric, sol)))
+    return optimal_solution(inst.metric, 1, (s.center for s in inst.stars))
 
 
 def scripted_schedule(inst: LowerBoundInstance) -> PhaseSchedule:
@@ -202,7 +198,6 @@ class ScheduleReport:
     survivors: frozenset[int] | None
     expected: frozenset[int]
     failures: list[dict]
-    trace: Trace | None = None
 
     def to_json(self) -> dict:
         return {
@@ -252,10 +247,10 @@ def verify_schedule(inst: LowerBoundInstance, sched: PhaseSchedule) -> ScheduleR
                            f"{step.cost} != phase label {planned.phase}",
             })
 
-    final_cost = trace.steps[-1].cost if trace.steps else 0
-    if final_cost != expected_cost:
+    if trace.final_cost != expected_cost:
         failures.append({"step": None, "kind": "final-cost",
-                         "message": f"final cost {final_cost} != {expected_cost}"})
+                         "message": f"final cost {trace.final_cost} != "
+                                    f"{expected_cost}"})
     if trace.final != expected:
         failures.append({"step": None, "kind": "survivors",
                          "message": f"final set {sorted(trace.final)} != "
@@ -269,8 +264,8 @@ def verify_schedule(inst: LowerBoundInstance, sched: PhaseSchedule) -> ScheduleR
                              "message": f"last star center served at {served_at}, "
                                         f"expected {expected_cost}"})
 
-    return ScheduleReport(k, inst.n, not failures, final_cost, expected_cost,
-                          trace.final, expected, failures, trace)
+    return ScheduleReport(k, inst.n, not failures, trace.final_cost, expected_cost,
+                          trace.final, expected, failures)
 
 
 def rebuild_if_lower_bound(m: MetricSpace, k: int) -> LowerBoundInstance | None:
@@ -349,7 +344,7 @@ def save_schedule(path, sched: PhaseSchedule) -> None:
         "n": sched.n,
         "steps": [{"point": s.point, "phase": s.phase} for s in sched.steps],
     }
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    write_document(path, doc)
 
 
 def load_schedule(path) -> PhaseSchedule:

@@ -271,7 +271,7 @@ def save_instance(path, m: MetricSpace, k: int | None = None,
         doc["matrix"] = m.dist.tolist()
     if m.labels is not None:
         doc["labels"] = list(m.labels)
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    write_document(path, doc)
 
 
 def check_object(obj, what: str, fields: dict) -> None:
@@ -295,6 +295,12 @@ def read_document(path, what: str, fields: dict) -> dict:
     if doc["version"] != 1:
         raise ValueError(f"unsupported {what} file version")
     return doc
+
+
+def write_document(path, doc: dict) -> None:
+    """Write a JSON document the way every file and report is written:
+    one-space indent, sorted keys, a final newline."""
+    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def load_instance(path) -> tuple[MetricSpace, int | None]:

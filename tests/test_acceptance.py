@@ -11,7 +11,7 @@ from pathlib import Path
 
 from conftest import battery_instance, gamma_unrestricted
 
-from revgreedy.consolidation import (Consolidation, gamma, is_consolidation,
+from revgreedy.consolidation import (gamma, is_consolidation,
                                      verify_gamma_decrement)
 from revgreedy.exact import exact_opt, exact_opt_enumeration
 from revgreedy.kcenter import (TiePolicy, cost, greedy_farthest_first,
@@ -198,15 +198,9 @@ def test_criterion_7_invariant_batteries():
                                 seed_base=50_000)
         opt = exact_opt(m, k)
         full = frozenset(range(m.n))
-        family = Consolidation(sets=tuple(opt.balls), metric=m,
-                               opt_value=opt.opt_value, balls=tuple(opt.balls),
-                               facilities=full)
-        assert is_consolidation(family).valid
+        assert is_consolidation(m, opt, full, opt.balls).valid
         smaller = frozenset(p for p in full if p % 3 != t % 3)
-        shrunk = Consolidation(sets=tuple(opt.balls), metric=m,
-                               opt_value=opt.opt_value, balls=tuple(opt.balls),
-                               facilities=smaller)
-        assert is_consolidation(shrunk).valid
+        assert is_consolidation(m, opt, smaller, opt.balls).valid
         if smaller:
             assert gamma(m, opt, smaller) <= gamma(m, opt, full)
         cases += 1

@@ -137,7 +137,18 @@ def test_schemaless_schedule_and_trace_exit_2(tmp_path, capsys):
     ("trace", lambda doc: doc["steps"][0].update(cost="nan"), "non-finite cost 'nan'"),
     ("trace", lambda doc: doc["steps"][0].update(cost="1e400"), "non-finite cost '1e400'"),
     ("trace", lambda doc: doc["final"].__setitem__(0, True), "final must list integer points"),
-], ids=["labels=5", "cost=nan", "cost=1e400", "final=true"])
+    ("trace", lambda doc: doc["steps"][0].update(removed=1000000),
+     "step 0 removes 1000000, not a remaining point of 0..5"),
+    ("trace", lambda doc: doc["steps"][0].update(removed=-1),
+     "step 0 removes -1, not a remaining point of 0..5"),
+    ("trace", lambda doc: doc["steps"][1].update(removed=doc["steps"][0]["removed"]),
+     "step 1 removes 4, not a remaining point of 0..5"),
+    ("trace", lambda doc: doc.update(final=[0, 1]),
+     "final is not the complement of its removals"),
+    ("trace", lambda doc: doc.update(k=0, final=[], steps=doc["steps"] + [
+        {"removed": 1, "cost": 2}, {"removed": 2, "cost": 2}]), "k=0, need k >= 1"),
+], ids=["labels=5", "cost=nan", "cost=1e400", "final=true", "removed=1000000",
+        "removed=-1", "removed-twice", "final=[0,1]", "k=0"])
 def test_loader_holes_exit_2(tmp_path, capsys, what, edit, message):
     inst, trace = tmp_path / "i.json", tmp_path / "t.json"
     assert run_cli(["gen", "lowerbound", "--k", "2", "--out", str(inst)]) == 0
@@ -151,6 +162,15 @@ def test_loader_holes_exit_2(tmp_path, capsys, what, edit, message):
     assert run_cli(["export-dot", "--instance", str(inst), "--trace", str(trace)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_export_dot_rejects_trace_of_another_family_member(tmp_path, capsys):
+    trace = tmp_path / "t.json"
+    assert run_cli(["run", "--lowerbound", "2", "--policy", "scripted",
+                    "--out", str(trace)]) == 0
+    capsys.readouterr()
+    assert run_cli(["export-dot", "--lowerbound", "3", "--trace", str(trace)]) == 2
+    assert capsys.readouterr().err == "error: trace has 6 points, the instance 14\n"
 
 
 SQUARE3 = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]

@@ -1,8 +1,7 @@
 import pytest
 from conftest import gamma_unrestricted, separated_pairs_metric
 
-from revgreedy.consolidation import (Consolidation, GammaCapError,
-                                     critical_indices, gamma,
+from revgreedy.consolidation import (GammaCapError, critical_indices, gamma,
                                      is_consolidation, verify_gamma_decrement)
 from revgreedy.exact import exact_opt
 from revgreedy.kcenter import TiePolicy, Trace, TraceStep, reverse_greedy
@@ -16,25 +15,18 @@ def lb_context(k):
     return inst, known_opt(inst)
 
 
-def make_candidate(m, opt, facilities, sets):
-    return Consolidation(sets=tuple(frozenset(s) for s in sets),
-                         metric=m, opt_value=opt.opt_value,
-                         balls=tuple(opt.balls), facilities=frozenset(facilities))
-
-
 # --- is_consolidation ---
 
 def test_optimal_balls_are_a_consolidation_of_anything():
     inst, opt = lb_context(3)
     for facilities in (range(inst.n), [0, 4, 9], [5]):
-        report = is_consolidation(
-            make_candidate(inst.metric, opt, facilities, opt.balls))
+        report = is_consolidation(inst.metric, opt, facilities, opt.balls)
         assert report.valid, str(report)
 
 
 def test_empty_family_fails_covering():
     inst, opt = lb_context(2)
-    report = is_consolidation(make_candidate(inst.metric, opt, {0, 1}, ()))
+    report = is_consolidation(inst.metric, opt, {0, 1}, ())
     assert not report.valid
     assert report.violated == "covering"
 
@@ -43,8 +35,7 @@ def test_wide_set_fails_diameter_with_pair_witness():
     inst, opt = lb_context(2)
     # leaf_1(C_0) to leaf_2(C_1) is 3 = 3 * optimum.
     wide = {inst.stars[0].leaf(1), inst.stars[1].leaf(2)}
-    report = is_consolidation(
-        make_candidate(inst.metric, opt, wide, (wide,)))
+    report = is_consolidation(inst.metric, opt, wide, (wide,))
     assert report.violated == "diameter"
     _, x, y = report.witness
     assert {x, y} == wide
@@ -53,8 +44,7 @@ def test_wide_set_fails_diameter_with_pair_witness():
 def test_split_ball_pair_fails_optimal_pairs():
     inst, opt = lb_context(2)
     pair = {inst.stars[0].leaf(1), inst.stars[0].leaf(2)}  # both in ball 0
-    report = is_consolidation(
-        make_candidate(inst.metric, opt, pair, ({p} for p in pair)))
+    report = is_consolidation(inst.metric, opt, pair, ({p} for p in pair))
     assert report.violated == "optimal-pairs"
     _, f, g = report.witness
     assert {f, g} == pair
@@ -230,10 +220,8 @@ def test_consolidation_valid_for_subsets():
         m = random_metric("random-graph", 8, 800 + seed)
         opt = exact_opt(m, 3)
         facilities = frozenset(range(m.n))
-        candidate = make_candidate(m, opt, facilities, opt.balls)
-        assert is_consolidation(candidate).valid
+        assert is_consolidation(m, opt, facilities, opt.balls).valid
         for drop in range(m.n):
             smaller = facilities - {drop}
-            shrunk = make_candidate(m, opt, smaller, opt.balls)
-            assert is_consolidation(shrunk).valid
+            assert is_consolidation(m, opt, smaller, opt.balls).valid
             assert gamma(m, opt, smaller) <= gamma(m, opt, facilities)

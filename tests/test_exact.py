@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from revgreedy.exact import (OracleCapError, _can_cover, _first_cover, ball,
-                             exact_opt, exact_opt_enumeration, opt_balls)
+from revgreedy.exact import (OracleCapError, _can_cover, _first_cover, exact_opt,
+                             exact_opt_enumeration, optimal_solution)
 from revgreedy.kcenter import cost
 from revgreedy.lowerbound import build_lower_bound_instance, known_opt
 from revgreedy.metric import MetricSpace, random_metric, uniform_metric
@@ -74,23 +74,23 @@ def test_opt_balls_lower_bound_k3():
 def test_opt_balls_uniform_k1():
     m = uniform_metric(5)
     sol = exact_opt(m, 1)
-    assert opt_balls(m, sol) == [frozenset(range(5))]
+    assert sol.balls == (frozenset(range(5)),)
 
 
 def test_ball_radius_zero_is_center():
     m = uniform_metric(4)
-    assert ball(m, 2, 0, 1) == {2}
+    assert optimal_solution(m, 0, {2}).balls == ({2},)
 
 
 def test_ball_uniform_radius_one_is_everything():
     m = uniform_metric(4)
-    assert ball(m, 0, 1, 1) == frozenset(range(4))
+    assert optimal_solution(m, 1, {0}).balls == (frozenset(range(4)),)
 
 
 def test_ball_lower_bound_k2():
     inst = build_lower_bound_instance(2)
     c0 = inst.stars[0].center
-    got = ball(inst.metric, c0, 1, 1)
+    (got,) = optimal_solution(inst.metric, 1, {c0}).balls
     expected = {c for c in range(inst.n) if inst.metric.d(c0, c) <= 1}
     assert got == expected
     assert got == inst.stars[0].vertices | {inst.stars[1].center}

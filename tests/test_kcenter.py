@@ -101,7 +101,7 @@ def test_reverse_greedy_k_equals_n():
     trace = reverse_greedy(m, 4)
     assert trace.steps == []
     assert trace.final == frozenset(range(4))
-    assert cost(m, trace.final) == 0
+    assert cost(m, trace.final) == 0 == trace.final_cost
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
@@ -109,7 +109,7 @@ def test_reverse_greedy_uniform_final_cost_one(k):
     m = uniform_metric(5)
     for policy in (TiePolicy.lowest_index(), TiePolicy.seeded_random(3)):
         trace = reverse_greedy(m, k, policy)
-        assert trace.steps[-1].cost == 1
+        assert trace.steps[-1].cost == 1 == trace.final_cost
         assert len(trace.final) == k
 
 

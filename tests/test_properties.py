@@ -3,8 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from revgreedy.consolidation import (Consolidation, critical_indices, gamma,
-                                     is_consolidation)
+from revgreedy.consolidation import critical_indices, gamma, is_consolidation
 from revgreedy.exact import exact_opt
 from revgreedy.kcenter import (TiePolicy, cost, greedy_farthest_first,
                                marginal_costs, reverse_greedy)
@@ -145,16 +144,10 @@ def test_consolidation_subset_stability(kind, n, seed, data):
     opt = exact_opt(m, 2)
     big = frozenset(data.draw(st.sets(st.integers(0, n - 1), min_size=2,
                                       max_size=n)))
-    family = Consolidation(sets=tuple(opt.balls), metric=m,
-                           opt_value=opt.opt_value, balls=tuple(opt.balls),
-                           facilities=big)
-    assert is_consolidation(family).valid
+    assert is_consolidation(m, opt, big, opt.balls).valid
     small = frozenset(data.draw(st.sets(st.sampled_from(sorted(big)),
                                         min_size=1, max_size=len(big))))
-    shrunk = Consolidation(sets=tuple(opt.balls), metric=m,
-                           opt_value=opt.opt_value, balls=tuple(opt.balls),
-                           facilities=small)
-    assert is_consolidation(shrunk).valid
+    assert is_consolidation(m, opt, small, opt.balls).valid
 
 
 @settings(max_examples=100, **COMMON)

@@ -23,18 +23,24 @@ def graphs(draw):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(graphs())
-def test_maximal_cliques_match_brute_force(graph):
+@given(graphs(), st.data())
+def test_maximal_cliques_match_brute_force(graph, data):
     n, edges = graph
     neighbours = [set() for _ in range(n)]
     for a, b in edges:
         neighbours[a].add(b)
         neighbours[b].add(a)
     masks = [sum(1 << v for v in nbrs) for nbrs in neighbours]
-    cliques = _maximal_cliques(masks)
-    found = [frozenset(v for v in range(n) if clique >> v & 1) for clique in cliques]
-    assert len(set(found)) == len(found)
-    assert set(found) == maximal_cliques_brute(neighbours)
+    subset = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    induced = [{subset.index(u) for u in neighbours[v] if u in subset}
+               for v in subset]
+    # Brute force numbers the vertices 0, 1, ... in `vertices` order.
+    for vertices, adjacency in ((range(n), neighbours), (subset, induced)):
+        cliques = _maximal_cliques(masks, sum(1 << v for v in vertices))
+        found = [frozenset(i for i, v in enumerate(vertices) if clique >> v & 1)
+                 for clique in cliques]
+        assert len(set(found)) == len(found)
+        assert set(found) == maximal_cliques_brute(adjacency)
 
 
 @st.composite

@@ -274,8 +274,6 @@ def cmd_export_dot(args) -> int:
     trace = kcenter.load_trace(args.trace) if args.trace else None
     if lb is None:
         raise ValueError("DOT export needs a lower-bound instance")
-    if trace is not None and trace.n != lb.n:
-        raise ValueError(f"trace has {trace.n} points, the instance {lb.n}")
     text = lowerbound.export_dot(lb, trace)
     if args.out:
         Path(args.out).write_text(text)

@@ -302,7 +302,11 @@ def load_trace(path) -> Trace:
             if not np.isfinite(cost):
                 raise ValueError(f"trace step {i} has non-finite cost {s['cost']!r}")
         steps.append(TraceStep(s["removed"], cost))
-    if sorted(doc["final"]) != [p for p in range(n) if p not in removed]:
+    # k distinct points of 0..n-1 outside the removals are exactly their
+    # complement; checked without building anything of length n.
+    final = set(doc["final"])
+    if (len(doc["final"]) != doc["k"] or len(final) != doc["k"]
+            or not all(0 <= p < n and p not in removed for p in final)):
         raise ValueError("trace file final is not the complement of its removals")
     return Trace(k=doc["k"], policy=doc["policy"], steps=steps,
-                 final=frozenset(doc["final"]))
+                 final=frozenset(final))

@@ -295,6 +295,8 @@ def export_dot(inst: LowerBoundInstance, trace: Trace | None = None) -> str:
     With a trace, removed vertices get a phase attribute (the cost level at
     removal) and a fill color; survivors carry no phase attribute.
     """
+    if trace is not None and trace.n != inst.n:
+        raise ValueError(f"trace has {trace.n} points, the instance {inst.n}")
     phase_of: dict[int, int] = {}
     if trace is not None:
         for step in trace.steps:

@@ -145,10 +145,15 @@ def test_schemaless_schedule_and_trace_exit_2(tmp_path, capsys):
      "step 1 removes 4, not a remaining point of 0..5"),
     ("trace", lambda doc: doc.update(final=[0, 1]),
      "final is not the complement of its removals"),
+    ("trace", lambda doc: doc.update(final=[doc["final"][0]] * 2),
+     "final is not the complement of its removals"),
+    ("trace", lambda doc: doc.update(k=10**12, final=doc["final"][:1]),
+     "final is not the complement of its removals"),
     ("trace", lambda doc: doc.update(k=0, final=[], steps=doc["steps"] + [
         {"removed": 1, "cost": 2}, {"removed": 2, "cost": 2}]), "k=0, need k >= 1"),
 ], ids=["labels=5", "cost=nan", "cost=1e400", "final=true", "removed=1000000",
-        "removed=-1", "removed-twice", "final=[0,1]", "k=0"])
+        "removed=-1", "removed-twice", "final=[0,1]", "final-repeated", "k=1e12",
+        "k=0"])
 def test_loader_holes_exit_2(tmp_path, capsys, what, edit, message):
     inst, trace = tmp_path / "i.json", tmp_path / "t.json"
     assert run_cli(["gen", "lowerbound", "--k", "2", "--out", str(inst)]) == 0

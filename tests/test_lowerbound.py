@@ -254,3 +254,11 @@ def test_dot_trace_marks_removals_not_survivors():
     for survivor in trace.final:
         line = next(l for l in dot.splitlines() if l.strip().startswith(f"v{survivor} ["))
         assert "phase=" not in line
+
+
+def test_dot_rejects_trace_of_another_instance():
+    small = build_lower_bound_instance(2)
+    trace = reverse_greedy(small.metric, 2,
+                           TiePolicy.scripted(scripted_schedule(small).script()))
+    with pytest.raises(ValueError, match="trace has 6 points, the instance 14"):
+        export_dot(build_lower_bound_instance(3), trace)

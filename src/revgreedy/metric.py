@@ -7,6 +7,7 @@ a comparison tolerance used for all tie/argmin decisions.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -16,10 +17,6 @@ import numpy as np
 
 # Tolerance for tie/argmin comparisons in floating mode.
 FLOAT_EPS = 1e-9
-
-# Sentinel for "no path yet" during shortest-path computation.  Large enough
-# to survive one addition without int64 overflow, far above any real distance.
-_INT_INF = 10**15
 
 
 class DisconnectedGraphError(ValueError):
@@ -50,11 +47,6 @@ class WeightedGraph:
                 raise ValueError(f"self-loop at vertex {u}")
             if not is_int(w) or w < 1:
                 raise ValueError(f"edge ({u},{v}) weight {w} must be an integer >= 1")
-            # A shortest path has at most n-1 edges; no path sum may reach
-            # the "no path yet" sentinel.
-            if int(w) * (self.vertex_count - 1) >= _INT_INF:
-                raise ValueError(f"edge ({u},{v}) weight {w} too large for "
-                                 f"{self.vertex_count} vertices")
 
 
 @dataclass(frozen=True)
@@ -98,8 +90,12 @@ class MetricSpace:
                                  "int64 range")
             if not np.array_equal(d, np.round(d)):
                 raise ValueError("integer mode needs integer distances")
-        d = d.astype(np.int64 if self.mode == "int" else np.float64)
-        d.setflags(write=False)
+        # A read-only table that owns its memory cannot change under the
+        # metric, so it is shared; a writable or borrowed one is copied.
+        wide = np.int64 if self.mode == "int" else np.float64
+        if not (d.dtype == wide and d.flags.owndata and not d.flags.writeable):
+            d = d.astype(wide)
+            d.setflags(write=False)
         object.__setattr__(self, "dist", d)
         if self.labels is not None and len(self.labels) != d.shape[0]:
             raise ValueError("labels length must equal point count")
@@ -136,27 +132,95 @@ class MetricValidationReport:
         return "; ".join(f"{axiom} violation at {witness}" for axiom, witness in self.violations)
 
 
+def _narrowest(bound: int):
+    """The first of int16, int32 and int64 that holds bound, or None."""
+    return next((t for t in (np.int16, np.int32, np.int64)
+                 if bound <= np.iinfo(t).max), None)
+
+
+def _distances_from_0(n: int, ends: np.ndarray, weights: np.ndarray) -> list:
+    """Dijkstra from vertex 0: each vertex's distance, None if unreachable.
+
+    ends holds the edges' endpoints interleaved (u0, v0, u1, v1, ...), so
+    half-edge i belongs to edge i // 2 and leads to ends[i ^ 1].  Arrays, not
+    per-vertex lists of tuples: on a dense graph those cost more memory than
+    the n x n result.
+    """
+    order = np.argsort(ends, kind="stable")
+    start = np.concatenate(([0], np.bincount(ends, minlength=n).cumsum())).tolist()
+    order ^= 1
+    other = ends[order]
+    order >>= 1
+    length = weights[order]
+    reach = [None] * n
+    reach[0] = 0
+    heap = [(0, 0)]
+    while heap:
+        du, u = heapq.heappop(heap)
+        if du > reach[u]:
+            continue
+        lo, hi = start[u], start[u + 1]
+        for v, w in zip(other[lo:hi].tolist(), length[lo:hi].tolist()):
+            if reach[v] is None or du + w < reach[v]:
+                reach[v] = du + w
+                heapq.heappush(heap, (du + w, v))
+    return reach
+
+
 def metric_from_graph(g: WeightedGraph) -> MetricSpace:
     """All-pairs shortest-path completion of a weighted graph, in integer mode.
 
-    Raises DisconnectedGraphError naming an unreachable pair if the graph is
-    not connected.
+    One Dijkstra pass from vertex 0 finds its eccentricity ecc.  Every
+    distance is at most 2*ecc (go through vertex 0), so S = 2*ecc + 1 serves
+    as "no path yet", and Floyd-Warshall runs in the narrowest integer type
+    that holds 2*S, the largest sum it forms.
+
+    Before any n x n table is allocated, raises DisconnectedGraphError
+    naming the pair (0, x) for the smallest x unreachable from vertex 0, and
+    ValueError if 2*S is too large for int64.
     """
     n = g.vertex_count
-    d = np.full((n, n), _INT_INF, dtype=np.int64)
+    m = len(g.edges)
+    ends = np.fromiter((x for u, v, _ in g.edges for x in (u, v)), np.intp, 2 * m)
+    # A weight clamped to 2**62 puts every path through it past the largest
+    # accepted eccentricity, 2**61 - 1, so the clamp changes no result.
+    weights = np.fromiter((min(int(w), 2**62) for *_, w in g.edges), np.int64, m)
+    reach = _distances_from_0(n, ends, weights)
+    if None in reach:
+        raise DisconnectedGraphError(
+            f"no path between vertices 0 and {reach.index(None)}")
+    ecc = max(reach)
+    sentinel = 2 * ecc + 1
+    narrow = _narrowest(2 * sentinel)
+    if narrow is None:
+        raise ValueError(f"path lengths too large for int64: vertex "
+                         f"{reach.index(ecc)} lies at least {ecc} from vertex 0")
+
+    # The narrow table and its temporary are the first 2*n*n narrow words of
+    # the int64 result, so the result is the only n x n allocation (an int64
+    # table leaves no room for its temporary, which then gets its own).
+    out = np.empty((n, n), np.int64)
+    words = out.reshape(-1).view(narrow)
+    d = words[: n * n].reshape(n, n)
+    tmp = (words[n * n : 2 * n * n] if words.size >= 2 * n * n
+           else np.empty(n * n, narrow)).reshape(n, n)
+    d.fill(sentinel)
     np.fill_diagonal(d, 0)
-    for u, v, w in g.edges:
-        if w < d[u, v]:
-            d[u, v] = w
-            d[v, u] = w
+    weights = np.minimum(weights, sentinel).astype(narrow)
+    np.minimum.at(d, (ends[0::2], ends[1::2]), weights)
+    np.minimum.at(d, (ends[1::2], ends[0::2]), weights)
     # Floyd-Warshall, vectorized one pivot at a time.
     for k in range(n):
-        np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :], out=d)
-    unreachable = np.argwhere(d >= _INT_INF)
-    if unreachable.size:
-        a, b = unreachable[0]
-        raise DisconnectedGraphError(f"no path between vertices {a} and {b}")
-    return MetricSpace(dist=d, mode="int")
+        np.add(d[:, k : k + 1], d[k : k + 1, :], out=tmp)
+        np.minimum(d, tmp, out=d)
+    # Widen in place, last row first: row i of the result overlaps only
+    # narrow rows >= i, already consumed.  Row 0 overlaps itself, and numpy
+    # does not buffer that cast, so it goes through a copy.
+    for i in range(n - 1, 0, -1):
+        out[i] = d[i]
+    out[0] = d[0].copy()
+    out.setflags(write=False)
+    return MetricSpace(dist=out, mode="int")
 
 
 def _pairwise_axioms(m: MetricSpace) -> MetricValidationReport:
@@ -199,6 +263,21 @@ def validate_metric(m: MetricSpace) -> MetricValidationReport:
     n = m.n
     tol = m.tol()
     report = _pairwise_axioms(m)
+
+    hi = max(int(d.max(initial=0)), -int(d.min(initial=0)))
+    narrow = _narrowest(2 * hi) if m.mode == "int" else None
+    if narrow in (np.int16, np.int32):
+        # Every sum of two entries fits, so nothing can wrap.
+        d = d.astype(narrow)
+        s = np.empty_like(d)
+        over = np.empty(d.shape, bool)
+        for b in range(n):
+            np.add(d[:, b : b + 1], d[b : b + 1, :], out=s)
+            if np.greater(d, s, out=over).any():
+                a, c = (int(x) for x in np.argwhere(over)[0])
+                report.violations.append(("triangle", (a, b, c)))
+                break
+        return report
 
     for b in range(n):
         ab, bc = d[:, b : b + 1], d[b : b + 1, :]
@@ -333,9 +412,12 @@ def load_instance(path) -> tuple[MetricSpace, int | None]:
         m = MetricSpace(dist=doc["matrix"], mode=mode, labels=labels)
         if m.n != doc["n"]:
             raise ValueError("matrix size does not match declared n")
-        # The O(n^3) triangle check is left to validate_metric: at a few
-        # hundred points it costs as much as a whole run.
+        # Once the pairwise axioms hold, an integer matrix also gets the
+        # O(n^3) triangle check, which runs in a narrow type; in floating
+        # mode it would cost as much as a whole run.
         broken = _pairwise_axioms(m)
+        if broken.ok and m.mode == "int":
+            broken = validate_metric(m)
         if not broken.ok:
             raise ValueError(f"matrix is not a metric: {broken}")
     else:

@@ -112,6 +112,11 @@ def test_instance_without_mode_exits_2(tmp_path, capsys):
     ("neg.json", '{"version": 1, "mode": "int", "n": 3, "k": 1, '
                  '"matrix": [[0, -5, 1], [-5, 0, 1], [1, 1, 0]]}',
      "positivity violation at (0, 1)"),
+    ("triangle.json", '{"version": 1, "mode": "int", "n": 3, "k": 1, '
+                      '"matrix": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]}',
+     "triangle violation at (0, 1, 2)"),
+    ("long.json", '{"version": 1, "mode": "int", "n": 3, "k": 1, "graph": '
+                  '{"edges": [[0, 1, 2305843009213693951], [1, 2, 1]]}}', "too large"),
 ])
 def test_run_bad_matrix_exits_2(tmp_path, capsys, name, text, message):
     bad = tmp_path / name

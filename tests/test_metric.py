@@ -6,7 +6,7 @@ import pytest
 
 from revgreedy import metric
 from revgreedy.lowerbound import build_lower_bound_instance
-from revgreedy.metric import (_INT_INF, DisconnectedGraphError, MetricSpace,
+from revgreedy.metric import (DisconnectedGraphError, MetricSpace,
                               WeightedGraph, load_instance, metric_from_graph,
                               random_metric, save_instance, uniform_metric,
                               validate_metric)
@@ -225,14 +225,17 @@ def test_int_mode_rejects_values_outside_int64(big):
 
 
 def test_graph_rejects_weights_whose_paths_reach_the_sentinel():
-    n = 4
-    limit = -(-_INT_INF // (n - 1))  # smallest w with w * (n - 1) >= _INT_INF
-    edges = ((0, 1, 1), (1, 2, 1), (2, 3, limit))
+    # Floyd-Warshall adds two entries up to its "no path" sentinel
+    # 2 * ecc + 1, ecc the largest distance from vertex 0, so the largest
+    # accepted ecc has 2 * (2 * ecc + 1) <= 2**63 - 1.
+    top = 2**61 - 1
+    edges = ((0, 1, 1), (1, 2, 1), (2, 3, top - 2))
+    ok = metric_from_graph(WeightedGraph(4, edges))
+    assert [ok.d(a, 3) for a in range(4)] == [top, top - 1, top - 2, 0]
+    assert ok.d(0, 2) == 2
     with pytest.raises(ValueError, match="too large") as err:
-        WeightedGraph(n, edges)
+        metric_from_graph(WeightedGraph(4, edges[:2] + ((2, 3, top - 1),)))
     assert not isinstance(err.value, DisconnectedGraphError)
-    ok = metric_from_graph(WeightedGraph(n, edges[:2] + ((2, 3, limit - 1),)))
-    assert ok.d(0, 3) == limit + 1
 
 
 @pytest.mark.parametrize("matrix, witness", [
@@ -240,13 +243,38 @@ def test_graph_rejects_weights_whose_paths_reach_the_sentinel():
     ([[0, 1, 2], [1, 0, 1], [1, 1, 0]], "symmetry violation at (0, 2)"),
     ([[0, -5, 1], [-5, 0, 1], [1, 1, 0]], "positivity violation at (0, 1)"),
     ([[0, 0, 1], [0, 0, 1], [1, 1, 0]], "positivity violation at (0, 1)"),
+    ([[0, 1, 5], [1, 0, 1], [5, 1, 0]], "triangle violation at (0, 1, 2)"),
+    ([[0, 1, 5], [1, 0, 1], [9, 1, 0]], "symmetry violation at (0, 2)"),
+    ([[0, 2**40, 1], [2**40, 0, 1], [1, 1, 0]], "triangle violation at (0, 2, 1)"),
+    ([[0, 2**62, 1], [2**62, 0, 2**61], [1, 2**61, 0]], "triangle violation at (0, 2, 1)"),
 ])
 def test_instance_rejects_non_metric_matrix(tmp_path, matrix, witness):
     doc = {"version": 1, "mode": "int", "n": 3, "matrix": matrix}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=re.escape(witness)):
+    with pytest.raises(ValueError, match=re.escape(witness) + "$"):
         load_instance(path)
+    m = MetricSpace(dist=matrix)
+    assert str(validate_metric(m)).startswith(witness)
+
+
+@pytest.mark.parametrize("big", [1, 2**14, 2**30, 2**62])
+def test_instance_loads_int_metrics_of_every_scale(tmp_path, big):
+    # Scaled uniform metrics pass the triangle check in every table type,
+    # up to entries whose sums leave int64.
+    matrix = [[0 if a == b else big for b in range(4)] for a in range(4)]
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps({"version": 1, "mode": "int", "n": 4, "matrix": matrix}))
+    m, _ = load_instance(path)
+    assert m.d(0, 3) == big
+
+
+def test_float_matrix_triangle_is_left_to_validate_metric(tmp_path):
+    matrix = [[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps({"version": 1, "mode": "float", "n": 3, "matrix": matrix}))
+    m, _ = load_instance(path)
+    assert validate_metric(m).violations == [("triangle", (0, 1, 2))]
 
 
 @pytest.mark.parametrize("extra, message", [

@@ -1,0 +1,214 @@
+"""The narrow-type loops of revgreedy.metric against plain int64 references.
+
+`metric_from_graph` runs Floyd-Warshall in the narrowest integer type that
+one Dijkstra pass proves safe, inside the buffer of its int64 result.  Its
+reference is the straightforward int64 loop with a fixed sentinel; the two
+must give identical matrices, and the same unreachable pair when the graph
+is disconnected.  The triangle check runs in the narrowest type that holds
+twice a matrix's largest magnitude; its reference is the wrap-safe int64
+loop, and the two must give the same witness.
+"""
+
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from revgreedy import metric
+from revgreedy.lowerbound import build_lower_bound_instance
+from revgreedy.metric import (DisconnectedGraphError, MetricSpace,
+                              WeightedGraph, metric_from_graph)
+
+COMMON = dict(deadline=None, derandomize=True)
+
+# Above every distance metric_from_graph accepts (at most 2**62 - 2), and
+# twice it still fits int64.
+_REF_INF = 2**62 - 1
+
+
+def reference_apsp(g: WeightedGraph):
+    """The int64 matrix, or the first unreachable pair in row order."""
+    n = g.vertex_count
+    d = np.full((n, n), _REF_INF, dtype=np.int64)
+    np.fill_diagonal(d, 0)
+    for u, v, w in g.edges:
+        w = min(int(w), _REF_INF)
+        if w < d[u, v]:
+            d[u, v] = w
+            d[v, u] = w
+    for k in range(n):
+        np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :], out=d)
+    unreachable = np.argwhere(d >= _REF_INF)
+    if unreachable.size:
+        return tuple(int(x) for x in unreachable[0])
+    return d
+
+
+def assert_matches_reference(g: WeightedGraph):
+    expected = reference_apsp(g)
+    if isinstance(expected, tuple):
+        a, b = expected
+        with pytest.raises(DisconnectedGraphError,
+                           match=f"^no path between vertices {a} and {b}$"):
+            metric_from_graph(g)
+        return
+    m = metric_from_graph(g)
+    assert m.dist.dtype == np.int64 and m.mode == "int"
+    assert not m.dist.flags.writeable
+    assert np.array_equal(m.dist, expected)
+
+
+# Weight scales: the family's small weights, and ones that force int32 and
+# int64 tables.  A path of 39 edges at the top scale stays below the
+# largest accepted eccentricity, 2**61 - 1.
+scales = st.sampled_from([1, 9, 1000, 2**14, 2**20, 2**29, 2**40, 2**55])
+
+
+@st.composite
+def graphs(draw, connected=True):
+    n = draw(st.integers(1, 12))
+    top = draw(scales)
+    weight = st.integers(1, top)
+    edges = []
+    if connected:
+        edges += [(draw(st.integers(0, v - 1)), v, draw(weight))
+                  for v in range(1, n)]
+    if n > 1:
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda p: p[0] != p[1])
+        extra = draw(st.lists(st.tuples(pair, weight), max_size=2 * n))
+        edges += [(u, v, w) for (u, v), w in extra]
+    return WeightedGraph(n, tuple(draw(st.permutations(edges))))
+
+
+@settings(max_examples=200, **COMMON)
+@given(g=graphs())
+def test_random_connected_graphs(g):
+    assert_matches_reference(g)
+
+
+@settings(max_examples=200, **COMMON)
+@given(g=graphs(connected=False))
+def test_random_graphs_disconnected_or_not(g):
+    assert_matches_reference(g)
+
+
+@settings(max_examples=100, **COMMON)
+@given(n=st.integers(1, 40), top=scales, data=st.data())
+def test_paths(n, top, data):
+    order = data.draw(st.permutations(range(n)))
+    weights = data.draw(st.lists(st.integers(1, top), min_size=n - 1,
+                                 max_size=n - 1))
+    g = WeightedGraph(n, tuple(zip(order, order[1:], weights)))
+    assert_matches_reference(g)
+
+
+@settings(max_examples=100, **COMMON)
+@given(g=graphs(), data=st.data())
+def test_parallel_edges_heavier_than_the_sentinel(g, data):
+    if not g.edges:
+        return
+    ecc = int(reference_apsp(g)[0].max())
+    sentinel = 2 * ecc + 1
+    copies = data.draw(st.lists(st.sampled_from(g.edges), min_size=1, max_size=4))
+    extra = tuple((u, v, data.draw(st.integers(1, 4 * sentinel)))
+                  for u, v, _ in copies)
+    heavy = tuple((u, v, sentinel + data.draw(st.integers(0, 10**30)))
+                  for u, v, _ in copies)
+    assert_matches_reference(WeightedGraph(g.vertex_count, g.edges + extra + heavy))
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_family(k):
+    assert_matches_reference(build_lower_bound_instance(k).graph)
+
+
+@pytest.mark.parametrize("g", [
+    WeightedGraph(1, ()),
+    WeightedGraph(2, ((0, 1, 7),)),
+    WeightedGraph(2, ((1, 0, 3), (0, 1, 2), (0, 1, 10**40))),
+    WeightedGraph(2, ()),
+], ids=["n=1", "n=2", "n=2-parallel", "n=2-disconnected"])
+def test_one_and_two_vertices(g):
+    assert_matches_reference(g)
+
+
+@pytest.mark.parametrize("weight, kind", [
+    (8189, np.int16), (8190, np.int32),
+    (2**29 - 3, np.int32), (2**29 - 2, np.int64),
+    (2**61 - 3, np.int64),
+])
+def test_weights_choose_the_table_type(weight, kind):
+    # A path 0-1-2-3 with ecc = weight + 2, so the table must hold
+    # 2 * (2 * ecc + 1) = 4 * weight + 10; the chord 0-3 is never shortest.
+    g = WeightedGraph(4, ((1, 0, 1), (1, 2, 1), (2, 3, weight), (0, 3, 4 * weight)))
+    assert metric._narrowest(4 * weight + 10) is kind
+    assert_matches_reference(g)
+
+
+def test_disconnection_names_the_first_unreachable_pair():
+    g = WeightedGraph(6, ((0, 2, 1), (2, 4, 1), (1, 3, 1), (3, 5, 1)))
+    assert reference_apsp(g) == (0, 1)
+    with pytest.raises(DisconnectedGraphError,
+                       match=re.escape("no path between vertices 0 and 1")):
+        metric_from_graph(g)
+
+
+def test_metric_shares_read_only_owned_tables_and_copies_the_rest():
+    owned = np.array([[0, 2], [2, 0]], dtype=np.int64)
+    owned.setflags(write=False)
+    assert np.shares_memory(MetricSpace(dist=owned).dist, owned)
+    floats = np.array([[0.0, 2.5], [2.5, 0.0]])
+    floats.setflags(write=False)
+    assert np.shares_memory(MetricSpace(dist=floats, mode="float").dist, floats)
+
+    writable = np.array([[0, 2], [2, 0]], dtype=np.int64)
+    m = MetricSpace(dist=writable)
+    assert not np.shares_memory(m.dist, writable)
+    writable[0, 1] = writable[1, 0] = 5
+    assert m.d(0, 1) == 2
+
+    base = np.array([[0, 2], [2, 0]], dtype=np.int64)
+    borrowed = base[:]
+    borrowed.setflags(write=False)
+    m = MetricSpace(dist=borrowed)
+    assert not np.shares_memory(m.dist, base)
+    base[0, 1] = 5
+    assert m.d(0, 1) == 2
+
+    # An int64 table read in floating mode is converted, not shared.
+    assert MetricSpace(dist=owned, mode="float").dist.dtype == np.float64
+
+
+def reference_triangle(d: np.ndarray):
+    """First (a, b, c) with d[a, c] > d[a, b] + d[b, c], for the smallest b,
+    in int64 with wrapped sums detected."""
+    for b in range(d.shape[0]):
+        ab, bc = d[:, b : b + 1], d[b : b + 1, :]
+        s = ab + bc
+        wrapped = ((ab < 0) == (bc < 0)) & ((s < 0) != (ab < 0))
+        viol = np.argwhere(np.where(wrapped, ab < 0, d > s))
+        if viol.size:
+            a, c = (int(x) for x in viol[0])
+            return (a, b, c)
+    return None
+
+
+@st.composite
+def matrices(draw):
+    n = draw(st.integers(1, 8))
+    top = draw(st.sampled_from([3, 2**14 - 1, 2**14, 2**30 - 1, 2**30, 2**62, 2**63 - 1]))
+    low = draw(st.sampled_from([1, 0, -top]))
+    cells = draw(st.lists(st.integers(low, top), min_size=n * n, max_size=n * n))
+    d = np.array(cells, dtype=np.int64).reshape(n, n)
+    if draw(st.booleans()):
+        d = np.triu(d, 1) + np.triu(d, 1).T
+    return d
+
+
+@settings(max_examples=250, **COMMON)
+@given(d=matrices())
+def test_triangle_check_matches_the_wrap_safe_reference(d):
+    found = dict(metric.validate_metric(MetricSpace(dist=d)).violations)
+    assert found.get("triangle") == reference_triangle(d)

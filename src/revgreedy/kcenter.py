@@ -7,8 +7,9 @@ each client's distance row once (O(n^2 log n), the one n x n table it keeps
 is the sorted indices) and keeps per client its nearest and second-nearest
 live facility.  A removal re-points only the clients that named the removed
 facility; second-nearest pointers only move forward, so all advances
-together cost O(n^2).  The marginal costs then come from per-facility
-maxima over the clients, O(n) work per step.
+together cost O(n^2), and each step's advance takes O(log longest skip)
+vectorized rounds.  The marginal costs then come from per-facility maxima
+over the clients, O(n) work per step.
 """
 
 from __future__ import annotations
@@ -237,10 +238,22 @@ def reverse_greedy(m: MetricSpace, k: int, policy: TiePolicy | None = None,
         lost = f1 == removed
         stale = (lost | (f2 == removed)).nonzero()[0]
         f1[lost], d1[lost] = f2[lost], d2[lost]
-        moving = stale
+        # Two single-position rounds settle almost every pointer in the
+        # fewest numpy calls.  The rest read a window of positions ahead,
+        # 8 at first and doubling while it holds no live facility, so a
+        # step takes O(log longest skip) rounds.  A live facility lies past
+        # every moving pointer, so a window clamped at n - 1 still finds it.
+        moving, width = stale, 8
+        for _ in range(2):
+            if moving.size:
+                second[moving] += 1
+                moving = moving[~live[order[moving, second[moving]]]]
         while moving.size:
-            second[moving] += 1
-            moving = moving[~live[order[moving, second[moving]]]]
+            ahead = np.minimum(second[moving, None] + np.arange(1, width + 1), n - 1)
+            window = live[order[moving[:, None], ahead]]
+            hit = window.any(axis=1)
+            second[moving] += np.where(hit, window.argmax(axis=1) + 1, width)
+            moving, width = moving[~hit], 2 * width
         f2[stale] = order[stale, second[stale]]
         d2[stale] = m.dist[stale, f2[stale]]
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import ClassVar
 
@@ -28,25 +29,66 @@ def is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _edge_fault(edge, n: int) -> str | None:
+    """The first fault of one (u, v, weight) edge, in the order range or
+    type, self-loop, weight; None for a good edge."""
+    u, v, w = edge
+    if not (is_int(u) and is_int(v) and 0 <= u < n and 0 <= v < n):
+        return f"edge ({u},{v}) out of range or not integers"
+    if u == v:
+        return f"self-loop at vertex {u}"
+    if not is_int(w) or w < 1:
+        return f"edge ({u},{v}) weight {w} must be an integer >= 1"
+    return None
+
+
+def _edge_array(edges: tuple, n: int) -> np.ndarray:
+    """The edges as an m x 3 int64 array, weights clamped to 2**62.
+
+    Checks all edges at once and raises ValueError with the first fault of
+    the first faulty edge.  An edge that cannot enter the array (wrong
+    arity, an entry that is not an integer) is reported only once the
+    edges before it have passed.
+    """
+    if set(map(len, edges)) - {3}:
+        i = next(i for i, e in enumerate(edges) if len(e) != 3)
+        _edge_array(edges[:i], n)
+        raise ValueError(f"edge {i} {list(edges[i])} must be [u, v, weight]")
+    flat = list(chain.from_iterable(edges))
+    if not all(t is not bool and issubclass(t, (int, np.integer))
+               for t in set(map(type, flat))):
+        i = next(i for i, x in enumerate(flat) if not is_int(x)) // 3
+        _edge_array(edges[:i], n)
+        raise ValueError(_edge_fault(edges[i], n))
+    # A vertex clamped to -1 or 2**62 stays out of range.  A weight clamped
+    # to 2**62 puts every path through it past the largest eccentricity
+    # metric_from_graph accepts, 2**61 - 1, so the clamp changes no result.
+    try:
+        a = np.fromiter(flat, np.int64, len(flat))
+    except OverflowError:
+        a = np.fromiter((min(max(x, -1), 2**62) for x in flat), np.int64, len(flat))
+    a = np.minimum(a, 2**62, out=a).reshape(-1, 3)
+    u, v, w = a.T
+    bad = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v) | (w < 1))
+    if bad.size:
+        raise ValueError(_edge_fault(edges[bad[0]], n))
+    return a
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     """Undirected graph with positive integer edge weights."""
 
     vertex_count: int
     edges: tuple[tuple[int, int, int], ...]
+    # The edges as checked by _edge_array: m x 3 int64, clamped to 2**62.
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.vertex_count < 1:
             raise ValueError("graph needs at least one vertex")
-        object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
-        for u, v, w in self.edges:
-            if not (is_int(u) and is_int(v)
-                    and 0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise ValueError(f"edge ({u},{v}) out of range or not integers")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not is_int(w) or w < 1:
-                raise ValueError(f"edge ({u},{v}) weight {w} must be an integer >= 1")
+        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
+        object.__setattr__(self, "array", _edge_array(self.edges, self.vertex_count))
 
 
 @dataclass(frozen=True)
@@ -65,6 +107,9 @@ class MetricSpace:
 
     def __post_init__(self):
         d = np.asarray(self.dist)
+        # An array built here from a list, or by a conversion below, is
+        # held by nothing else, so it is adopted without a copy.
+        fresh = isinstance(self.dist, (list, tuple))
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("distance matrix must be square")
         if self.mode not in ("int", "float"):
@@ -79,7 +124,7 @@ class MetricSpace:
             # Python ints outside int64 (JSON numbers have no size limit);
             # one beyond the float range is no finite distance either.
             try:
-                d = d.astype(np.float64)
+                d, fresh = d.astype(np.float64), True
             except OverflowError:
                 raise ValueError("distances must be finite (no NaN or inf)") from None
         if np.issubdtype(d.dtype, np.floating) and not np.isfinite(d).all():
@@ -93,9 +138,10 @@ class MetricSpace:
         # A read-only table that owns its memory cannot change under the
         # metric, so it is shared; a writable or borrowed one is copied.
         wide = np.int64 if self.mode == "int" else np.float64
-        if not (d.dtype == wide and d.flags.owndata and not d.flags.writeable):
+        if not (d.dtype == wide
+                and (fresh or d.flags.owndata and not d.flags.writeable)):
             d = d.astype(wide)
-            d.setflags(write=False)
+        d.setflags(write=False)
         object.__setattr__(self, "dist", d)
         if self.labels is not None and len(self.labels) != d.shape[0]:
             raise ValueError("labels length must equal point count")
@@ -180,11 +226,7 @@ def metric_from_graph(g: WeightedGraph) -> MetricSpace:
     ValueError if 2*S is too large for int64.
     """
     n = g.vertex_count
-    m = len(g.edges)
-    ends = np.fromiter((x for u, v, _ in g.edges for x in (u, v)), np.intp, 2 * m)
-    # A weight clamped to 2**62 puts every path through it past the largest
-    # accepted eccentricity, 2**61 - 1, so the clamp changes no result.
-    weights = np.fromiter((min(int(w), 2**62) for *_, w in g.edges), np.int64, m)
+    ends, weights = g.array[:, :2].reshape(-1), g.array[:, 2]
     reach = _distances_from_0(n, ends, weights)
     if None in reach:
         raise DisconnectedGraphError(

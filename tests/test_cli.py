@@ -1,10 +1,11 @@
 import csv
 import json
 import re
+import tracemalloc
 
 import pytest
 
-from revgreedy import cli
+from revgreedy import cli, lowerbound
 from revgreedy.metric import save_instance, uniform_metric
 
 
@@ -240,6 +241,26 @@ def test_verify_lower_range(tmp_path, capsys):
     assert doc["passed"] is True
     assert [r["final_cost"] for r in doc["runs"]] == [2, 4, 6, 8, 10]
     assert "pass" in capsys.readouterr().out
+
+
+def test_verify_lower_holds_one_table_at_a_time(tmp_path, monkeypatch):
+    # Memory held when the k=13 build starts, beyond that at the k=12 one:
+    # the k=12 table (390 KB) must be gone by then.
+    build = lowerbound.build_lower_bound_instance
+    held = []
+
+    def spy(k):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return build(k)
+
+    monkeypatch.setattr(lowerbound, "build_lower_bound_instance", spy)
+    tracemalloc.start()
+    try:
+        assert run_cli(["verify", "lower", "--k", "12,13",
+                        "--out", str(tmp_path / "lower.json")]) == 0
+    finally:
+        tracemalloc.stop()
+    assert held[1] - held[0] < build(12).metric.dist.nbytes / 4
 
 
 def test_verify_upper_small_battery(tmp_path):

@@ -8,11 +8,12 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from revgreedy.kcenter import (ScriptedStepError, TiePolicy, TraceStep, cost,
                                marginal_costs, reverse_greedy)
-from revgreedy.lowerbound import build_lower_bound_instance, size_formula
+from revgreedy.lowerbound import (build_lower_bound_instance, scripted_schedule,
+                                  size_formula)
 from revgreedy.metric import MetricSpace, random_metric, uniform_metric
 
 COMMON = dict(deadline=None, derandomize=True)
@@ -88,6 +89,53 @@ def test_engine_matches_reference_loop(kind, case, seed, data):
     trace = reverse_greedy(m, k, policy, record_argmin=True)
     assert as_rows(trace.steps) == as_rows(steps)
     assert trace.final == final
+
+
+def assert_policy_matches_reference(m, k, policy):
+    """The engine's trace is the reference run's under a known policy."""
+    if policy.kind == "lowest-index":
+        steps, final = reference_run(m, k, lambda argmin: argmin[0])
+    elif policy.kind == "seeded-random":
+        rng = Random(policy.seed)
+        steps, final = reference_run(m, k, lambda argmin: rng.choice(argmin))
+    else:
+        script = iter(policy.script)
+
+        def choose(argmin):
+            removed = next(script)
+            assert removed in argmin
+            return removed
+
+        steps, final = reference_run(m, k, choose)
+    trace = reverse_greedy(m, k, policy, record_argmin=True)
+    assert as_rows(trace.steps) == as_rows(steps)
+    assert trace.final == final
+
+
+# Instances whose removals skip many dead positions in a sorted row, so the
+# engine's pointers reach its doubling windows and the clamp at n - 1.
+@settings(max_examples=30, **COMMON)
+@given(n=st.integers(40, 120), seed=st.integers(0, 10_000),
+       edge_prob=st.sampled_from([0.3, 0.6, 0.9]), k=st.integers(1, 4))
+def test_dense_small_weight_graphs_match_reference(n, seed, edge_prob, k):
+    m = random_metric("random-graph", n, seed, edge_prob=edge_prob, max_weight=3)
+    assert_policy_matches_reference(m, k, TiePolicy.lowest_index())
+
+
+@settings(max_examples=30, **COMMON)
+@given(n=st.integers(2, 200), seed=st.integers(0, 10_000), k=st.integers(1, 3))
+@example(n=200, seed=0, k=1)
+def test_uniform_metric_matches_reference(n, seed, k):
+    assert_policy_matches_reference(uniform_metric(n), min(k, n),
+                                    TiePolicy.seeded_random(seed))
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_family_matches_reference(k):
+    inst = build_lower_bound_instance(k)
+    script = TiePolicy.scripted(scripted_schedule(inst).script())
+    for policy in (TiePolicy.lowest_index(), script):
+        assert_policy_matches_reference(inst.metric, k, policy)
 
 
 @settings(max_examples=150, **COMMON)

@@ -1,10 +1,12 @@
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
 
 from revgreedy.exact import exact_opt
-from revgreedy.kcenter import (ScriptedStepError, TiePolicy, cost,
+from revgreedy.kcenter import (ScriptedStepError, TiePolicy, TraceStep, cost,
                                greedy_farthest_first, load_trace,
                                marginal_costs, reverse_greedy, save_trace,
                                serves)
@@ -185,6 +187,41 @@ def test_record_argmin_captures_tied_candidates():
     assert trace.steps[0].argmin == tuple(range(5))
     plain = reverse_greedy(m, 2)
     assert plain.steps[0].argmin is None
+
+
+def window_rounds_per_step(m, k, policy):
+    """Window rounds of each step's pointer advance, counted with a profile
+    hook: a window round is the engine's one call of ndarray.argmax, and a
+    step ends when its TraceStep is built."""
+    per_step, rounds = [], 0
+
+    def hook(frame, event, arg):
+        nonlocal rounds
+        if event == "c_call" and getattr(arg, "__name__", None) == "argmax":
+            rounds += 1
+        elif event == "call" and frame.f_code is TraceStep.__init__.__code__:
+            per_step.append(rounds)
+            rounds = 0
+
+    sys.setprofile(hook)
+    try:
+        reverse_greedy(m, k, policy)
+    finally:
+        sys.setprofile(None)
+    return per_step[1:] + [rounds]
+
+
+@pytest.mark.parametrize("m, policy", [
+    (uniform_metric(200), TiePolicy.seeded_random(0)),
+    (random_metric("random-graph", 120, 1, edge_prob=0.6, max_weight=3),
+     TiePolicy.lowest_index()),
+])
+def test_pointer_advance_takes_logarithmic_rounds(m, policy):
+    # Windows of 8, 16, 32, ... positions cover any skip of up to n - 1
+    # positions within ceil(log2(n / 8 + 1)) rounds.
+    rounds = window_rounds_per_step(m, 1, policy)
+    assert max(rounds) >= 3
+    assert max(rounds) <= math.ceil(math.log2(m.n / 8 + 1))
 
 
 # --- farthest-first baseline ---

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,6 +200,23 @@ def test_metric_rejects_booleans(dist):
         MetricSpace(dist=dist)
 
 
+@pytest.mark.parametrize("mode", ["int", "float"])
+def test_metric_adopts_the_table_it_builds_from_a_list(mode):
+    # The array built from the list is the one table; float mode adds the
+    # n x n booleans of its finiteness check.
+    rows = np.random.default_rng(0).integers(1, 100, (300, 300))
+    np.fill_diagonal(rows, 0)
+    rows = (rows if mode == "int" else rows / 7).tolist()
+    tracemalloc.start()
+    try:
+        m = MetricSpace(dist=rows, mode=mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * m.dist.nbytes
+    assert m.dist.tolist() == rows and not m.dist.flags.writeable
+
+
 def test_float_metric_rejects_ints_beyond_float_range():
     d = np.array([[0, 10**400], [10**400, 0]], dtype=object)
     with pytest.raises(ValueError, match="finite"):
@@ -280,7 +298,7 @@ def test_float_matrix_triangle_is_left_to_validate_metric(tmp_path):
 @pytest.mark.parametrize("extra, message", [
     ({"graph": {}}, "instance graph lacks 'edges'"),
     ({"graph": {"edges": [3]}}, "lists"),
-    ({"graph": {"edges": [[0, 1]]}}, "not enough values to unpack"),
+    ({"graph": {"edges": [[0, 1]]}}, "edge 0 [0, 1] must be [u, v, weight]"),
     ({"graph": {"edges": [[0, "1", 2]]}}, "edge (0,1) out of range"),
     ({"matrix": [[0, "a"], ["a", 0]]}, "numbers"),
     ({"matrix": [[0, None], [None, 0]]}, "numbers"),

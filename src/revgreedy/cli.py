@@ -146,8 +146,8 @@ def _upper_trial(params: tuple) -> dict:
     policies += [kcenter.TiePolicy.seeded_random(seed * 31 + j) for j in range(5)]
     worst = 0.0
     violations = []
-    for policy in policies:
-        final = kcenter.reverse_greedy(m, k, policy).final_cost
+    for policy, trace in zip(policies, kcenter.reverse_greedy_runs(m, k, policies)):
+        final = trace.final_cost
         ratio = final / opt.opt_value if opt.opt_value else 0.0
         worst = max(worst, ratio)
         if final > 2 * k * opt.opt_value + m.tol():

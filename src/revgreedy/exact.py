@@ -3,10 +3,12 @@
 `exact_opt` binary-searches the pairwise distances, deciding each
 candidate radius with one most-constrained-first set-cover search
 (`_can_cover`), which also picks the lexicographically smallest optimal set
-and serves the consolidation-number search.  `exact_opt_enumeration`
-tries every k-subset; it is kept as the independent reference the test
-suite checks the oracle against, since the oracle is the trust anchor for
-every ratio claim downstream.
+and serves the consolidation-number search.  Each search first reduces its
+masks to the bits left to cover and drops those contained in another, and
+a node budget turns a search that runs too long into OracleCapError.
+`exact_opt_enumeration` tries every k-subset; it is kept as the independent
+reference the test suite checks the oracle against, since the oracle is the
+trust anchor for every ratio claim downstream.
 """
 
 from __future__ import annotations
@@ -58,16 +60,26 @@ def _can_cover(masks: list[int], full: int, slots: int, covered: int = 0,
     """Do at most `slots` masks from masks[first:], together with
     `covered`, cover every bit of `full`?
 
-    Backtracking branches on the uncovered bit with the fewest candidate
-    masks.  With a budget, more than `budget` branching nodes raise
-    _BudgetExhausted.
+    The masks are first cut down to the bits left to cover, and empty and
+    duplicate masks and every mask contained in another are dropped (the
+    subset rule of Weihe's data reduction for set cover): a cover that uses
+    a dropped mask still covers with its container instead, so the answer
+    is unchanged.  Backtracking then branches on the uncovered bit with the
+    fewest candidate masks.  With a budget, more than `budget` branching
+    nodes raise _BudgetExhausted.
     """
-    candidates = range(first, len(masks))
+    full &= ~covered
+    kept: list[int] = []
+    # Largest first, so a mask's containers are all kept before it is seen.
+    for mask in sorted({mask & full for mask in masks[first:]} - {0},
+                       key=int.bit_count, reverse=True):
+        if all(mask & other != mask for other in kept):
+            kept.append(mask)
     coverers: dict[int, list[int]] = {}
-    rest = full & ~covered
+    rest = full
     while rest:
         bit = rest & -rest
-        coverers[bit] = [c for c in candidates if masks[c] & bit]
+        coverers[bit] = [mask for mask in kept if mask & bit]
         rest ^= bit
     nodes = 0
 
@@ -86,12 +98,13 @@ def _can_cover(masks: list[int], full: int, slots: int, covered: int = 0,
                 best = options
                 if not options:
                     return False
-        return any(search(covered | masks[c], slots - 1) for c in best)
+        return any(search(covered | mask, slots - 1) for mask in best)
 
-    return search(covered, slots)
+    return search(0, slots)
 
 
-def _first_cover(masks: list[int], full: int, k: int) -> list[int]:
+def _first_cover(masks: list[int], full: int, k: int,
+                 budget: int | None = None) -> list[int]:
     """The lexicographically smallest k indices whose masks cover `full`
     (one must exist), filling the slots in turn with the smallest index
     that still extends to a cover.  That index is at most the optimum's
@@ -102,7 +115,7 @@ def _first_cover(masks: list[int], full: int, k: int) -> list[int]:
         start = chosen[-1] + 1 if chosen else 0
         c = next(c for c in range(start, len(masks))
                  if _can_cover(masks, full, k - slot - 1, covered | masks[c],
-                               first=c + 1))
+                               first=c + 1, budget=budget))
         chosen.append(c)
         covered |= masks[c]
     return chosen
@@ -121,14 +134,16 @@ def exact_opt_enumeration(m: MetricSpace, k: int) -> OptimalSolution:
     return optimal_solution(m, best_value, best_set)
 
 
-def exact_opt(m: MetricSpace, k: int, *, cap: int = 20) -> OptimalSolution:
+def exact_opt(m: MetricSpace, k: int, *, cap: int = 20,
+              search_budget: int = 5_000_000) -> OptimalSolution:
     """Certified optimal k-center solution for a small instance.
 
     The optimum value is one of the pairwise distances (0 when k = n), and
     feasibility is monotone in the radius, so a binary search over those
     distances with a set-cover search at each finds it.  When several
     optimal sets exist the lexicographically smallest is returned, so
-    downstream verifiers are reproducible.
+    downstream verifiers are reproducible.  `search_budget` bounds the
+    backtrack nodes of each cover search; past it, OracleCapError.
     """
     n = m.n
     if not (1 <= k <= n):
@@ -141,12 +156,19 @@ def exact_opt(m: MetricSpace, k: int, *, cap: int = 20) -> OptimalSolution:
     full = (1 << n) - 1
     cands = np.unique(m.dist[np.triu_indices(n, k=1)])
     lo, hi = 0, len(cands) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _can_cover(_cover_masks(m, cands[mid]), full, k):
-            hi = mid
-        else:
-            lo = mid + 1
+    try:
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _can_cover(_cover_masks(m, cands[mid]), full, k,
+                          budget=search_budget):
+                hi = mid
+            else:
+                lo = mid + 1
+        chosen = _first_cover(_cover_masks(m, cands[lo]), full, k,
+                              budget=search_budget)
+    except _BudgetExhausted:
+        raise OracleCapError(f"exact oracle cap exceeded (more than "
+                             f"{search_budget} backtrack nodes in one cover "
+                             f"search, n={n}, k={k})") from None
     value = int(cands[lo]) if m.mode == "int" else float(cands[lo])
-    return optimal_solution(m, value,
-                            _first_cover(_cover_masks(m, cands[lo]), full, k))
+    return optimal_solution(m, value, chosen)

@@ -8,8 +8,10 @@ is the sorted indices) and keeps per client its nearest and second-nearest
 live facility.  A removal re-points only the clients that named the removed
 facility; second-nearest pointers only move forward, so all advances
 together cost O(n^2), and each step's advance takes O(log longest skip)
-vectorized rounds.  The marginal costs then come from per-facility maxima
-over the clients, O(n) work per step.
+vectorized rounds.  The marginal costs then come from per-facility running
+maxima, updated over the re-pointed clients only.  `reverse_greedy_runs`
+steps several tie policies on one metric side by side, one set of numpy
+calls per step for all of them; `reverse_greedy` is its batch of one.
 """
 
 from __future__ import annotations
@@ -135,20 +137,6 @@ def serves(m: MetricSpace, facilities, client: int) -> int:
     raise AssertionError("unreachable")
 
 
-def _group_margins(groups: np.ndarray, val1: np.ndarray, val2: np.ndarray,
-                   size: int) -> np.ndarray:
-    """Cost after removing each group's facility, from per-client service.
-
-    Client c is served at val1[c] by facility group groups[c] (in 0..size-1)
-    and at val2[c] >= val1[c] without that facility.  Removing group j's
-    facility costs the max of val2 over group j and of val1 over the other
-    groups; as val2 >= val1, the latter may run over every client.
-    """
-    margins = np.full(size, val1.max())
-    np.maximum.at(margins, groups, val2)
-    return margins
-
-
 def _above_all(m: MetricSpace):
     """A value above every distance, masking facilities out of a minimum."""
     return np.iinfo(np.int64).max if m.mode == "int" else np.inf
@@ -159,7 +147,9 @@ def marginal_costs(m: MetricSpace, facilities) -> dict[int, int | float]:
 
     Built from nearest/second-nearest tables: removing facility g re-serves
     exactly the clients whose nearest facility was g, at their second-nearest
-    distance.  O(n * |facilities|) overall.
+    distance.  As that is never below the nearest distance, the cost is the
+    max of the second-nearest distances over g's clients and of the nearest
+    distances over all clients.  O(n * |facilities|) overall.
     """
     fac = sorted(facilities)
     if len(fac) < 2:
@@ -170,7 +160,8 @@ def marginal_costs(m: MetricSpace, facilities) -> dict[int, int | float]:
     val1 = d[rows, nearest]
     masked = d.copy()
     masked[rows, nearest] = _above_all(m)
-    margins = _group_margins(nearest, val1, masked.min(axis=1), len(fac))
+    margins = np.full(len(fac), val1.max())
+    np.maximum.at(margins, nearest, masked.min(axis=1))
     scalar = int if m.mode == "int" else float
     return {g: scalar(v) for g, v in zip(fac, margins)}
 
@@ -181,84 +172,129 @@ def reverse_greedy(m: MetricSpace, k: int, policy: TiePolicy | None = None,
 
     Every step records the removed facility and the exact cost of the
     shrunken set, and every scripted removal is checked for membership in
-    the step's argmin set.  Each client keeps its nearest and second-nearest
-    live facility, the latter as a pointer into the client's distance row
-    sorted once up front; a removal advances only the pointers that named it.
+    the step's argmin set.  A batch of one in `reverse_greedy_runs`.
     """
-    n = m.n
+    return reverse_greedy_runs(m, k, [policy or TiePolicy.lowest_index()],
+                               record_argmin=record_argmin)[0]
+
+
+def reverse_greedy_runs(m: MetricSpace, k: int, policies: list[TiePolicy],
+                        *, record_argmin: bool = False) -> list[Trace]:
+    """One reverse greedy run per tie policy on the same metric, side by side.
+
+    Each step makes one set of numpy calls for all runs; only the pick from
+    each run's argmin set is made per run, and a seeded run draws from its
+    own Random(seed) as it would alone.  Entry r*n + c of the per-client
+    arrays is client c of run r, and r*n + g is facility g of run r.  Each
+    client keeps its nearest and second-nearest live facility, the latter
+    as a pointer into the client's distance row sorted once up front; a
+    removal advances only the pointers that named it.
+    """
+    n, runs = m.n, len(policies)
     if not (1 <= k <= n):
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    policy = policy or TiePolicy.lowest_index()
-    if policy.kind == "scripted" and len(policy.script) != n - k:
-        raise ValueError(
-            f"scripted policy names {len(policy.script)} removals, need {n - k}")
+    for policy in policies:
+        if policy.kind == "scripted" and len(policy.script) != n - k:
+            raise ValueError(f"scripted policy names {len(policy.script)} "
+                             f"removals, need {n - k}")
 
-    rng = Random(policy.seed) if policy.kind == "seeded-random" else None
+    rngs = [Random(p.seed) if p.kind == "seeded-random" else None for p in policies]
     scalar = int if m.mode == "int" else float
     tol = m.tol()
     above_all = _above_all(m)
-    live = np.ones(n, dtype=bool)
-    steps: list[TraceStep] = []
+    size = runs * n
+    live = np.ones(size, dtype=bool)
+    gone = np.empty(runs, dtype=np.intp)  # each run's removal of a step
+    steps: list[list[TraceStep]] = [[] for _ in policies]
 
     if n > k:
         # Stable: equidistant facilities stay in index order on any platform.
         order = np.argsort(m.dist, axis=1, kind="stable")
-        rows = np.arange(n)
-        second = np.ones(n, dtype=np.intp)  # position of f2 in each sorted row
-        f1, f2 = order[:, 0].copy(), order[:, 1].copy()
-        d1, d2 = m.dist[rows, f1], m.dist[rows, f2]
+        if runs > 1:
+            order = (order + np.arange(0, size, n)[:, None, None]).reshape(size, n)
+        # Entry i's facilities, nearest first, are ranked[i*n : i*n + n];
+        # second holds the flat position of each entry's second-nearest.
+        ranked = order.reshape(-1)
+        entries = np.arange(size)
+        second = entries * n + 1
+        f1, f2 = ranked[second - 1], ranked[second]
+        # Client c of run r lies dist[c, g] from facility r*n + g, which is
+        # flat entry c*n + g of the table: base + (r*n + g).
+        dist = m.dist.reshape(-1)
+        base = entries % n * (n + 1) - entries
+        d1, d2 = dist[base + f1], dist[base + f2]
+        # worst[g] is the largest d2 over g's clients.  A live facility only
+        # gains clients and a client's d2 only grows, so it is a running max
+        # kept over the clients that moved.  Removing g costs max(worst[g],
+        # largest d1 of g's run); a facility without clients starts at the
+        # smallest d1, below that.
+        worst = np.full(size, d1.min())
+        np.maximum.at(worst, f1, d2)
+        f1v, f2v, d1v, worstv = (a.reshape(runs, n) for a in (f1, f2, d1, worst))
 
     for i in range(1, n - k + 1):
-        margins = _group_margins(f1, d1, d2, n)
-        margins[~live] = above_all
-        minimum = margins.min()
-        argmin = (margins <= minimum + tol).nonzero()[0].tolist()
-        if policy.kind == "lowest-index":
-            removed = argmin[0]
-        elif policy.kind == "seeded-random":
-            removed = rng.choice(argmin)
-        else:
-            removed = policy.script[i - 1]
-            if not (0 <= removed < n and live[removed]):
+        floor = d1v.max(axis=1)
+        minima = np.maximum(worstv.min(axis=1), floor)
+        # margin <= minimum + tol exactly when worst is, as floor <= minimum.
+        ties = worstv <= (minima + tol)[:, None]
+        for r, policy in enumerate(policies):
+            argmin = ties[r].nonzero()[0]
+            if policy.kind == "lowest-index":
+                removed = int(argmin[0])
+            elif policy.kind == "seeded-random":
+                removed = int(rngs[r].choice(argmin))
+            else:
+                removed = policy.script[i - 1]
+                if not (0 <= removed < n and live[r * n + removed]):
+                    raise ScriptedStepError(f"illegal scripted step {i}: "
+                                            f"facility {removed} already removed")
+            gone[r] = r * n + removed
+            margin = max(worst[gone[r]], floor[r])
+            if margin > minima[r] + tol:  # only a scripted removal can be
                 raise ScriptedStepError(
-                    f"illegal scripted step {i}: facility {removed} already removed")
-            if margins[removed] > minimum + tol:
-                raise ScriptedStepError(
-                    f"illegal scripted step {i}: facility {removed} has marginal "
-                    f"cost {scalar(margins[removed])} > minimum {scalar(minimum)}")
-        live[removed] = False
-        steps.append(TraceStep(removed, scalar(margins[removed]),
-                               tuple(argmin) if record_argmin else None))
+                    f"illegal scripted step {i}: facility {removed} has "
+                    f"marginal cost {scalar(margin)} > minimum {scalar(minima[r])}")
+            steps[r].append(TraceStep(removed, scalar(margin), tuple(argmin.tolist())
+                                      if record_argmin else None))
+        live[gone] = False
+        worst[gone] = above_all
         if i == n - k:
             break
 
-        # Clients served by `removed` fall back to their second-nearest; they
-        # and the clients whose second-nearest it was advance to the next
-        # live facility in their row.  Each pointer only moves forward.
-        lost = f1 == removed
-        stale = (lost | (f2 == removed)).nonzero()[0]
+        # Clients served by a removed facility fall back to their
+        # second-nearest; they and the clients whose second-nearest it was
+        # advance to the next live facility in their row.  Each pointer only
+        # moves forward.
+        column = gone[:, None]
+        lost = (f1v == column).reshape(-1)
+        stale = (lost | (f2v == column).reshape(-1)).nonzero()[0]
         f1[lost], d1[lost] = f2[lost], d2[lost]
         # Two single-position rounds settle almost every pointer in the
         # fewest numpy calls.  The rest read a window of positions ahead,
         # 8 at first and doubling while it holds no live facility, so a
         # step takes O(log longest skip) rounds.  A live facility lies past
-        # every moving pointer, so a window clamped at n - 1 still finds it.
+        # every moving pointer in its own row, so the first live one in a
+        # window that runs into the next row, or is clamped at the end of
+        # the last, is still the row's own.
         moving, width = stale, 8
         for _ in range(2):
             if moving.size:
                 second[moving] += 1
-                moving = moving[~live[order[moving, second[moving]]]]
+                moving = moving[~live[ranked[second[moving]]]]
         while moving.size:
-            ahead = np.minimum(second[moving, None] + np.arange(1, width + 1), n - 1)
-            window = live[order[moving[:, None], ahead]]
+            ahead = np.minimum(second[moving, None] + np.arange(1, width + 1),
+                               ranked.size - 1)
+            window = live[ranked[ahead]]
             hit = window.any(axis=1)
             second[moving] += np.where(hit, window.argmax(axis=1) + 1, width)
             moving, width = moving[~hit], 2 * width
-        f2[stale] = order[stale, second[stale]]
-        d2[stale] = m.dist[stale, f2[stale]]
+        f2[stale] = moved = ranked[second[stale]]
+        d2[stale] = reach = dist[base[stale] + moved]
+        np.maximum.at(worst, f1[stale], reach)
 
-    return Trace(k=k, policy=policy.describe(), steps=steps,
-                 final=frozenset(np.flatnonzero(live).tolist()))
+    return [Trace(k=k, policy=policy.describe(), steps=run,
+                  final=frozenset(np.flatnonzero(live[r * n:(r + 1) * n]).tolist()))
+            for r, (policy, run) in enumerate(zip(policies, steps))]
 
 
 def greedy_farthest_first(m: MetricSpace, k: int, first: int = 0) -> frozenset[int]:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from revgreedy.kcenter import (ScriptedStepError, TiePolicy, TraceStep, cost,
-                               marginal_costs, reverse_greedy)
+                               marginal_costs, reverse_greedy, reverse_greedy_runs)
 from revgreedy.lowerbound import (build_lower_bound_instance, scripted_schedule,
                                   size_formula)
 from revgreedy.metric import MetricSpace, random_metric, uniform_metric
@@ -91,22 +91,26 @@ def test_engine_matches_reference_loop(kind, case, seed, data):
     assert trace.final == final
 
 
+def reference_policy_run(m, k, policy):
+    """The reference run under a known policy."""
+    if policy.kind == "lowest-index":
+        return reference_run(m, k, lambda argmin: argmin[0])
+    if policy.kind == "seeded-random":
+        rng = Random(policy.seed)
+        return reference_run(m, k, lambda argmin: rng.choice(argmin))
+    script = iter(policy.script)
+
+    def choose(argmin):
+        removed = next(script)
+        assert removed in argmin
+        return removed
+
+    return reference_run(m, k, choose)
+
+
 def assert_policy_matches_reference(m, k, policy):
     """The engine's trace is the reference run's under a known policy."""
-    if policy.kind == "lowest-index":
-        steps, final = reference_run(m, k, lambda argmin: argmin[0])
-    elif policy.kind == "seeded-random":
-        rng = Random(policy.seed)
-        steps, final = reference_run(m, k, lambda argmin: rng.choice(argmin))
-    else:
-        script = iter(policy.script)
-
-        def choose(argmin):
-            removed = next(script)
-            assert removed in argmin
-            return removed
-
-        steps, final = reference_run(m, k, choose)
+    steps, final = reference_policy_run(m, k, policy)
     trace = reverse_greedy(m, k, policy, record_argmin=True)
     assert as_rows(trace.steps) == as_rows(steps)
     assert trace.final == final
@@ -178,3 +182,117 @@ def test_engine_keeps_zero_distance_duplicates_apart():
     trace = reverse_greedy(m, 1, record_argmin=True)
     assert as_rows(trace.steps) == as_rows(steps)
     assert trace.final == final
+
+
+# --- batches: several policies run side by side on one metric ---
+
+@st.composite
+def batch_instances(draw):
+    """The instances above, plus n = 1, n = 2 and zero-distance duplicates
+    (points sharing a location, so equidistant facilities abound)."""
+    source = draw(st.sampled_from(["instances", "tiny", "duplicates"]))
+    if source == "instances":
+        return draw(instances())
+    if source == "tiny":
+        d = draw(st.integers(0, 3))
+        m = MetricSpace(dist=draw(st.sampled_from([[[0]], [[0, d], [d, 0]]])))
+        return m, draw(st.integers(1, m.n))
+    base = random_metric("random-graph", draw(st.integers(2, 8)),
+                         draw(st.integers(0, 10_000)), max_weight=3)
+    where = draw(st.lists(st.integers(0, base.n - 1), min_size=2, max_size=14))
+    m = MetricSpace(dist=base.dist[np.ix_(where, where)])
+    return m, draw(st.integers(1, m.n))
+
+
+def draw_policy(data, m, k):
+    """A lowest-index, seeded-random or (legal) scripted policy."""
+    kind = data.draw(st.sampled_from(["lowest-index", "seeded-random", "scripted"]))
+    if kind == "seeded-random":
+        return TiePolicy.seeded_random(data.draw(st.integers(0, 10_000)))
+    if kind == "scripted" and m.n > k:
+        steps, _ = reference_run(m, k, lambda argmin: data.draw(st.sampled_from(argmin)))
+        return TiePolicy.scripted([s.removed for s in steps])
+    return TiePolicy.lowest_index()
+
+
+def assert_batch_is_single_runs(m, k, policies):
+    """Each run of the batch is the engine's single run and the reference's."""
+    traces = reverse_greedy_runs(m, k, policies, record_argmin=True)
+    assert len(traces) == len(policies)
+    for policy, trace in zip(policies, traces):
+        single = reverse_greedy(m, k, policy, record_argmin=True)
+        steps, final = reference_policy_run(m, k, policy)
+        assert as_rows(trace.steps) == as_rows(single.steps) == as_rows(steps)
+        assert trace.final == single.final == final
+        assert (trace.k, trace.policy) == (k, policy.describe())
+
+
+@settings(max_examples=150, **COMMON)
+@given(case=batch_instances(), data=st.data())
+def test_every_run_of_a_batch_is_the_single_run(case, data):
+    m, k = case
+    policies = [draw_policy(data, m, k) for _ in range(data.draw(st.integers(1, 6)))]
+    assert_batch_is_single_runs(m, k, policies)
+
+
+@pytest.mark.parametrize("k", range(2, 6))
+def test_family_batch_runs_apart(k):
+    # For k >= 3 the scripted run ends at cost 2k - 2 and the other two
+    # lower, so the runs' nearest distances, and their cost floors, part ways.
+    inst = build_lower_bound_instance(k)
+    script = TiePolicy.scripted(scripted_schedule(inst).script())
+    assert_batch_is_single_runs(inst.metric, k, [
+        TiePolicy.lowest_index(), script, TiePolicy.seeded_random(k), script])
+
+
+@pytest.mark.parametrize("dist, k", [([[0]], 1), ([[0, 2], [2, 0]], 1),
+                                     ([[0, 0], [0, 0]], 1), ([[0, 2], [2, 0]], 2)])
+def test_tiny_batches_are_single_runs(dist, k):
+    m = MetricSpace(dist=dist)
+    policies = [TiePolicy.lowest_index(), TiePolicy.seeded_random(5)]
+    if m.n > k:
+        policies.append(TiePolicy.scripted([1]))
+    assert_batch_is_single_runs(m, k, policies)
+
+
+@settings(max_examples=100, **COMMON)
+@given(case=instances(), data=st.data())
+def test_illegal_script_in_a_batch_fails_like_the_single_run(case, data):
+    m, k = case
+    current = set(range(m.n))
+    script = []
+    for i in range(1, m.n - k + 1):
+        _, _, argmin = reference_argmin(m, current, i)
+        outside = sorted(current - set(argmin))
+        if outside and data.draw(st.booleans()):
+            bad = data.draw(st.sampled_from(outside))
+            script += [bad] + sorted(current - {bad})[:m.n - k - len(script) - 1]
+            break
+        removed = data.draw(st.sampled_from(argmin))
+        script.append(removed)
+        current.discard(removed)
+    else:
+        return
+    illegal = TiePolicy.scripted(script)
+    with pytest.raises(ScriptedStepError) as alone:
+        reverse_greedy(m, k, illegal)
+    policies = [draw_policy(data, m, k) for _ in range(data.draw(st.integers(0, 5)))]
+    policies.insert(data.draw(st.integers(0, len(policies))), illegal)
+    with pytest.raises(ScriptedStepError) as batched:
+        reverse_greedy_runs(m, k, policies)
+    assert str(batched.value) == str(alone.value)
+
+
+def test_out_of_range_removal_in_a_batch_fails_like_the_single_run():
+    m = uniform_metric(5)
+    policies = [TiePolicy.lowest_index(), TiePolicy.scripted((0, 7, 1)),
+                TiePolicy.seeded_random(2)]
+    with pytest.raises(ScriptedStepError,
+                       match=r"^illegal scripted step 2: facility 7 already removed$"):
+        reverse_greedy_runs(m, 2, policies)
+
+
+def test_batch_checks_every_script_length_first():
+    with pytest.raises(ValueError, match="names 1 removals, need 3"):
+        reverse_greedy_runs(uniform_metric(5), 2,
+                            [TiePolicy.lowest_index(), TiePolicy.scripted((0,))])

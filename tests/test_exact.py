@@ -135,10 +135,14 @@ def test_coincident_points_give_zero_optimum():
 
 def test_first_cover_is_first_covering_combination():
     rng = Random(7)
-    for trial in range(300):
+    for trial in range(600):
         n, bits = rng.randint(1, 9), rng.randint(1, 10)
         full = (1 << bits) - 1
         masks = [rng.getrandbits(bits) & rng.getrandbits(bits) for _ in range(n)]
+        if trial % 2:
+            # Duplicate and nested masks, which the search's reduction drops.
+            masks = [rng.choice(masks) & (full if rng.random() < 0.5 else
+                                          rng.getrandbits(bits)) for _ in range(n)]
         k = rng.randint(1, n)
         covering = [c for c in combinations(range(n), k)
                     if sum(1 << b for b in range(bits)

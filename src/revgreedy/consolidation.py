@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .exact import OptimalSolution, _BudgetExhausted, _can_cover, _cover_masks
+from .exact import (_SEARCH_BUDGET, OptimalSolution, _BudgetExhausted, _cover_masks,
+                    _search)
 from .kcenter import Trace
 from .metric import FLOAT_EPS, MetricSpace
 
@@ -101,7 +102,7 @@ def required_pairs(opt: OptimalSolution, facilities: frozenset[int]) -> frozense
 
 
 def gamma(m: MetricSpace, opt: OptimalSolution, facilities, *,
-          clique_cap: int = 2000, search_budget: int = 5_000_000) -> int:
+          clique_cap: int = 2000, search_budget: int = _SEARCH_BUDGET) -> int:
     """Exact consolidation number by a set-cover search over maximal cliques.
 
     The search space is restricted to maximal cliques of the threshold
@@ -136,9 +137,11 @@ def gamma(m: MetricSpace, opt: OptimalSolution, facilities, *,
              for clique in cliques]
     full = facility_bits | sum(bit for _, bit in pair_bits)
 
+    # Distinct maximal cliques never contain one another, so the oracle's
+    # reduction (exact._can_cover) would drop none of these masks.
     for size in range(1, len(opt.balls) + 1):
         try:
-            if _can_cover(masks, full, size, budget=search_budget):
+            if _search(masks, full, size, budget=search_budget):
                 return size
         except _BudgetExhausted:
             raise GammaCapError(

@@ -1,11 +1,12 @@
 """Exact small-instance k-center oracle.
 
 `exact_opt` binary-searches the pairwise distances, deciding each
-candidate radius with one most-constrained-first set-cover search
-(`_can_cover`), which also picks the lexicographically smallest optimal set
-and serves the consolidation-number search.  Each search first reduces its
-masks to the bits left to cover and drops those contained in another, and
-a node budget turns a search that runs too long into OracleCapError.
+candidate radius with one set-cover search (`_can_cover`), which also picks
+the lexicographically smallest optimal set.  `_can_cover` cuts its masks to
+the bits left to cover and drops those contained in another before it runs
+`_search`, the most-constrained-first backtracking that also serves the
+consolidation-number search.  More than _SEARCH_BUDGET backtrack nodes in
+one oracle search turn into OracleCapError.
 `exact_opt_enumeration` tries every k-subset; it is kept as the independent
 reference the test suite checks the oracle against, since the oracle is the
 trust anchor for every ratio claim downstream.
@@ -51,35 +52,31 @@ def _cover_masks(m: MetricSpace, radius) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
+# Backtrack nodes one cover search may visit, in the oracle and in gamma.
+# The most one search was seen to take: 137 over the 60 trials of the
+# benchmark's oracle-battery (`verify upper --n 32 --k 5 --exact-cap 40`,
+# generator seeds 0..59), 20 over its gamma-potential commands, and 125,225
+# in `verify upper --n 96 --k 8 --trials 2 --exact-cap 96`.
+_SEARCH_BUDGET = 5_000_000
+
+
 class _BudgetExhausted(RuntimeError):
     """A cover search visited more backtrack nodes than its budget allows."""
 
 
-def _can_cover(masks: list[int], full: int, slots: int, covered: int = 0,
-               first: int = 0, budget: int | None = None) -> bool:
-    """Do at most `slots` masks from masks[first:], together with
-    `covered`, cover every bit of `full`?
+def _search(masks: list[int], full: int, slots: int,
+            budget: int | None = None) -> bool:
+    """Do at most `slots` of `masks` cover every bit of `full`?
 
-    The masks are first cut down to the bits left to cover, and empty and
-    duplicate masks and every mask contained in another are dropped (the
-    subset rule of Weihe's data reduction for set cover): a cover that uses
-    a dropped mask still covers with its container instead, so the answer
-    is unchanged.  Backtracking then branches on the uncovered bit with the
-    fewest candidate masks.  With a budget, more than `budget` branching
-    nodes raise _BudgetExhausted.
+    Backtracking branches on the uncovered bit with the fewest candidate
+    masks, trying them in the given order.  With a budget, more than
+    `budget` branching nodes raise _BudgetExhausted.
     """
-    full &= ~covered
-    kept: list[int] = []
-    # Largest first, so a mask's containers are all kept before it is seen.
-    for mask in sorted({mask & full for mask in masks[first:]} - {0},
-                       key=int.bit_count, reverse=True):
-        if all(mask & other != mask for other in kept):
-            kept.append(mask)
     coverers: dict[int, list[int]] = {}
     rest = full
     while rest:
         bit = rest & -rest
-        coverers[bit] = [mask for mask in kept if mask & bit]
+        coverers[bit] = [mask for mask in masks if mask & bit]
         rest ^= bit
     nodes = 0
 
@@ -101,6 +98,28 @@ def _can_cover(masks: list[int], full: int, slots: int, covered: int = 0,
         return any(search(covered | mask, slots - 1) for mask in best)
 
     return search(0, slots)
+
+
+def _can_cover(masks: list[int], full: int, slots: int, covered: int = 0,
+               first: int = 0, budget: int | None = None) -> bool:
+    """Do at most `slots` masks from masks[first:], together with
+    `covered`, cover every bit of `full`?
+
+    The masks are first cut down to the bits left to cover, and empty and
+    duplicate masks and every mask contained in another are dropped (the
+    subset rule of Weihe's data reduction for set cover): a cover that uses
+    a dropped mask still covers with its container instead, so the answer
+    is unchanged.  _search then tries the kept masks largest first.
+    """
+    full &= ~covered
+    kept: list[int] = []
+    # Largest first, so a mask's containers are all kept before it is seen.
+    # Quadratic in the number of masks, one per point here.
+    for mask in sorted({mask & full for mask in masks[first:]} - {0},
+                       key=int.bit_count, reverse=True):
+        if all(mask & other != mask for other in kept):
+            kept.append(mask)
+    return _search(kept, full, slots, budget)
 
 
 def _first_cover(masks: list[int], full: int, k: int,
@@ -134,16 +153,15 @@ def exact_opt_enumeration(m: MetricSpace, k: int) -> OptimalSolution:
     return optimal_solution(m, best_value, best_set)
 
 
-def exact_opt(m: MetricSpace, k: int, *, cap: int = 20,
-              search_budget: int = 5_000_000) -> OptimalSolution:
+def exact_opt(m: MetricSpace, k: int, *, cap: int = 20) -> OptimalSolution:
     """Certified optimal k-center solution for a small instance.
 
     The optimum value is one of the pairwise distances (0 when k = n), and
     feasibility is monotone in the radius, so a binary search over those
     distances with a set-cover search at each finds it.  When several
     optimal sets exist the lexicographically smallest is returned, so
-    downstream verifiers are reproducible.  `search_budget` bounds the
-    backtrack nodes of each cover search; past it, OracleCapError.
+    downstream verifiers are reproducible.  A cover search that needs more
+    than _SEARCH_BUDGET backtrack nodes raises OracleCapError.
     """
     n = m.n
     if not (1 <= k <= n):
@@ -156,19 +174,18 @@ def exact_opt(m: MetricSpace, k: int, *, cap: int = 20,
     full = (1 << n) - 1
     cands = np.unique(m.dist[np.triu_indices(n, k=1)])
     lo, hi = 0, len(cands) - 1
+    budget = _SEARCH_BUDGET
     try:
         while lo < hi:
             mid = (lo + hi) // 2
-            if _can_cover(_cover_masks(m, cands[mid]), full, k,
-                          budget=search_budget):
+            if _can_cover(_cover_masks(m, cands[mid]), full, k, budget=budget):
                 hi = mid
             else:
                 lo = mid + 1
-        chosen = _first_cover(_cover_masks(m, cands[lo]), full, k,
-                              budget=search_budget)
+        chosen = _first_cover(_cover_masks(m, cands[lo]), full, k, budget=budget)
     except _BudgetExhausted:
         raise OracleCapError(f"exact oracle cap exceeded (more than "
-                             f"{search_budget} backtrack nodes in one cover "
+                             f"{budget} backtrack nodes in one cover "
                              f"search, n={n}, k={k})") from None
     value = int(cands[lo]) if m.mode == "int" else float(cands[lo])
     return optimal_solution(m, value, chosen)

@@ -42,7 +42,7 @@ def _edge_fault(edge, n: int) -> str | None:
     return None
 
 
-def _edge_array(edges, n: int) -> np.ndarray:
+def _edge_array(edges: tuple, n: int) -> np.ndarray:
     """The edges as an m x 3 int64 array, weights clamped to 2**62.
 
     Checks all edges at once and raises ValueError with the first fault of
@@ -75,38 +75,20 @@ def _edge_array(edges, n: int) -> np.ndarray:
     return a
 
 
+@dataclass(frozen=True)
 class WeightedGraph:
-    """Undirected graph with positive integer edge weights.
+    """Undirected graph with positive integer edge weights."""
 
-    `array` holds the edges as checked by _edge_array: m x 3 int64, weights
-    clamped to 2**62.  The given edge list is kept as it is, uncopied, and
-    `edges` rebuilds it as (u, v, weight) tuples, exact weights included,
-    only when read.  Two graphs are equal when their vertex counts and
-    `edges` are.
-    """
+    vertex_count: int
+    edges: tuple[tuple[int, int, int], ...]
+    # The edges as checked by _edge_array: m x 3 int64, clamped to 2**62.
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
-    __slots__ = ("vertex_count", "array", "_given")
-
-    def __init__(self, vertex_count: int, edges):
-        if vertex_count < 1:
+    def __post_init__(self):
+        if self.vertex_count < 1:
             raise ValueError("graph needs at least one vertex")
-        self.vertex_count = vertex_count
-        self.array = _edge_array(edges, vertex_count)
-        self._given = edges
-
-    @property
-    def edges(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple(map(tuple, self._given))
-
-    def __eq__(self, other):
-        return (other.__class__ is self.__class__ and
-                (self.vertex_count, self.edges) == (other.vertex_count, other.edges))
-
-    def __hash__(self) -> int:
-        return hash((self.vertex_count, self.edges))
-
-    def __repr__(self) -> str:
-        return f"WeightedGraph(vertex_count={self.vertex_count!r}, edges={self.edges!r})"
+        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
+        object.__setattr__(self, "array", _edge_array(self.edges, self.vertex_count))
 
 
 @dataclass(frozen=True)
@@ -124,17 +106,7 @@ class MetricSpace:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        rows = self.dist if isinstance(self.dist, list) else []
-        types = set().union(*(map(type, row) for row in rows if isinstance(row, list)))
-        # An integer list in float mode is read as floats directly, not
-        # through an int64 table.  An int beyond the float range takes the
-        # general path, which rejects it below.
-        direct = (self.mode == "float" and types == {int}
-                  and all(isinstance(row, list) for row in rows))
-        try:
-            d = np.asarray(self.dist, np.float64 if direct else None)
-        except OverflowError:
-            d = np.asarray(self.dist)
+        d = np.asarray(self.dist)
         # An array built here from a list, or by a conversion below, is
         # held by nothing else, so it is adopted without a copy.
         fresh = isinstance(self.dist, (list, tuple))
@@ -143,7 +115,8 @@ class MetricSpace:
         if self.mode not in ("int", "float"):
             raise ValueError(f"unknown mode {self.mode!r}")
         # np.asarray reads booleans among numbers as 0 and 1.
-        if d.dtype.kind == "b" or bool in types:
+        if d.dtype.kind == "b" or (isinstance(self.dist, list) and any(
+                bool in set(map(type, row)) for row in self.dist if isinstance(row, list))):
             raise ValueError("distances must be numbers, not booleans")
         if d.dtype.kind not in "biuf":
             if not all(is_int(x) or isinstance(x, float) for x in d.flat):

@@ -9,8 +9,6 @@ still returns the first covering combination in lexicographic order is
 checked in test_exact.py.)
 """
 
-from functools import partial
-
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -83,22 +81,27 @@ def test_reduced_search_answers_like_the_unreduced_one(case):
 
 def test_budget_counts_branching_nodes_of_the_reduced_search():
     full = (1 << 6) - 1
-    # Every mask but the first lies inside it, so the reduced search keeps
-    # one mask and branches once.
-    assert _can_cover([full] + [1 << b for b in range(6)], full, 2, budget=1)
+    # Every mask but the last lies inside it, so the reduced search keeps
+    # one mask and branches once; the masks as given would branch twice.
+    assert _can_cover([1 << b for b in range(6)] + [full], full, 2, budget=1)
+    # 0b100 lies inside 0b1111: kept, it would cost the search a third node.
+    assert _can_cover([0b111000, 0b101011, 0b1111, 0b100], full, 3, budget=2)
     with pytest.raises(_BudgetExhausted):
         _can_cover([1 << b for b in range(6)], full, 6, budget=1)
 
 
-def test_oracle_budget_exhausted_raises_cap_error():
+def test_oracle_budget_exhausted_raises_cap_error(monkeypatch):
     m = random_metric("random-graph", 32, 1)
+    unlimited = exact_opt(m, 5, cap=40)
+    monkeypatch.setattr(exact, "_SEARCH_BUDGET", 1)
     with pytest.raises(OracleCapError, match="more than 1 backtrack nodes"):
-        exact_opt(m, 5, cap=40, search_budget=1)
-    assert exact_opt(m, 5, cap=40) == exact_opt(m, 5, cap=40, search_budget=10**9)
+        exact_opt(m, 5, cap=40)
+    monkeypatch.setattr(exact, "_SEARCH_BUDGET", 10**9)
+    assert exact_opt(m, 5, cap=40) == unlimited
 
 
 def test_oracle_budget_refusal_is_incomplete_in_the_cli(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(exact, "exact_opt", partial(exact_opt, search_budget=1))
+    monkeypatch.setattr(exact, "_SEARCH_BUDGET", 1)
     assert cli.main(["verify", "upper", "--n", "32", "--k", "5", "--trials", "1",
                      "--exact-cap", "40"]) == 3
     assert "more than 1 backtrack nodes" in capsys.readouterr().err

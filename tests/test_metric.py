@@ -200,17 +200,16 @@ def test_metric_rejects_booleans(dist):
         MetricSpace(dist=dist)
 
 
-@pytest.mark.parametrize("mode", ["int", "float", "int-list-in-float-mode"])
+@pytest.mark.parametrize("mode", ["int", "float"])
 def test_metric_adopts_the_table_it_builds_from_a_list(mode):
     # The array built from the list is the one table; float mode adds the
-    # n x n booleans of its finiteness check.  An integer list in float
-    # mode is read as floats directly, with no int64 table on the way.
+    # n x n booleans of its finiteness check.
     rows = np.random.default_rng(0).integers(1, 100, (300, 300))
     np.fill_diagonal(rows, 0)
-    rows = (rows / 7 if mode == "float" else rows).tolist()
+    rows = (rows if mode == "int" else rows / 7).tolist()
     tracemalloc.start()
     try:
-        m = MetricSpace(dist=rows, mode="int" if mode == "int" else "float")
+        m = MetricSpace(dist=rows, mode=mode)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -222,47 +221,6 @@ def test_float_metric_rejects_ints_beyond_float_range():
     d = np.array([[0, 10**400], [10**400, 0]], dtype=object)
     with pytest.raises(ValueError, match="finite"):
         MetricSpace(dist=d, mode="float")
-
-
-@pytest.mark.parametrize("rows, message", [
-    ([[0, 10**400], [10**400, 0]], "finite"),
-    ([[0, 10**400]], "square"),
-    ([[0, 1], [1]], "inhomogeneous"),
-    ([[0, 1], (1, "0")], "must be numbers$"),
-    ([[0, 2**70], [2**70, 0]], None),
-], ids=["beyond-float", "not-square", "ragged", "string-in-tuple", "beyond-int64"])
-def test_int_list_in_float_mode_keeps_every_check(rows, message):
-    if message is None:
-        assert MetricSpace(dist=rows, mode="float").dist.tolist() == [
-            [0.0, 2.0**70], [2.0**70, 0.0]]
-        return
-    with pytest.raises(ValueError, match=message):
-        MetricSpace(dist=rows, mode="float")
-
-
-def test_graph_equality_hash_and_file_keep_the_given_edges(tmp_path):
-    # 2**70 and 2**71 both clamp to 2**62 in the array; the graphs differ.
-    listed = WeightedGraph(3, [[0, 1, 1], [1, 2, 2**70]])
-    same = WeightedGraph(3, ((0, 1, 1), (np.int64(1), 2, 2**70)))
-    assert listed == same and hash(listed) == hash(same)
-    assert listed != WeightedGraph(3, ((0, 1, 1), (1, 2, 2**71)))
-    assert listed != WeightedGraph(4, ((0, 1, 1), (1, 2, 2**70)))
-    assert listed.edges == ((0, 1, 1), (1, 2, 2**70))
-    assert repr(listed) == "WeightedGraph(vertex_count=3, edges=((0, 1, 1), (1, 2, 1180591620717411303424)))"
-    path = tmp_path / "inst.json"
-    save_instance(path, uniform_metric(3), k=1, graph=listed)
-    assert json.loads(path.read_text())["graph"]["edges"] == [[0, 1, 1], [1, 2, 2**70]]
-
-
-def test_graph_holds_no_copy_of_its_edges():
-    edges = [[u, u + 1, 1 + u % 5] for u in range(20_000)]
-    tracemalloc.start()
-    try:
-        g = WeightedGraph(20_001, edges)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert held < 1.25 * g.array.nbytes
 
 
 @pytest.mark.parametrize("key", ["version", "mode", "n"])

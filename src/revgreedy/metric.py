@@ -178,10 +178,10 @@ class MetricValidationReport:
         return "; ".join(f"{axiom} violation at {witness}" for axiom, witness in self.violations)
 
 
-def _narrowest(bound: int):
-    """The first of int16, int32 and int64 that holds bound, or None."""
-    return next((t for t in (np.int16, np.int32, np.int64)
-                 if bound <= np.iinfo(t).max), None)
+def _narrowest(hi: int, lo: int = 0):
+    """The first of uint8, int16, int32 and int64 that holds lo..hi, or None."""
+    return next((t for t in (np.uint8, np.int16, np.int32, np.int64)
+                 if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max), None)
 
 
 def _distances_from_0(n: int, ends: np.ndarray, weights: np.ndarray) -> list:
@@ -218,8 +218,9 @@ def metric_from_graph(g: WeightedGraph) -> MetricSpace:
 
     One Dijkstra pass from vertex 0 finds its eccentricity ecc.  Every
     distance is at most 2*ecc (go through vertex 0), so S = 2*ecc + 1 serves
-    as "no path yet", and Floyd-Warshall runs in the narrowest integer type
-    that holds 2*S, the largest sum it forms.
+    as "no path yet", and Floyd-Warshall runs in the first of uint8, int16,
+    int32 and int64 that holds 2*S, the largest sum it forms.  Every entry
+    and sum is non-negative, so the unsigned byte never wraps.
 
     Before any n x n table is allocated, raises DisconnectedGraphError
     naming the pair (0, x) for the smallest x unreachable from vertex 0, and
@@ -306,9 +307,9 @@ def validate_metric(m: MetricSpace) -> MetricValidationReport:
     tol = m.tol()
     report = _pairwise_axioms(m)
 
-    hi = max(int(d.max(initial=0)), -int(d.min(initial=0)))
-    narrow = _narrowest(2 * hi) if m.mode == "int" else None
-    if narrow in (np.int16, np.int32):
+    narrow = (_narrowest(2 * int(d.max(initial=0)), 2 * int(d.min(initial=0)))
+              if m.mode == "int" else None)
+    if narrow not in (None, np.int64):
         # Every sum of two entries fits, so nothing can wrap.
         d = d.astype(narrow)
         s = np.empty_like(d)

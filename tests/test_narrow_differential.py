@@ -1,12 +1,13 @@
 """The narrow-type loops of revgreedy.metric against plain int64 references.
 
-`metric_from_graph` runs Floyd-Warshall in the narrowest integer type that
-one Dijkstra pass proves safe, inside the buffer of its int64 result.  Its
-reference is the straightforward int64 loop with a fixed sentinel; the two
-must give identical matrices, and the same unreachable pair when the graph
-is disconnected.  The triangle check runs in the narrowest type that holds
-twice a matrix's largest magnitude; its reference is the wrap-safe int64
-loop, and the two must give the same witness.
+`metric_from_graph` runs Floyd-Warshall in the first of uint8, int16, int32
+and int64 that one Dijkstra pass proves safe, inside the buffer of its int64
+result.  Its reference is the straightforward int64 loop with a fixed
+sentinel; the two must give identical matrices, and the same unreachable
+pair when the graph is disconnected.  The triangle check runs in the first
+of those types that holds every sum of two entries (uint8 only when no entry
+is negative); its reference is the wrap-safe int64 loop, and the two must
+give the same witness.
 """
 
 import re
@@ -59,10 +60,10 @@ def assert_matches_reference(g: WeightedGraph):
     assert np.array_equal(m.dist, expected)
 
 
-# Weight scales: the family's small weights, and ones that force int32 and
-# int64 tables.  A path of 39 edges at the top scale stays below the
-# largest accepted eccentricity, 2**61 - 1.
-scales = st.sampled_from([1, 9, 1000, 2**14, 2**20, 2**29, 2**40, 2**55])
+# Weight scales: the family's small weights, ones near the uint8/int16
+# edge, and ones that force int32 and int64 tables.  A path of 39 edges at
+# the top scale stays below the largest accepted eccentricity, 2**61 - 1.
+scales = st.sampled_from([1, 9, 13, 1000, 2**14, 2**20, 2**29, 2**40, 2**55])
 
 
 @st.composite
@@ -135,6 +136,7 @@ def test_one_and_two_vertices(g):
 
 
 @pytest.mark.parametrize("weight, kind", [
+    (61, np.uint8), (62, np.int16),
     (8189, np.int16), (8190, np.int32),
     (2**29 - 3, np.int32), (2**29 - 2, np.int64),
     (2**61 - 3, np.int64),
@@ -198,7 +200,7 @@ def reference_triangle(d: np.ndarray):
 @st.composite
 def matrices(draw):
     n = draw(st.integers(1, 8))
-    top = draw(st.sampled_from([3, 2**14 - 1, 2**14, 2**30 - 1, 2**30, 2**62, 2**63 - 1]))
+    top = draw(st.sampled_from([3, 127, 128, 2**14 - 1, 2**14, 2**30 - 1, 2**30, 2**62, 2**63 - 1]))
     low = draw(st.sampled_from([1, 0, -top]))
     cells = draw(st.lists(st.integers(low, top), min_size=n * n, max_size=n * n))
     d = np.array(cells, dtype=np.int64).reshape(n, n)
@@ -212,3 +214,15 @@ def matrices(draw):
 def test_triangle_check_matches_the_wrap_safe_reference(d):
     found = dict(metric.validate_metric(MetricSpace(dist=d)).violations)
     assert found.get("triangle") == reference_triangle(d)
+
+
+@settings(max_examples=250, **COMMON)
+@given(d=matrices())
+def test_triangle_check_type_is_no_wider_than_the_magnitude_rule(d):
+    # The rule before uint8 took the first of int16 and int32 holding twice
+    # the largest magnitude; a matrix it checked narrow stays narrow.
+    hi = max(int(d.max()), -int(d.min()))
+    old = next((t for t in (np.int16, np.int32) if 2 * hi <= np.iinfo(t).max), None)
+    new = metric._narrowest(2 * int(d.max()), 2 * int(d.min()))
+    if old is not None:
+        assert np.dtype(new).itemsize <= np.dtype(old).itemsize

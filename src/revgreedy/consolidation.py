@@ -72,24 +72,27 @@ def _maximal_cliques(adjacency: list[int], vertices: int) -> list[int]:
     its own neighbour); returns every maximal clique of the subgraph induced
     on the bitmask `vertices` once, as a bitmask."""
     cliques: list[int] = []
-
-    def expand(clique: int, candidates: int, excluded: int):
-        pool = candidates | excluded
-        if not pool:
-            cliques.append(clique)
-            return
-        pivot = max((v for v in range(pool.bit_length()) if pool >> v & 1),
-                    key=lambda v: (adjacency[v] & candidates).bit_count())
-        rest = candidates & ~adjacency[pivot]
-        for v in range(rest.bit_length()):
-            if rest >> v & 1:
-                near = adjacency[v]
-                expand(clique | 1 << v, candidates & near, excluded & near)
-                candidates &= ~(1 << v)
-                excluded |= 1 << v
-
-    expand(0, vertices, 0)
+    _expand(adjacency, cliques, 0, vertices, 0)
     return cliques
+
+
+def _expand(adjacency: list[int], cliques: list[int], clique: int,
+            candidates: int, excluded: int) -> None:
+    """One Bron-Kerbosch call of _maximal_cliques, appending to `cliques`."""
+    pool = candidates | excluded
+    if not pool:
+        cliques.append(clique)
+        return
+    pivot = max((v for v in range(pool.bit_length()) if pool >> v & 1),
+                key=lambda v: (adjacency[v] & candidates).bit_count())
+    rest = candidates & ~adjacency[pivot]
+    for v in range(rest.bit_length()):
+        if rest >> v & 1:
+            near = adjacency[v]
+            _expand(adjacency, cliques, clique | 1 << v, candidates & near,
+                    excluded & near)
+            candidates &= ~(1 << v)
+            excluded |= 1 << v
 
 
 def required_pairs(opt: OptimalSolution, facilities: frozenset[int]) -> frozenset:

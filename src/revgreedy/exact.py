@@ -78,26 +78,28 @@ def _search(masks: list[int], full: int, slots: int,
         bit = rest & -rest
         coverers[bit] = [mask for mask in masks if mask & bit]
         rest ^= bit
-    nodes = 0
+    return _branch(coverers, full, 0, slots, [0], budget)
 
-    def search(covered: int, slots: int) -> bool:
-        nonlocal nodes
-        if covered == full:
-            return True
-        if slots == 0:
-            return False
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise _BudgetExhausted
-        best = None
-        for bit, options in coverers.items():
-            if not covered & bit and (best is None or len(options) < len(best)):
-                best = options
-                if not options:
-                    return False
-        return any(search(covered | mask, slots - 1) for mask in best)
 
-    return search(0, slots)
+def _branch(coverers: dict[int, list[int]], full: int, covered: int,
+            slots: int, nodes: list[int], budget: int | None) -> bool:
+    """One node of _search, counted in nodes[0].  (A closure that called
+    itself would be a reference cycle holding `coverers`.)"""
+    if covered == full:
+        return True
+    if slots == 0:
+        return False
+    nodes[0] += 1
+    if budget is not None and nodes[0] > budget:
+        raise _BudgetExhausted
+    best = None
+    for bit, options in coverers.items():
+        if not covered & bit and (best is None or len(options) < len(best)):
+            best = options
+            if not options:
+                return False
+    return any(_branch(coverers, full, covered | mask, slots - 1, nodes, budget)
+               for mask in best)
 
 
 def _can_cover(masks: list[int], full: int, slots: int, covered: int = 0,

@@ -2,7 +2,8 @@
 
 Two arithmetic modes are supported.  Integer mode keeps every distance an
 exact int64 so that tie detection downstream is exact; floating mode carries
-a comparison tolerance used for all tie/argmin decisions.
+a comparison tolerance used for all tie/argmin decisions.  One O(n^3)
+triangle loop serves both; `load_instance` runs it on integer matrices only.
 """
 
 from __future__ import annotations
@@ -150,10 +151,6 @@ class MetricSpace:
     def n(self) -> int:
         return self.dist.shape[0]
 
-    @property
-    def points(self) -> range:
-        return range(self.n)
-
     def d(self, a: int, b: int):
         return self.dist[a, b]
 
@@ -282,10 +279,7 @@ def _pairwise_axioms(m: MetricSpace) -> MetricValidationReport:
     if not np.array_equal(d, d.T):
         asym = np.argwhere(np.abs(d - d.T) > tol)
         if asym.size:
-            a, b = (int(x) for x in asym[0])
-            if a > b:
-                a, b = b, a
-            report.violations.append(("symmetry", (a, b)))
+            report.violations.append(("symmetry", tuple(sorted(asym[0].tolist()))))
 
     offdiag = d <= tol
     np.fill_diagonal(offdiag, False)
@@ -296,45 +290,45 @@ def _pairwise_axioms(m: MetricSpace) -> MetricValidationReport:
     return report
 
 
+def _triangle(m: MetricSpace) -> tuple[int, int, int] | None:
+    """The first (a, b, c) with d[a, c] > d[a, b] + d[b, c] + tol, at the
+    smallest b, then the smallest (a, c); None if there is none.
+
+    An integer table runs in the narrowest type that holds every sum of two
+    entries, a float table in float64 with the mode's slack.
+    """
+    d, tol = m.dist, m.tol()
+    if m.mode == "int":
+        d = d.astype(_narrowest(2 * int(d.max(initial=0)), 2 * int(d.min(initial=0)))
+                     or np.int64, copy=False)
+    s, over = np.empty_like(d), np.empty(d.shape, bool)
+    for b in range(m.n):
+        ab, bc = d[:, b : b + 1], d[b : b + 1, :]
+        np.add(ab, bc, out=s)
+        if tol:
+            s += tol
+        np.greater(d, s, out=over)
+        if d.dtype == np.int64:
+            # An int64 sum wraps exactly when its sign differs from that of
+            # two like-signed terms; the true sum then lies beyond every
+            # entry, above them all for non-negative terms, below otherwise.
+            wrapped = ((ab < 0) == (bc < 0)) & ((s < 0) != (ab < 0))
+            over = np.where(wrapped, ab < 0, over)
+        if over.any():
+            a, c = (int(x) for x in np.argwhere(over)[0])
+            return a, b, c
+    return None
+
+
 def validate_metric(m: MetricSpace) -> MetricValidationReport:
     """Check identity, symmetry, positivity, and the triangle inequality.
 
     Violations are report content, never exceptions; each violated axiom is
-    listed with one witness.
+    listed with one witness.  The triangle check is _triangle's one loop.
     """
-    d = m.dist
-    n = m.n
-    tol = m.tol()
     report = _pairwise_axioms(m)
-
-    narrow = (_narrowest(2 * int(d.max(initial=0)), 2 * int(d.min(initial=0)))
-              if m.mode == "int" else None)
-    if narrow not in (None, np.int64):
-        # Every sum of two entries fits, so nothing can wrap.
-        d = d.astype(narrow)
-        s = np.empty_like(d)
-        over = np.empty(d.shape, bool)
-        for b in range(n):
-            np.add(d[:, b : b + 1], d[b : b + 1, :], out=s)
-            if np.greater(d, s, out=over).any():
-                a, c = (int(x) for x in np.argwhere(over)[0])
-                report.violations.append(("triangle", (a, b, c)))
-                break
-        return report
-
-    for b in range(n):
-        ab, bc = d[:, b : b + 1], d[b : b + 1, :]
-        s = ab + bc
-        # An int64 sum wraps exactly when its sign differs from that of two
-        # like-signed terms; the true sum then lies beyond every entry,
-        # above them all for non-negative terms and below for negative ones.
-        wrapped = ((ab < 0) == (bc < 0)) & ((s < 0) != (ab < 0))
-        viol = np.argwhere(np.where(wrapped, ab < 0, d > s + tol))
-        if viol.size:
-            a, c = (int(x) for x in viol[0])
-            report.violations.append(("triangle", (a, b, c)))
-            break
-
+    if witness := _triangle(m):
+        report.violations.append(("triangle", witness))
     return report
 
 
@@ -456,11 +450,10 @@ def load_instance(path) -> tuple[MetricSpace, int | None]:
         if m.n != doc["n"]:
             raise ValueError("matrix size does not match declared n")
         # Once the pairwise axioms hold, an integer matrix also gets the
-        # O(n^3) triangle check, which runs in a narrow type; in floating
-        # mode it would cost as much as a whole run.
+        # triangle check; for a float matrix it would cost as much as a run.
         broken = _pairwise_axioms(m)
-        if broken.ok and m.mode == "int":
-            broken = validate_metric(m)
+        if broken.ok and m.mode == "int" and (witness := _triangle(m)):
+            broken.violations.append(("triangle", witness))
         if not broken.ok:
             raise ValueError(f"matrix is not a metric: {broken}")
     else:

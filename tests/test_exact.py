@@ -1,3 +1,4 @@
+import gc
 from itertools import combinations
 from random import Random
 
@@ -5,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from revgreedy.exact import (OracleCapError, _can_cover, _first_cover, exact_opt,
-                             exact_opt_enumeration, optimal_solution)
+from revgreedy.consolidation import gamma
+from revgreedy.exact import (OracleCapError, _can_cover, _first_cover, _search,
+                             exact_opt, exact_opt_enumeration, optimal_solution)
 from revgreedy.kcenter import cost
 from revgreedy.lowerbound import build_lower_bound_instance, known_opt
 from revgreedy.metric import MetricSpace, random_metric, uniform_metric
@@ -177,3 +179,22 @@ def test_lower_bound_k3_exact_matches_known():
     inst = build_lower_bound_instance(3)
     sol = exact_opt(inst.metric, 3)
     assert sol.opt_value == known_opt(inst).opt_value == 1
+
+
+def test_searches_leave_no_garbage_cycles():
+    # A cycle would hold a search's coverer table or adjacency until a full
+    # collection; with the collector off, none may be left to collect.
+    inst = build_lower_bound_instance(6)
+    opt = known_opt(inst)
+    masks = [0b0011, 0b0110, 0b1100, 0b1000]
+    gc.collect()
+    gc.disable()
+    try:
+        assert _search(masks, 0b1111, 2)
+        assert gc.collect() == 0
+        assert _can_cover(masks, 0b1111, 2)
+        assert gc.collect() == 0
+        assert gamma(inst.metric, opt, frozenset(range(inst.n))) >= 1
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -287,6 +287,19 @@ def test_instance_loads_int_metrics_of_every_scale(tmp_path, big):
     assert m.d(0, 3) == big
 
 
+def test_instance_checks_pairwise_axioms_once(tmp_path, monkeypatch):
+    calls = []
+    pairwise = metric._pairwise_axioms
+    monkeypatch.setattr(metric, "_pairwise_axioms",
+                        lambda m: calls.append(m.n) or pairwise(m))
+    matrix = [[0, 1, 5], [1, 0, 1], [5, 1, 0]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"version": 1, "mode": "int", "n": 3, "matrix": matrix}))
+    with pytest.raises(ValueError, match=re.escape("triangle violation at (0, 1, 2)")):
+        load_instance(path)
+    assert calls == [3]
+
+
 def test_float_matrix_triangle_is_left_to_validate_metric(tmp_path):
     matrix = [[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]
     path = tmp_path / "float.json"

@@ -7,7 +7,8 @@ sentinel; the two must give identical matrices, and the same unreachable
 pair when the graph is disconnected.  The triangle check runs in the first
 of those types that holds every sum of two entries (uint8 only when no entry
 is negative); its reference is the wrap-safe int64 loop, and the two must
-give the same witness.
+give the same witness.  A float table shares that loop, in float64 with the
+mode's slack; its reference is a plain loop over the entries.
 """
 
 import re
@@ -226,3 +227,49 @@ def test_triangle_check_type_is_no_wider_than_the_magnitude_rule(d):
     new = metric._narrowest(2 * int(d.max()), 2 * int(d.min()))
     if old is not None:
         assert np.dtype(new).itemsize <= np.dtype(old).itemsize
+
+
+def reference_float_triangle(d: np.ndarray, eps: float):
+    """First (a, b, c) with d[a, c] > d[a, b] + d[b, c] + eps, for the
+    smallest b, entry by entry."""
+    n = d.shape[0]
+    for b in range(n):
+        for a in range(n):
+            for c in range(n):
+                if d[a, c] > d[a, b] + d[b, c] + eps:
+                    return (a, b, c)
+    return None
+
+
+@st.composite
+def float_matrices(draw):
+    # Small whole numbers make exact triangle ties, and offsets of eps/2 and
+    # 2*eps turn them into near-ties on both sides of the slack.
+    eps = MetricSpace.eps
+    n = draw(st.integers(1, 6))
+    base = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0, 0.5, 2.5]),
+                         min_size=n * n, max_size=n * n))
+    offset = draw(st.lists(st.sampled_from([0.0, eps / 2, -eps / 2, 2 * eps, -2 * eps]),
+                           min_size=n * n, max_size=n * n))
+    d = (np.array(base) + np.array(offset)).reshape(n, n)
+    if draw(st.booleans()):
+        d = np.triu(d, 1) + np.triu(d, 1).T
+    return d
+
+
+@settings(max_examples=400, **COMMON)
+@given(d=float_matrices())
+def test_float_triangle_check_matches_the_plain_reference(d):
+    m = MetricSpace(dist=d, mode="float")
+    found = dict(metric.validate_metric(m).violations)
+    assert found.get("triangle") == reference_float_triangle(m.dist, m.eps)
+
+
+def test_float_triangle_check_keeps_the_slack():
+    eps = MetricSpace.eps
+    tie = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    for over, witness in ((eps / 2, None), (2 * eps, (0, 1, 2))):
+        d = tie.copy()
+        d[0, 2] = d[2, 0] = 2.0 + over
+        found = dict(metric.validate_metric(MetricSpace(dist=d, mode="float")).violations)
+        assert found.get("triangle") == witness

@@ -24,13 +24,13 @@ from . import consolidation, exact, kcenter, lowerbound, metric
 
 
 def parse_k_range(text: str) -> list[int]:
-    """Accept "5", "2..10", or "2,3,5"."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    if "," in text:
+    """Accept "5", "2..10", or "2,3,5"; a range must name some k."""
+    if ".." not in text:
         return [int(part) for part in text.split(",")]
-    return [int(text)]
+    lo, hi = text.split("..", 1)
+    if int(hi) < int(lo):
+        raise argparse.ArgumentTypeError(f"{text} names no k")
+    return list(range(int(lo), int(hi) + 1))
 
 
 def positive_int(text: str) -> int:

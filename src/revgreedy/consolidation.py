@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .exact import (_SEARCH_BUDGET, OptimalSolution, _BudgetExhausted, _cover_masks,
-                    _search)
+from .exact import (_SEARCH_BUDGET, OptimalSolution, _BudgetExhausted, _bits,
+                    _branch, _columns, _cover_masks)
 from .kcenter import Trace
 from .metric import FLOAT_EPS, MetricSpace
 
@@ -83,16 +83,13 @@ def _expand(adjacency: list[int], cliques: list[int], clique: int,
     if not pool:
         cliques.append(clique)
         return
-    pivot = max((v for v in range(pool.bit_length()) if pool >> v & 1),
-                key=lambda v: (adjacency[v] & candidates).bit_count())
-    rest = candidates & ~adjacency[pivot]
-    for v in range(rest.bit_length()):
-        if rest >> v & 1:
-            near = adjacency[v]
-            _expand(adjacency, cliques, clique | 1 << v, candidates & near,
-                    excluded & near)
-            candidates &= ~(1 << v)
-            excluded |= 1 << v
+    pivot = max(_bits(pool), key=lambda v: (adjacency[v] & candidates).bit_count())
+    for v in _bits(candidates & ~adjacency[pivot]):
+        near = adjacency[v]
+        _expand(adjacency, cliques, clique | 1 << v, candidates & near,
+                excluded & near)
+        candidates &= ~(1 << v)
+        excluded |= 1 << v
 
 
 def required_pairs(opt: OptimalSolution, facilities: frozenset[int]) -> frozenset:
@@ -116,9 +113,9 @@ def gamma(m: MetricSpace, opt: OptimalSolution, facilities, *,
     constraints), and so does replacing a member by a maximal clique
     containing it (covering and optimal pairs survive under supersets).  So
     some minimum-size family consists of maximal cliques of that induced
-    graph only.  Each clique becomes one bitmask, with facility f as bit f
-    and required pair j as bit n + j, and the least number of masks covering
-    all those bits is found size by size; `search_budget` bounds the
+    graph only.  Each facility and each required pair becomes one column,
+    the set of cliques holding it, and the least number of cliques hitting
+    every column is found size by size; `search_budget` bounds the
     backtrack nodes of each size's search.
     """
     facilities = frozenset(facilities)
@@ -134,17 +131,16 @@ def gamma(m: MetricSpace, opt: OptimalSolution, facilities, *,
             f"gamma brute force infeasible: {len(cliques)} maximal cliques "
             f"> cap={clique_cap}")
 
-    pair_bits = [((1 << f) | (1 << g), 1 << (m.n + j)) for j, (f, g)
-                 in enumerate(sorted(required_pairs(opt, facilities)))]
-    masks = [clique | sum(bit for both, bit in pair_bits if clique & both == both)
-             for clique in cliques]
-    full = facility_bits | sum(bit for _, bit in pair_bits)
+    # Per facility, then per required pair: the cliques holding it.
+    column = dict(zip(sorted(facilities), _columns(cliques, facility_bits)))
+    pairs = [column[f] & column[g] for f, g in sorted(required_pairs(opt, facilities))]
+    columns = list(dict.fromkeys([*column.values(), *pairs]))
 
     # Distinct maximal cliques never contain one another, so the oracle's
-    # reduction (exact._can_cover) would drop none of these masks.
+    # reduction (exact._can_cover) would drop none of them.
     for size in range(1, len(opt.balls) + 1):
         try:
-            if _search(masks, full, size, budget=search_budget):
+            if _branch(columns, size, [0], search_budget):
                 return size
         except _BudgetExhausted:
             raise GammaCapError(

@@ -4,9 +4,9 @@
 candidate radius with one set-cover search (`_can_cover`), which also picks
 the lexicographically smallest optimal set.  `_can_cover` cuts its masks to
 the bits left to cover and drops those contained in another before it runs
-`_search`, the most-constrained-first backtracking that also serves the
-consolidation-number search.  More than _SEARCH_BUDGET backtrack nodes in
-one oracle search turn into OracleCapError.
+`_search`, most-constrained-first backtracking over columns (the masks
+covering a bit) that also serves the consolidation-number search.  Over
+_SEARCH_BUDGET backtrack nodes in one oracle search raise OracleCapError.
 `exact_opt_enumeration` tries every k-subset; it is kept as the independent
 reference the test suite checks the oracle against, since the oracle is the
 trust anchor for every ratio claim downstream.
@@ -64,42 +64,46 @@ class _BudgetExhausted(RuntimeError):
     """A cover search visited more backtrack nodes than its budget allows."""
 
 
+def _bits(x: int):
+    """The indices of the set bits of `x`, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _columns(masks: list[int], full: int) -> list[int]:
+    """Per bit of `full`, ascending: bit p is set when masks[p] covers it."""
+    columns = dict.fromkeys(_bits(full), 0)
+    for p, mask in enumerate(masks):
+        mask &= full
+        while mask:  # _bits(mask), inlined: the oracle builds many small tables
+            columns[(low := mask & -mask).bit_length() - 1] |= 1 << p
+            mask ^= low
+    return list(columns.values())
+
+
 def _search(masks: list[int], full: int, slots: int,
             budget: int | None = None) -> bool:
-    """Do at most `slots` of `masks` cover every bit of `full`?
-
-    Backtracking branches on the uncovered bit with the fewest candidate
-    masks, trying them in the given order.  With a budget, more than
-    `budget` branching nodes raise _BudgetExhausted.
-    """
-    coverers: dict[int, list[int]] = {}
-    rest = full
-    while rest:
-        bit = rest & -rest
-        coverers[bit] = [mask for mask in masks if mask & bit]
-        rest ^= bit
-    return _branch(coverers, full, 0, slots, [0], budget)
+    """Do at most `slots` of `masks` cover every bit of `full`?"""
+    return _branch(list(dict.fromkeys(_columns(masks, full))), slots, [0], budget)
 
 
-def _branch(coverers: dict[int, list[int]], full: int, covered: int,
-            slots: int, nodes: list[int], budget: int | None) -> bool:
-    """One node of _search, counted in nodes[0].  (A closure that called
-    itself would be a reference cycle holding `coverers`.)"""
-    if covered == full:
-        return True
-    if slots == 0:
-        return False
+def _branch(columns: list[int], slots: int, nodes: list[int],
+            budget: int | None) -> bool:
+    """One search node, counted in nodes[0]: can `slots` positions hit every column?"""
+    if not columns or not slots:
+        return not columns
     nodes[0] += 1
     if budget is not None and nodes[0] > budget:
         raise _BudgetExhausted
-    best = None
-    for bit, options in coverers.items():
-        if not covered & bit and (best is None or len(options) < len(best)):
-            best = options
-            if not options:
-                return False
-    return any(_branch(coverers, full, covered | mask, slots - 1, nodes, budget)
-               for mask in best)
+    best = min(columns, key=int.bit_count)
+    while best:
+        low = best & -best
+        if _branch([c for c in columns if not c & low], slots - 1, nodes, budget):
+            return True
+        best ^= low
+    return False
 
 
 def _can_cover(masks: list[int], full: int, slots: int, covered: int = 0,

@@ -397,6 +397,8 @@ def test_nonpositive_cap_rejected():
     (["verify", "gamma", "--k", "1"], 2),
     (["sweep", "--k", "1"], 2),
     (["verify", "lower", "--k", "x"], 2),
+    (["verify", "lower", "--k", "5..2"], 2),
+    (["sweep", "--k", "5..2"], 2),
     (["verify", "upper", "--n", "5", "--k", "7"], 2),
     (["verify", "separation", "--k", "0"], 2),
     (["verify", "separation", "--k", "17"], 3),

@@ -1,4 +1,4 @@
-"""The set-cover search with its data reduction against the plain backtracker.
+"""The set-cover search against the backtrackers it replaced.
 
 `exact._can_cover` first cuts the masks down to the bits left to cover and
 drops empty, duplicate and contained masks.  Its reference is the search as
@@ -7,13 +7,23 @@ over every mask of masks[first:].  Both must give the same answer for any
 masks within `full`, `covered`, `first` and slot count.  (That `_first_cover`
 still returns the first covering combination in lexicographic order is
 checked in test_exact.py.)
+
+`exact._search` branches over columns, one per distinct set of coverers of
+a bit.  Its reference is the search over a bit -> coverers table that
+scans every bit at each node; both must give the same answer after the
+same number of nodes, and so must `gamma` against the same reference over
+its old encoding, one extra bit per required pair in every clique mask.
 """
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from revgreedy import cli, exact
-from revgreedy.exact import OracleCapError, _BudgetExhausted, _can_cover, exact_opt
+from revgreedy import cli, consolidation, exact, kcenter
+from revgreedy.consolidation import (_maximal_cliques, critical_indices, gamma,
+                                     required_pairs)
+from revgreedy.exact import (OracleCapError, _BudgetExhausted, _can_cover, _cover_masks,
+                             _search, exact_opt)
+from revgreedy.lowerbound import build_lower_bound_instance, known_opt, scripted_schedule
 from revgreedy.metric import random_metric
 
 COMMON = dict(deadline=None, derandomize=True)
@@ -112,3 +122,136 @@ def test_oracle_budget_refusal_is_incomplete_in_the_cli(monkeypatch, tmp_path, c
     assert cli.main(["run", "--instance", str(inst), "--exact-cap", "40"]) == 0
     out = capsys.readouterr().out
     assert "ratio omitted" in out and "more than 1 backtrack nodes" in out
+
+
+def search_by_coverers(masks, full, slots):
+    """The search over a bit -> coverers table: branch on the lowest
+    uncovered bit with the fewest coverers, trying them in the given order.
+    Returns the answer and the number of branching nodes."""
+    coverers = {}
+    rest = full
+    while rest:
+        bit = rest & -rest
+        coverers[bit] = [mask for mask in masks if mask & bit]
+        rest ^= bit
+    nodes = 0
+
+    def branch(covered, slots):
+        nonlocal nodes
+        if covered == full:
+            return True
+        if slots == 0:
+            return False
+        nodes += 1
+        best = None
+        for bit, options in coverers.items():
+            if not covered & bit and (best is None or len(options) < len(best)):
+                best = options
+                if not options:
+                    return False
+        return any(branch(covered | mask, slots - 1) for mask in best)
+
+    return branch(0, slots), nodes
+
+
+@st.composite
+def cover_cases(draw):
+    """Masks within `full` over bits that fall into a few groups, every bit
+    of a group covered by the same masks; duplicate masks and bits of `full`
+    that no mask covers are both likely.  (The coverers-table search needs
+    the masks inside `full`, as every caller passes them.)"""
+    groups = draw(st.integers(2, 8))
+    layout = draw(st.lists(st.integers(0, groups - 1), min_size=2, max_size=20))
+    # Masks over one to three groups each, so that covers take several.
+    group_sets = st.lists(st.integers(0, groups - 1), min_size=1, max_size=3)
+    pool = [sum(1 << group for group in set(members))
+            for members in draw(st.lists(group_sets, min_size=2, max_size=10))]
+    chosen = draw(st.lists(st.sampled_from(pool), min_size=3, max_size=14))
+    # Mostly no group is left bare, so that most searches branch.
+    if draw(st.integers(0, 4)) != 3:
+        chosen += [1 << group for group in range(groups)
+                   if not any(c >> group & 1 for c in chosen)]
+    masks = [sum(1 << b for b, group in enumerate(layout) if c >> group & 1)
+             for c in chosen]
+    full = (1 << len(layout)) - 1
+    if draw(st.integers(0, 4)) == 3:
+        full |= draw(st.integers(1, 3)) << len(layout)
+    return masks, full, draw(st.sampled_from([3, 2, 4, 5, 1, 6]))
+
+
+@settings(max_examples=800, **COMMON)
+@given(case=cover_cases())
+@example(case=([], 0, 0))
+@example(case=([1], 1, 0))
+@example(case=([], 1, 1))
+@example(case=([3, 3, 1], 0b111, 2))
+@example(case=([0b101, 0b101, 0b010], 0b111, 2))
+@example(case=([0b11], 0b111, 1))
+def test_column_search_matches_the_coverers_table(case):
+    masks, full, slots = case
+    answer, nodes = search_by_coverers(masks, full, slots)
+    assert _search(masks, full, slots) == answer
+    # Same visiting order: the budget is first exceeded at the same node.
+    assert _search(masks, full, slots, budget=nodes) == answer
+    if nodes:
+        with pytest.raises(_BudgetExhausted):
+            _search(masks, full, slots, budget=nodes - 1)
+
+
+def gamma_by_pair_bits(m, opt, facilities):
+    """gamma over one mask per maximal clique, facility f as bit f and
+    required pair j as bit n + j, searched by the coverers table: the value
+    and the node count of each size tried."""
+    facility_bits = sum(1 << f for f in facilities)
+    cliques = _maximal_cliques([mask & ~(1 << p) for p, mask in
+                                enumerate(_cover_masks(m, 2 * opt.opt_value))],
+                               facility_bits)
+    pair_bits = [((1 << f) | (1 << g), 1 << (m.n + j)) for j, (f, g)
+                 in enumerate(sorted(required_pairs(opt, facilities)))]
+    masks = [clique | sum(bit for both, bit in pair_bits if clique & both == both)
+             for clique in cliques]
+    full = facility_bits | sum(bit for _, bit in pair_bits)
+    counts = []
+    for size in range(1, len(opt.balls) + 1):
+        answer, nodes = search_by_coverers(masks, full, size)
+        counts.append(nodes)
+        if answer:
+            return size, counts
+    raise AssertionError("the optimal balls cover by size k")
+
+
+def gamma_cases():
+    """(metric, optimum, trace) for the family at k=3..8 and random inputs."""
+    for k in range(3, 9):
+        inst = build_lower_bound_instance(k)
+        policy = kcenter.TiePolicy.scripted(scripted_schedule(inst).script())
+        yield (f"family-{k}", inst.metric, known_opt(inst),
+               kcenter.reverse_greedy(inst.metric, k, policy))
+    for kind, n in (("euclidean", 20), ("random-graph", 18)):
+        for seed in range(6):
+            m = random_metric(kind, n, seed)
+            for k in (3, 5):
+                yield (f"{kind}-{n}-{seed}-k{k}", m, exact_opt(m, k, cap=40),
+                       kcenter.reverse_greedy(m, k))
+
+
+@pytest.mark.parametrize("case", list(gamma_cases()), ids=lambda case: case[0])
+def test_gamma_columns_match_the_pair_bit_search(case, monkeypatch):
+    _, m, opt, trace = case
+    counts = []
+
+    def counting_branch(columns, slots, nodes, budget):
+        answer = exact._branch(columns, slots, nodes, budget)
+        counts.append(nodes[0])
+        return answer
+
+    monkeypatch.setattr(consolidation, "_branch", counting_branch)
+    sets = [trace.final]
+    if opt.opt_value > 0:
+        sets += [trace.facilities_at(i)
+                 for i in critical_indices(trace, opt.opt_value).values()]
+    for facilities in sets:
+        counts.clear()
+        value, expected = gamma_by_pair_bits(m, opt, facilities)
+        assert gamma(m, opt, facilities) == value
+        assert counts == expected

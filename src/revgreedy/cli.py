@@ -14,7 +14,6 @@ import functools
 import io
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
 from pathlib import Path
 
@@ -159,6 +158,7 @@ def _upper_trial(params: tuple) -> dict:
 
 def _run_pool(worker, params, jobs: int) -> list:
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # not on every CLI start
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(worker, params))
     return [worker(p) for p in params]

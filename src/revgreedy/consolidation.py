@@ -10,8 +10,9 @@ which is what `verify_gamma_decrement` checks empirically.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 
 from .exact import (_SEARCH_BUDGET, OptimalSolution, _BudgetExhausted, _bits,
                     _branch, _columns, _cover_masks)
@@ -67,27 +68,25 @@ def is_consolidation(m: MetricSpace, opt: OptimalSolution, facilities,
     return ConsolidationReport(True)
 
 
-def _maximal_cliques(adjacency: list[int], vertices: int) -> list[int]:
+def _maximal_cliques(adjacency: list[int], vertices: int,
+                     cap: int | None = None) -> list[int]:
     """Bron-Kerbosch with pivoting over bitmask neighbourhoods (no vertex is
     its own neighbour); returns every maximal clique of the subgraph induced
-    on the bitmask `vertices` once, as a bitmask."""
-    cliques: list[int] = []
-    _expand(adjacency, cliques, 0, vertices, 0)
-    return cliques
+    on the bitmask `vertices` once, as a bitmask, or just the first `cap` + 1."""
+    stop = None if cap is None else cap + 1
+    return list(islice(_expand(adjacency, 0, vertices, 0), stop))
 
 
-def _expand(adjacency: list[int], cliques: list[int], clique: int,
-            candidates: int, excluded: int) -> None:
-    """One Bron-Kerbosch call of _maximal_cliques, appending to `cliques`."""
+def _expand(adjacency: list[int], clique: int, candidates: int, excluded: int):
+    """One Bron-Kerbosch call of _maximal_cliques, yielding its cliques."""
     pool = candidates | excluded
     if not pool:
-        cliques.append(clique)
+        yield clique
         return
     pivot = max(_bits(pool), key=lambda v: (adjacency[v] & candidates).bit_count())
     for v in _bits(candidates & ~adjacency[pivot]):
         near = adjacency[v]
-        _expand(adjacency, cliques, clique | 1 << v, candidates & near,
-                excluded & near)
+        yield from _expand(adjacency, clique | 1 << v, candidates & near, excluded & near)
         candidates &= ~(1 << v)
         excluded |= 1 << v
 
@@ -107,7 +106,8 @@ def gamma(m: MetricSpace, opt: OptimalSolution, facilities, *,
 
     The search space is restricted to maximal cliques of the threshold
     graph induced on the facilities, the oracle's cover masks at radius
-    2*OPT without self-loops.  This is lossless: a set has diameter <= 2*OPT
+    2*OPT over the facilities alone (bit i is the i-th smallest), without
+    self-loops; listing stops past `clique_cap` cliques.  This is lossless: a set has diameter <= 2*OPT
     exactly when it is a clique there; dropping the non-facilities from
     every member of a valid family keeps it valid (they only add diameter
     constraints), and so does replacing a member by a maximal clique
@@ -122,17 +122,16 @@ def gamma(m: MetricSpace, opt: OptimalSolution, facilities, *,
     if not facilities:
         raise ValueError("consolidation number undefined for empty facility set")
 
-    facility_bits = sum(1 << f for f in facilities)
-    cliques = _maximal_cliques([mask & ~(1 << p) for p, mask in
-                                enumerate(_cover_masks(m, 2 * opt.opt_value))],
-                               facility_bits)
+    order = sorted(facilities)
+    full = (1 << len(order)) - 1
+    cliques = _maximal_cliques([mask & ~(1 << i) for i, mask in enumerate(
+        _cover_masks(m, 2 * opt.opt_value, order))], full, clique_cap)
     if len(cliques) > clique_cap:
-        raise GammaCapError(
-            f"gamma brute force infeasible: {len(cliques)} maximal cliques "
-            f"> cap={clique_cap}")
+        raise GammaCapError(f"gamma brute force infeasible: more than "
+                            f"{clique_cap} maximal cliques")
 
     # Per facility, then per required pair: the cliques holding it.
-    column = dict(zip(sorted(facilities), _columns(cliques, facility_bits)))
+    column = dict(zip(order, _columns(cliques, full)))
     pairs = [column[f] & column[g] for f, g in sorted(required_pairs(opt, facilities))]
     columns = list(dict.fromkeys([*column.values(), *pairs]))
 
@@ -159,19 +158,15 @@ def critical_indices(trace: Trace, opt_value) -> dict[int, int]:
     if opt_value <= 0:
         raise ValueError("critical indices need a positive optimum value")
     costs = trace.cost_sequence()
-    for a, b in zip(costs, costs[1:]):
-        if b < a:
-            raise ValueError("trace cost sequence must be nondecreasing")
+    if any(b < a for a, b in zip(costs, costs[1:])):
+        raise ValueError("trace cost sequence must be nondecreasing")
     exact = all(isinstance(c, int) for c in costs) and isinstance(opt_value, int)
     tol = 0 if exact else FLOAT_EPS
 
     entries: dict[int, int] = {}
-    final = costs[-1]
     level = 0
-    while final > 2 * level * opt_value + tol:
-        threshold = 2 * level * opt_value
-        index = max(i for i, c in enumerate(costs) if c <= threshold + tol)
-        entries[level] = index
+    while costs[-1] > 2 * level * opt_value + tol:
+        entries[level] = bisect_right(costs, 2 * level * opt_value + tol) - 1
         level += 1
     return entries
 
@@ -226,16 +221,18 @@ def verify_gamma_decrement(m: MetricSpace, trace: Trace, opt: OptimalSolution,
                                     note="trace cost never exceeds 0")
 
     gamma_values: dict[int, int] = {}
-    complete = True
     note = None
-    for level in sorted(critical):
+    # One walk down the removals; the critical indices never decrease.
+    facilities, walked = set(range(trace.n)), 0
+    for level, index in sorted(critical.items()):
+        facilities.difference_update(s.removed for s in trace.steps[walked:index])
+        walked = index
         try:
-            gamma_values[level] = gamma(m, opt, trace.facilities_at(critical[level]),
-                                        clique_cap=clique_cap)
+            gamma_values[level] = gamma(m, opt, facilities, clique_cap=clique_cap)
         except GammaCapError as err:
-            complete = False
             note = str(err)
             break
+    complete = note is None
 
     violations = []
     levels = sorted(gamma_values)

@@ -15,7 +15,9 @@ trust anchor for every ratio claim downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import and_
 
 import numpy as np
 
@@ -45,10 +47,14 @@ def optimal_solution(m: MetricSpace, value, facilities) -> OptimalSolution:
     return OptimalSolution(value, facilities, balls)
 
 
-def _cover_masks(m: MetricSpace, radius) -> list[int]:
+def _cover_masks(m: MetricSpace, radius, points=None) -> list[int]:
     """Bitmask per point of the points within `radius` of it: bit q of
-    entry p is set when dist(p, q) <= radius (within the mode's slack)."""
-    rows = np.packbits(m.dist <= radius + m.tol(), axis=1, bitorder="little")
+    entry p is set when dist(p, q) <= radius (within the mode's slack).
+    Given ascending `points`, only those: entry and bit i are points[i]."""
+    near = m.dist <= radius + m.tol()
+    if points is not None:
+        near = near[np.ix_(points, points)]  # pick bools, not the wider distances
+    rows = np.packbits(near, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
@@ -97,6 +103,8 @@ def _branch(columns: list[int], slots: int, nodes: list[int],
     nodes[0] += 1
     if budget is not None and nodes[0] > budget:
         raise _BudgetExhausted
+    if slots == 1:  # a child with no slot is not a node: one position hits all
+        return reduce(and_, columns) != 0
     best = min(columns, key=int.bit_count)
     while best:
         low = best & -best

@@ -109,11 +109,6 @@ class Trace:
             current.discard(s.removed)
             yield frozenset(current)
 
-    def facilities_at(self, i: int) -> frozenset[int]:
-        """Facility set after the first i removals."""
-        removed = {s.removed for s in self.steps[:i]}
-        return frozenset(p for p in range(self.n) if p not in removed)
-
 
 def cost(m: MetricSpace, facilities) -> int | float:
     """Max over all clients of the distance to the nearest facility."""

@@ -1,6 +1,7 @@
 import pytest
 from conftest import gamma_unrestricted, separated_pairs_metric
 
+from revgreedy import consolidation
 from revgreedy.consolidation import (GammaCapError, critical_indices, gamma,
                                      is_consolidation, verify_gamma_decrement)
 from revgreedy.exact import exact_opt
@@ -200,6 +201,30 @@ def test_decrement_incomplete_when_capped():
     assert report.status == "incomplete"
     assert not report.complete
     assert not report.ok
+
+
+@pytest.mark.parametrize("clique_cap", [2000, 4])
+def test_decrement_calls_gamma_once_per_critical_level(clique_cap, monkeypatch):
+    """Each critical level's gamma is one call of the module's `gamma`, on
+    that level's facility set, up to the first refusal."""
+    inst, opt = lb_context(6)
+    trace = reverse_greedy(inst.metric, 6,
+                           TiePolicy.scripted(scripted_schedule(inst).script()))
+    seen = []
+
+    def recording_gamma(m, opt, facilities, **caps):
+        seen.append(frozenset(facilities))
+        return gamma(m, opt, facilities, **caps)
+
+    monkeypatch.setattr(consolidation, "gamma", recording_gamma)
+    report = verify_gamma_decrement(inst.metric, trace, opt, clique_cap=clique_cap)
+    every = list(trace.facility_sets())
+    expected = [every[i] for _, i in sorted(report.critical.items())]
+    if report.complete:
+        assert len(report.gamma_values) == 5
+        assert seen == expected
+    else:
+        assert seen == expected[:len(report.gamma_values) + 1]
 
 
 def test_report_json_shape():

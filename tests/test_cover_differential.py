@@ -248,8 +248,8 @@ def test_gamma_columns_match_the_pair_bit_search(case, monkeypatch):
     monkeypatch.setattr(consolidation, "_branch", counting_branch)
     sets = [trace.final]
     if opt.opt_value > 0:
-        sets += [trace.facilities_at(i)
-                 for i in critical_indices(trace, opt.opt_value).values()]
+        every = list(trace.facility_sets())
+        sets += [every[i] for i in critical_indices(trace, opt.opt_value).values()]
     for facilities in sets:
         counts.clear()
         value, expected = gamma_by_pair_bits(m, opt, facilities)

@@ -1,16 +1,19 @@
 """Differential tests of the threshold graph that the exact oracle and the
 consolidation number share: the bitmask cover sets, the bitmask
-Bron-Kerbosch, and gamma built on them, each against a slow reference."""
+Bron-Kerbosch, and gamma built on them, each against a slow reference;
+and the clique cap, which must stop Bron-Kerbosch early."""
 
 from itertools import combinations
 
 import numpy as np
+import pytest
 from conftest import cover_masks_reference, gamma_unrestricted, maximal_cliques_brute
 from hypothesis import given, settings, strategies as st
 
-from revgreedy.consolidation import _maximal_cliques, gamma
-from revgreedy.exact import _cover_masks, exact_opt
-from revgreedy.metric import FLOAT_EPS, MetricSpace, random_metric
+from revgreedy import consolidation
+from revgreedy.consolidation import GammaCapError, _maximal_cliques, gamma
+from revgreedy.exact import _cover_masks, exact_opt, optimal_solution
+from revgreedy.metric import FLOAT_EPS, MetricSpace, random_metric, validate_metric
 
 
 @st.composite
@@ -69,6 +72,69 @@ def near_radius_metrics(draw):
 def test_cover_masks_match_per_point_reference(case):
     m, radius = case
     assert _cover_masks(m, radius) == cover_masks_reference(m, radius)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(near_radius_metrics(), st.data())
+def test_cover_masks_of_a_subset_match_the_reference_restricted(case, data):
+    m, radius = case
+    points = sorted(data.draw(st.sets(st.integers(0, m.n - 1), min_size=1)))
+    every = cover_masks_reference(m, radius)
+    # Entry i and bit j stand for points[i] and points[j].
+    assert _cover_masks(m, radius, points) == [
+        sum(1 << j for j, q in enumerate(points) if every[p] >> q & 1) for p in points]
+
+
+def cocktail_party_metric(pairs):
+    """Hubs 0 and 1, and pairs (2 + 2i, 3 + 2i) at distance 3; hub 0 lies at
+    1 from the first point of every pair, hub 1 at 1 from the second, and
+    every other two points are 2 apart.  With the hubs as centres the
+    optimum for k=2 is 1, and the threshold graph at 2 lacks only the pairs'
+    own edges: a cocktail-party graph plus two hubs, whose maximal cliques
+    take one point of each pair, 2**pairs of them."""
+    n = 2 + 2 * pairs
+    d = np.full((n, n), 2, dtype=np.int64)
+    np.fill_diagonal(d, 0)
+    for a in range(2, n, 2):
+        d[a, a + 1] = d[a + 1, a] = 3
+        d[0, a] = d[a, 0] = d[1, a + 1] = d[a + 1, 1] = 1
+    return MetricSpace(dist=d, mode="int")
+
+
+def test_cocktail_party_cliques_and_the_cap_as_a_prefix():
+    m = cocktail_party_metric(4)
+    assert validate_metric(m).ok
+    masks = [mask & ~(1 << p) for p, mask in enumerate(_cover_masks(m, 2))]
+    every = _maximal_cliques(masks, (1 << m.n) - 1)
+    assert len(every) == len(set(every)) == 2**4
+    assert all(clique & 0b11 == 0b11 for clique in every)
+    for cap in (0, 1, 5, 15):
+        assert _maximal_cliques(masks, (1 << m.n) - 1, cap) == every[:cap + 1]
+    assert _maximal_cliques(masks, (1 << m.n) - 1, 16) == every
+
+
+@pytest.mark.parametrize("pairs", [16, 24, 40])
+@pytest.mark.parametrize("cap", [10, 2000])
+def test_clique_cap_stops_bron_kerbosch(pairs, cap, monkeypatch):
+    """n = 34 already has 65,536 maximal cliques; each further pair doubles
+    that, but the calls stay near the cap whatever n is."""
+    m = cocktail_party_metric(pairs)
+    opt = optimal_solution(m, 1, {0, 1})
+    calls = 0
+    expand = consolidation._expand
+
+    def counting_expand(*args):
+        nonlocal calls
+        calls += 1
+        return expand(*args)
+
+    monkeypatch.setattr(consolidation, "_expand", counting_expand)
+    with pytest.raises(GammaCapError) as err:
+        gamma(m, opt, range(m.n), clique_cap=cap)
+    assert str(err.value) == (f"gamma brute force infeasible: more than {cap} "
+                              f"maximal cliques")
+    assert err.value.lower_bound is None
+    assert cap + 1 <= calls <= 2 * (cap + 1) + m.n
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

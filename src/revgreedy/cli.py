@@ -3,6 +3,9 @@ the ratio claims, sweep the adversarial family, and export DOT drawings.
 
 Every command is deterministic given its flags (all randomness is seeded).
 Reports go to --out as JSON/CSV; a human summary is printed on stdout.
+`verify upper` solves its trials' instances first (in a worker pool with
+--jobs), then runs every trial's tie policies in one engine pass per
+arithmetic mode, a bounded chunk of trials at a time.
 Exit codes: 0 pass, 1 verification failure, 2 usage/input error, 3 incomplete.
 """
 
@@ -135,25 +138,51 @@ def _verify_lower(args) -> int:
     return 0 if all_ok else 1
 
 
-def _upper_trial(params: tuple) -> dict:
-    """One battery trial; module-level so worker pools can pickle it."""
+def _upper_instance(params: tuple):
+    """One battery trial's instance and optimum value; module-level so
+    worker pools can pickle it."""
     trial, n, k, seed, exact_cap = params
-    kind = "euclidean" if trial % 2 == 0 else "random-graph"
-    m = metric.random_metric(kind, n, seed)
-    opt = exact.exact_opt(m, k, cap=exact_cap)
-    policies = [kcenter.TiePolicy.lowest_index()]
-    policies += [kcenter.TiePolicy.seeded_random(seed * 31 + j) for j in range(5)]
-    worst = 0.0
-    violations = []
-    for policy, trace in zip(policies, kcenter.reverse_greedy_runs(m, k, policies)):
-        final = trace.final_cost
-        ratio = final / opt.opt_value if opt.opt_value else 0.0
-        worst = max(worst, ratio)
-        if final > 2 * k * opt.opt_value + m.tol():
-            violations.append({"trial": trial, "kind": kind,
-                               "policy": policy.describe(), "ratio": ratio})
-    return {"trial": trial, "kind": kind, "max_ratio": worst,
-            "violations": violations}
+    m = metric.random_metric("euclidean" if trial % 2 == 0 else "random-graph",
+                             n, seed)
+    return m, exact.exact_opt(m, k, cap=exact_cap).opt_value
+
+
+def _upper_policies(seed: int) -> list:
+    return ([kcenter.TiePolicy.lowest_index()]
+            + [kcenter.TiePolicy.seeded_random(seed * 31 + j) for j in range(5)])
+
+
+# Table entries (n*n per trial) of the battery held at once: a chunk of
+# trials' tables, then the engine's stacked copy and sorted order of one
+# mode's share of them.
+_UPPER_CHUNK_ENTRIES = 1 << 16
+
+
+def _upper_chunk(params: list, jobs: int) -> list[dict]:
+    """Battery rows for some trials: each trial's instance and optimum
+    through the pool, then the six tie policies of every trial in one
+    engine pass per arithmetic mode."""
+    solved = _run_pool(_upper_instance, params, jobs)
+    k = params[0][2]
+    rows = {}
+    for mode in ("float", "int"):
+        runs = [(p[0], m, opt, policy) for p, (m, opt) in zip(params, solved)
+                if m.mode == mode for policy in _upper_policies(p[3])]
+        traces = kcenter.reverse_greedy_runs([run[1] for run in runs], k,
+                                             [run[3] for run in runs])
+        for (trial, m, opt, policy), trace in zip(runs, traces):
+            kind = "euclidean" if trial % 2 == 0 else "random-graph"
+            row = rows.setdefault(trial, {"trial": trial, "kind": kind,
+                                          "max_ratio": 0.0, "violations": []})
+            final = trace.final_cost
+            ratio = final / opt if opt else 0.0
+            row["max_ratio"] = max(row["max_ratio"], ratio)
+            if final > 2 * k * opt + m.tol():
+                row["violations"].append({"trial": trial, "kind": kind,
+                                          "policy": policy.describe(),
+                                          "ratio": ratio})
+        del traces  # freed before the next mode's pass
+    return [rows[p[0]] for p in params]
 
 
 def _run_pool(worker, params, jobs: int) -> list:
@@ -167,7 +196,9 @@ def _run_pool(worker, params, jobs: int) -> list:
 def _verify_upper(args) -> int:
     params = [(t, args.n, args.k, args.seed + t, args.exact_cap)
               for t in range(args.trials)]
-    results = _run_pool(_upper_trial, params, args.jobs)
+    per_chunk = max(1, _UPPER_CHUNK_ENTRIES // max(args.n, 1) ** 2)
+    results = [row for start in range(0, len(params), per_chunk)
+               for row in _upper_chunk(params[start:start + per_chunk], args.jobs)]
     violations = [v for r in results for v in r["violations"]]
     max_ratio = max((r["max_ratio"] for r in results), default=0.0)
     passed = not violations

@@ -51,9 +51,14 @@ def _cover_masks(m: MetricSpace, radius, points=None) -> list[int]:
     """Bitmask per point of the points within `radius` of it: bit q of
     entry p is set when dist(p, q) <= radius (within the mode's slack).
     Given ascending `points`, only those: entry and bit i are points[i]."""
-    near = m.dist <= radius + m.tol()
-    if points is not None:
-        near = near[np.ix_(points, points)]  # pick bools, not the wider distances
+    d, pick = m.dist, points is not None
+    # Picking the distances first copies |points|^2 of them; that is done
+    # only when the copy is no larger than the n x n bools it saves.
+    if pick and len(points) ** 2 * d.itemsize <= d.size:
+        d, pick = d[np.ix_(points, points)], False
+    near = d <= radius + m.tol()
+    if pick:
+        near = near[np.ix_(points, points)]
     rows = np.packbits(near, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in rows]
 

@@ -3,26 +3,30 @@
 Facility sets are plain frozensets of point indices.  The reverse greedy
 engine re-derives, at every step, the exact marginal cost of deleting each
 remaining facility, so every recorded step is argmin-verified.  It sorts
-each client's distance row once (O(n^2 log n), the one n x n table it keeps
-is the sorted indices) and keeps per client its nearest and second-nearest
-live facility.  A removal re-points only the clients that named the removed
+each client's distance row once (O(n^2 log n); an integer table sorts in its
+narrowest type, by radix sort), and the one n x n table it keeps is the
+sorted indices.  Per client it keeps the nearest and second-nearest live
+facility.  A removal re-points only the clients that named the removed
 facility; second-nearest pointers only move forward, so all advances
 together cost O(n^2), and each step's advance takes O(log longest skip)
 vectorized rounds.  The marginal costs then come from per-facility running
 maxima, updated over the re-pointed clients only.  `reverse_greedy_runs`
-steps several tie policies on one metric side by side, one set of numpy
-calls per step for all of them; `reverse_greedy` is its batch of one.
+steps many runs side by side, one set of numpy calls per step for all of
+them: several tie policies on one metric, or on several metrics of one n
+and mode, each metric's sorted rows held once.  `reverse_greedy` is its
+batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .metric import MetricSpace, check_object, is_int, read_document, write_document
+from .metric import (MetricSpace, _narrowest, check_object, is_int, read_document,
+                     write_document)
 
 
 class ScriptedStepError(ValueError):
@@ -173,19 +177,36 @@ def reverse_greedy(m: MetricSpace, k: int, policy: TiePolicy | None = None,
                                record_argmin=record_argmin)[0]
 
 
-def reverse_greedy_runs(m: MetricSpace, k: int, policies: list[TiePolicy],
-                        *, record_argmin: bool = False) -> list[Trace]:
-    """One reverse greedy run per tie policy on the same metric, side by side.
+# Table entries the engine sorts at once (see reverse_greedy_runs).
+_SORT_BLOCK = 1 << 14
 
-    Each step makes one set of numpy calls for all runs; only the pick from
-    each run's argmin set is made per run, and a seeded run draws from its
-    own Random(seed) as it would alone.  Entry r*n + c of the per-client
-    arrays is client c of run r, and r*n + g is facility g of run r.  Each
-    client keeps its nearest and second-nearest live facility, the latter
-    as a pointer into the client's distance row sorted once up front; a
-    removal advances only the pointers that named it.
+
+def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
+                        policies: list[TiePolicy], *,
+                        record_argmin: bool = False) -> list[Trace]:
+    """One reverse greedy run per tie policy, side by side.
+
+    `m` is one metric shared by every run, or one metric per run; all must
+    have the same n and mode.  Each step makes one set of numpy calls for
+    all runs; only the pick from each run's argmin set is made per run, and
+    a seeded run draws from its own Random(seed) as it would alone.  Entry
+    r*n + c of the per-client arrays is client c of run r, and r*n + g is
+    facility g of run r.  Each distinct table is sorted once, and its sorted
+    rows are held once however many runs read them.  Each client keeps its
+    nearest and second-nearest live facility, the latter as a pointer into
+    its sorted row; a removal advances only the pointers that named it.
     """
-    n, runs = m.n, len(policies)
+    metrics = [m] * len(policies) if isinstance(m, MetricSpace) else list(m)
+    if len(metrics) != len(policies):
+        raise ValueError(f"{len(metrics)} metrics for {len(policies)} tie policies")
+    if not policies:
+        return []
+    first = metrics[0]
+    n, mode, runs = first.n, first.mode, len(policies)
+    odd = next((x for x in metrics if (x.n, x.mode) != (n, mode)), None)
+    if odd is not None:
+        raise ValueError(f"batched metrics must share n and mode: n={n} "
+                         f"{mode} and n={odd.n} {odd.mode}")
     if not (1 <= k <= n):
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
     for policy in policies:
@@ -194,29 +215,53 @@ def reverse_greedy_runs(m: MetricSpace, k: int, policies: list[TiePolicy],
                              f"removals, need {n - k}")
 
     rngs = [Random(p.seed) if p.kind == "seeded-random" else None for p in policies]
-    scalar = int if m.mode == "int" else float
-    tol = m.tol()
-    above_all = _above_all(m)
+    # Scripted runs know their margins in the loop; only runs that pick from
+    # their argmin sets, or record them, list them.
+    scripted = all(p.kind == "scripted" for p in policies)
+    listed = record_argmin or not scripted
+    scalar = int if mode == "int" else float
+    tol = first.tol()
+    above_all = _above_all(first)
     size = runs * n
     live = np.ones(size, dtype=bool)
-    gone = np.empty(runs, dtype=np.intp)  # each run's removal of a step
     steps: list[list[TraceStep]] = [[] for _ in policies]
 
     if n > k:
-        # Stable: equidistant facilities stay in index order on any platform.
-        order = np.argsort(m.dist, axis=1, kind="stable")
-        if runs > 1:
-            order = (order + np.arange(0, size, n)[:, None, None]).reshape(size, n)
-        # Entry i's facilities, nearest first, are ranked[i*n : i*n + n];
-        # second holds the flat position of each entry's second-nearest.
-        ranked = order.reshape(-1)
+        # Run r reads table which[r] of the distinct tables, stacked.
+        distinct = list({id(x): x for x in metrics}.values())
+        place = {id(x): t for t, x in enumerate(distinct)}
+        which = np.array([place[id(x)] for x in metrics])
+        table = (first.dist if len(distinct) == 1
+                 else np.stack([x.dist for x in distinct]))
+        # Row t*n + c of ranked is client c's row of table t, nearest first,
+        # at flat positions (t*n + c)*n ... + n - 1; second holds the flat
+        # position of each entry's second-nearest.  Stable, so equidistant
+        # facilities stay in index order on any platform.  An integer table
+        # sorts in its narrowest type, where the stable sort is a radix sort
+        # with the same result; rows go in blocks, so the narrow copy and
+        # the sort's output beside ranked stay small.
+        narrow = (_narrowest(int(table.max()), int(table.min())) if mode == "int"
+                  else table.dtype)
+        sortable = table.reshape(-1, n)
+        ranked = np.empty(sortable.shape, np.intp)
+        block = max(1, _SORT_BLOCK // n)
+        for lo in range(0, len(sortable), block):
+            ranked[lo:lo + block] = np.argsort(
+                sortable[lo:lo + block].astype(narrow, copy=False), axis=1,
+                kind="stable")
+        ranked = ranked.reshape(-1)
         entries = np.arange(size)
-        second = entries * n + 1
-        f1, f2 = ranked[second - 1], ranked[second]
-        # Client c of run r lies dist[c, g] from facility r*n + g, which is
-        # flat entry c*n + g of the table: base + (r*n + g).
-        dist = m.dist.reshape(-1)
-        base = entries % n * (n + 1) - entries
+        offset = entries - entries % n  # r*n: run r's facilities start there
+        rows = which[entries // n] * n + entries % n
+        second = rows * n + 1
+        # ranked holds facilities g of a table; entry i reads g as facility
+        # offset[i] + g of its own run (offset 0 for one run, whose adds
+        # below are skipped).
+        f1, f2 = ranked[second - 1] + offset, ranked[second] + offset
+        # Client c of run r lies table[c, g] from facility r*n + g, which is
+        # flat entry rows*n + g of the stacked tables: base + (r*n + g).
+        dist = table.reshape(-1)
+        base = rows * n - offset
         d1, d2 = dist[base + f1], dist[base + f2]
         # worst[g] is the largest d2 over g's clients.  A live facility only
         # gains clients and a client's d2 only grows, so it is a running max
@@ -230,27 +275,46 @@ def reverse_greedy_runs(m: MetricSpace, k: int, policies: list[TiePolicy],
     for i in range(1, n - k + 1):
         floor = d1v.max(axis=1)
         minima = np.maximum(worstv.min(axis=1), floor)
-        # margin <= minimum + tol exactly when worst is, as floor <= minimum.
-        ties = worstv <= (minima + tol)[:, None]
+        if listed:
+            # margin <= minimum + tol exactly when worst is, as floor <= minimum.
+            ties = worstv <= (minima + tol)[:, None]
+            # Each run's argmin set in turn, as facilities r*n + g: run r's
+            # is tied[bounds[r]:bounds[r + 1]].
+            tied = ties.ravel().nonzero()[0]
+            bounds = ([0, *np.count_nonzero(ties, axis=1).cumsum().tolist()]
+                      if runs > 1 else [0, tied.size])
+        picks, margins = [], []
         for r, policy in enumerate(policies):
-            argmin = ties[r].nonzero()[0]
+            margin = None
             if policy.kind == "lowest-index":
-                removed = int(argmin[0])
+                pick = int(tied[bounds[r]])
             elif policy.kind == "seeded-random":
-                removed = int(rngs[r].choice(argmin))
+                # choice draws an index below the set's size, as from the set.
+                drawn = rngs[r].choice(range(bounds[r + 1] - bounds[r]))
+                pick = int(tied[bounds[r] + drawn])
             else:
                 removed = policy.script[i - 1]
-                if not (0 <= removed < n and live[r * n + removed]):
+                pick = r * n + removed
+                if not (0 <= removed < n and live[pick]):
                     raise ScriptedStepError(f"illegal scripted step {i}: "
                                             f"facility {removed} already removed")
-            gone[r] = r * n + removed
-            margin = max(worst[gone[r]], floor[r])
-            if margin > minima[r] + tol:  # only a scripted removal can be
-                raise ScriptedStepError(
-                    f"illegal scripted step {i}: facility {removed} has "
-                    f"marginal cost {scalar(margin)} > minimum {scalar(minima[r])}")
-            steps[r].append(TraceStep(removed, scalar(margin), tuple(argmin.tolist())
-                                      if record_argmin else None))
+                # Only a scripted removal can lie outside the argmin set.
+                margin = max(worst[pick], floor[r])
+                if margin > minima[r] + tol:
+                    raise ScriptedStepError(
+                        f"illegal scripted step {i}: facility {removed} has "
+                        f"marginal cost {scalar(margin)} > minimum "
+                        f"{scalar(minima[r])}")
+                margin = scalar(margin)
+            picks.append(pick)
+            margins.append(margin)
+        gone = np.array(picks)
+        if not scripted:
+            margins = np.maximum(worst[gone], floor).tolist()
+        for r, (pick, margin) in enumerate(zip(picks, margins)):
+            argmin = (tuple((tied[bounds[r]:bounds[r + 1]] - r * n).tolist())
+                      if record_argmin else None)
+            steps[r].append(TraceStep(pick - r * n, margin, argmin))
         live[gone] = False
         worst[gone] = above_all
         if i == n - k:
@@ -275,15 +339,24 @@ def reverse_greedy_runs(m: MetricSpace, k: int, policies: list[TiePolicy],
         for _ in range(2):
             if moving.size:
                 second[moving] += 1
-                moving = moving[~live[ranked[second[moving]]]]
+                found = ranked[second[moving]]
+                if runs > 1:
+                    found += offset[moving]
+                moving = moving[~live[found]]
         while moving.size:
             ahead = np.minimum(second[moving, None] + np.arange(1, width + 1),
                                ranked.size - 1)
-            window = live[ranked[ahead]]
+            found = ranked[ahead]
+            if runs > 1:
+                found += offset[moving, None]
+            window = live[found]
             hit = window.any(axis=1)
             second[moving] += np.where(hit, window.argmax(axis=1) + 1, width)
             moving, width = moving[~hit], 2 * width
-        f2[stale] = moved = ranked[second[stale]]
+        moved = ranked[second[stale]]
+        if runs > 1:
+            moved += offset[stale]
+        f2[stale] = moved
         d2[stale] = reach = dist[base[stale] + moved]
         np.maximum.at(worst, f1[stale], reach)
 

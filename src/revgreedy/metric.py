@@ -175,10 +175,14 @@ class MetricValidationReport:
         return "; ".join(f"{axiom} violation at {witness}" for axiom, witness in self.violations)
 
 
+_INT_RANGES = [(t, np.iinfo(t).min, np.iinfo(t).max)
+               for t in (np.uint8, np.int16, np.int32, np.int64)]
+
+
 def _narrowest(hi: int, lo: int = 0):
     """The first of uint8, int16, int32 and int64 that holds lo..hi, or None."""
-    return next((t for t in (np.uint8, np.int16, np.int32, np.int64)
-                 if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max), None)
+    return next((t for t, least, most in _INT_RANGES if least <= lo and hi <= most),
+                None)
 
 
 def _distances_from_0(n: int, ends: np.ndarray, weights: np.ndarray) -> list:

@@ -4,6 +4,7 @@ takes its argmin.  For small n the reference is itself checked against one
 direct `cost()` evaluation per removal, so the margin formula the two share
 is not its own oracle."""
 
+import tracemalloc
 from random import Random
 
 import numpy as np
@@ -296,3 +297,119 @@ def test_batch_checks_every_script_length_first():
     with pytest.raises(ValueError, match="names 1 removals, need 3"):
         reverse_greedy_runs(uniform_metric(5), 2,
                             [TiePolicy.lowest_index(), TiePolicy.scripted((0,))])
+
+
+# --- batches over several metrics of one n and mode ---
+
+@st.composite
+def metric_batches(draw):
+    """A few metrics of one n and mode, some held by several runs, with
+    integer tables whose narrowest types differ."""
+    n = draw(st.integers(2, 12))
+    mode = draw(st.sampled_from(["int", "float"]))
+    metrics = []
+    for _ in range(draw(st.integers(1, 4))):
+        seed = draw(st.integers(0, 10_000))
+        source = draw(st.sampled_from(["random", "uniform", "duplicates"]))
+        if source == "uniform":
+            m = uniform_metric(n)
+        elif source == "duplicates":
+            base = random_metric("random-graph", draw(st.integers(1, n)), seed,
+                                 max_weight=3)
+            where = draw(st.lists(st.integers(0, base.n - 1), min_size=n, max_size=n))
+            m = MetricSpace(dist=base.dist[np.ix_(where, where)])
+        elif mode == "float":
+            m = random_metric("euclidean", n, seed)
+        else:
+            m = random_metric("random-graph", n, seed)
+        if mode == "float" and m.mode == "int":
+            m = MetricSpace(dist=m.dist * 0.5, mode="float")
+        elif draw(st.booleans()):  # int16 distances, or doubled float ones
+            m = MetricSpace(dist=m.dist * 300, mode=m.mode)
+        metrics.append(m)
+    return metrics, draw(st.integers(1, n))
+
+
+@settings(max_examples=150, **COMMON)
+@given(case=metric_batches(), data=st.data())
+def test_every_run_of_a_multi_metric_batch_is_the_single_run(case, data):
+    metrics, k = case
+    runs = data.draw(st.integers(1, 8))
+    which = [data.draw(st.sampled_from(metrics)) for _ in range(runs)]
+    policies = [draw_policy(data, m, k) for m in which]
+    traces = reverse_greedy_runs(which, k, policies, record_argmin=True)
+    assert len(traces) == len(policies)
+    for m, policy, trace in zip(which, policies, traces):
+        single = reverse_greedy(m, k, policy, record_argmin=True)
+        steps, final = reference_policy_run(m, k, policy)
+        assert as_rows(trace.steps) == as_rows(single.steps) == as_rows(steps)
+        assert trace.final == single.final == final
+        assert (trace.k, trace.policy) == (k, policy.describe())
+
+
+@settings(max_examples=100, **COMMON)
+@given(case=metric_batches(), data=st.data())
+def test_illegal_script_in_a_multi_metric_batch_fails_like_the_single_run(case, data):
+    metrics, k = case
+    m = data.draw(st.sampled_from(metrics))
+    current = set(range(m.n))
+    script = []
+    for i in range(1, m.n - k + 1):
+        _, _, argmin = reference_argmin(m, current, i)
+        outside = sorted(current - set(argmin))
+        if outside and data.draw(st.booleans()):
+            bad = data.draw(st.sampled_from(outside))
+            script += [bad] + sorted(current - {bad})[:m.n - k - len(script) - 1]
+            break
+        removed = data.draw(st.sampled_from(argmin))
+        script.append(removed)
+        current.discard(removed)
+    else:
+        return
+    illegal = TiePolicy.scripted(script)
+    with pytest.raises(ScriptedStepError) as alone:
+        reverse_greedy(m, k, illegal)
+    runs = data.draw(st.integers(0, 5))
+    which = [data.draw(st.sampled_from(metrics)) for _ in range(runs)]
+    policies = [TiePolicy.lowest_index() if data.draw(st.booleans())
+                else TiePolicy.seeded_random(data.draw(st.integers(0, 10_000)))
+                for _ in which]
+    at = data.draw(st.integers(0, len(which)))
+    which.insert(at, m)
+    policies.insert(at, illegal)
+    with pytest.raises(ScriptedStepError) as batched:
+        reverse_greedy_runs(which, k, policies)
+    assert str(batched.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("second, message", [
+    (uniform_metric(4), "batched metrics must share n and mode: n=3 int and n=4 int"),
+    (MetricSpace(dist=uniform_metric(3).dist, mode="float"),
+     "batched metrics must share n and mode: n=3 int and n=3 float"),
+])
+def test_multi_metric_batch_rejects_mixed_n_or_mode(second, message):
+    policies = [TiePolicy.lowest_index()] * 2
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        reverse_greedy_runs([uniform_metric(3), second], 1, policies)
+
+
+def test_multi_metric_batch_needs_one_metric_per_run():
+    with pytest.raises(ValueError, match="^1 metrics for 2 tie policies$"):
+        reverse_greedy_runs([uniform_metric(3)], 1, [TiePolicy.lowest_index()] * 2)
+
+
+def test_batch_holds_one_sorted_order_per_metric():
+    # Five metrics, six runs each.  A sorted order per run would alone take
+    # 30 n x n index tables; one per metric takes 5, and the stacked tables
+    # 5 more.  Two steps keep the traces and pointer windows small.
+    n = 256
+    metrics = [random_metric("euclidean", n, seed) for seed in range(5)]
+    policies = [TiePolicy.lowest_index()] + [TiePolicy.seeded_random(j) for j in range(5)]
+    table = n * n * np.dtype(np.intp).itemsize
+    tracemalloc.start()
+    try:
+        reverse_greedy_runs([m for m in metrics for _ in policies], n - 2, policies * 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * table, peak / table

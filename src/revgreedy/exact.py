@@ -1,12 +1,19 @@
 """Exact small-instance k-center oracle.
 
 `exact_opt` binary-searches the pairwise distances, deciding each
-candidate radius with one set-cover search (`_can_cover`), which also picks
-the lexicographically smallest optimal set.  `_can_cover` cuts its masks to
-the bits left to cover and drops those contained in another before it runs
-`_search`, most-constrained-first backtracking over columns (the masks
-covering a bit) that also serves the consolidation-number search.  Over
-_SEARCH_BUDGET backtrack nodes in one oracle search raise OracleCapError.
+candidate radius with one cover decision (`_decide`), and picks the
+lexicographically smallest optimal set one slot at a time with the same
+decision.  Two exact bounds answer most decisions before any search table
+is built: a packing of uncovered clients with pairwise-disjoint coverer
+sets refutes (each needs a mask of its own, the p-center packing bound),
+and a greedy cover within the free slots proves.  Only what neither decides
+goes to `_can_cover`, which cuts the masks to the bits left to cover and
+drops those contained in another before it runs `_search`,
+most-constrained-first backtracking over columns (the masks covering a bit)
+that also serves the consolidation-number search.  Over _SEARCH_BUDGET
+backtrack nodes in one oracle search raise OracleCapError; the budget still
+bounds every search that runs, and a decision settled by a bound spends no
+nodes, so the bounds can only make refusals rarer.
 `exact_opt_enumeration` tries every k-subset; it is kept as the independent
 reference the test suite checks the oracle against, since the oracle is the
 trust anchor for every ratio claim downstream.
@@ -59,15 +66,33 @@ def _cover_masks(m: MetricSpace, radius, points=None) -> list[int]:
     near = d <= radius + m.tol()
     if pick:
         near = near[np.ix_(points, points)]
+    return _packed(near)
+
+
+def _cover_tables(m: MetricSpace, radius) -> tuple[list[int], list[int]]:
+    """The cover masks at `radius` and, per client q, its coverers: bit p
+    of entry q is set when dist(p, q) <= radius.  One comparison, packed
+    along each axis; a float table symmetric only within its slack can
+    tell the two apart."""
+    near = m.dist <= radius + m.tol()
+    masks = _packed(near)
+    return masks, masks if (near == near.T).all() else _packed(near.T)
+
+
+def _packed(near: np.ndarray) -> list[int]:
+    """Row i of a bool table as an int: bit j set when near[i, j]."""
     rows = np.packbits(near, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+    width, packed = rows.shape[1], rows.tobytes()
+    return [int.from_bytes(packed[i:i + width], "little")
+            for i in range(0, len(packed), width)]
 
 
 # Backtrack nodes one cover search may visit, in the oracle and in gamma.
 # The most one search was seen to take: 137 over the 60 trials of the
 # benchmark's oracle-battery (`verify upper --n 32 --k 5 --exact-cap 40`,
-# generator seeds 0..59), 20 over its gamma-potential commands, and 125,225
-# in `verify upper --n 96 --k 8 --trials 2 --exact-cap 96`.
+# generator seeds 0..59; 249 searches, the other 1,497 decisions settled by
+# a bound), 20 over its gamma-potential commands, and 125,225 in `verify
+# upper --n 96 --k 8 --trials 2 --exact-cap 96` (36 searches).
 _SEARCH_BUDGET = 5_000_000
 
 
@@ -141,19 +166,52 @@ def _can_cover(masks: list[int], full: int, slots: int, covered: int = 0,
     return _search(kept, full, slots, budget)
 
 
-def _first_cover(masks: list[int], full: int, k: int,
+def _decide(masks: list[int], coverers: list[int], full: int, slots: int,
+            covered: int = 0, first: int = 0, budget: int | None = None) -> bool:
+    """_can_cover's answer, settled where they can by two bounds that build
+    no search table; coverers[q] has bit p set when masks[p] has bit q.
+
+    Packing refutes: uncovered clients taken fewest allowed coverers first
+    (those of masks[first:]), each kept when it shares none with those kept
+    before, need one mask apiece, so more than `slots` of them, or one with
+    no allowed coverer, leave no cover.  Greedy set cover proves: the mask
+    covering most of what is left, `slots` times over, covers everything or
+    `_can_cover` decides.  Neither bound visits a search node."""
+    rest = full & ~covered
+    allowed = -1 << first  # the indices of masks[first:], as bits
+    options = sorted((coverers[q] & allowed for q in _bits(rest)), key=int.bit_count)
+    if options and not options[0]:
+        return False
+    taken = used = 0
+    for option in options:
+        if not option & used:
+            used |= option
+            taken += 1
+            if taken > slots:
+                return False
+    left, pool = rest, masks[first:]
+    for _ in range(slots):
+        if not left:
+            break
+        gains = [(mask & left).bit_count() for mask in pool]
+        left &= ~pool[gains.index(max(gains))]
+    return not left or _can_cover(masks, full, slots, covered, first, budget)
+
+
+def _first_cover(masks: list[int], coverers: list[int], full: int, k: int,
                  budget: int | None = None) -> list[int]:
     """The lexicographically smallest k indices whose masks cover `full`
     (one must exist), filling the slots in turn with the smallest index
-    that still extends to a cover.  That index is at most the optimum's
-    own, so it always leaves room for k distinct indices."""
+    that still extends to a cover (asked of `_decide`, with the masks'
+    transpose `coverers`).  That index is at most the optimum's own, so it
+    always leaves room for k distinct indices."""
     chosen: list[int] = []
     covered = 0
     for slot in range(k):
         start = chosen[-1] + 1 if chosen else 0
         c = next(c for c in range(start, len(masks))
-                 if _can_cover(masks, full, k - slot - 1, covered | masks[c],
-                               first=c + 1, budget=budget))
+                 if _decide(masks, coverers, full, k - slot - 1, covered | masks[c],
+                            first=c + 1, budget=budget))
         chosen.append(c)
         covered |= masks[c]
     return chosen
@@ -177,7 +235,7 @@ def exact_opt(m: MetricSpace, k: int, *, cap: int = 20) -> OptimalSolution:
 
     The optimum value is one of the pairwise distances (0 when k = n), and
     feasibility is monotone in the radius, so a binary search over those
-    distances with a set-cover search at each finds it.  When several
+    distances with a cover decision at each finds it.  When several
     optimal sets exist the lexicographically smallest is returned, so
     downstream verifiers are reproducible.  A cover search that needs more
     than _SEARCH_BUDGET backtrack nodes raises OracleCapError.
@@ -197,11 +255,11 @@ def exact_opt(m: MetricSpace, k: int, *, cap: int = 20) -> OptimalSolution:
     try:
         while lo < hi:
             mid = (lo + hi) // 2
-            if _can_cover(_cover_masks(m, cands[mid]), full, k, budget=budget):
+            if _decide(*_cover_tables(m, cands[mid]), full, k, budget=budget):
                 hi = mid
             else:
                 lo = mid + 1
-        chosen = _first_cover(_cover_masks(m, cands[lo]), full, k, budget=budget)
+        chosen = _first_cover(*_cover_tables(m, cands[lo]), full, k, budget=budget)
     except _BudgetExhausted:
         raise OracleCapError(f"exact oracle cap exceeded (more than "
                              f"{budget} backtrack nodes in one cover "

@@ -227,12 +227,9 @@ def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
     steps: list[list[TraceStep]] = [[] for _ in policies]
 
     if n > k:
-        # Run r reads table which[r] of the distinct tables, stacked.
+        # Runs read the distinct tables, stacked (one table as it is).
         distinct = list({id(x): x for x in metrics}.values())
-        place = {id(x): t for t, x in enumerate(distinct)}
-        which = np.array([place[id(x)] for x in metrics])
-        table = (first.dist if len(distinct) == 1
-                 else np.stack([x.dist for x in distinct]))
+        table = first.dist if len(distinct) == 1 else np.stack([x.dist for x in distinct])
         # Row t*n + c of ranked is client c's row of table t, nearest first,
         # at flat positions (t*n + c)*n ... + n - 1; second holds the flat
         # position of each entry's second-nearest.  Stable, so equidistant
@@ -250,9 +247,12 @@ def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
                 sortable[lo:lo + block].astype(narrow, copy=False), axis=1,
                 kind="stable")
         ranked = ranked.reshape(-1)
-        entries = np.arange(size)
-        offset = entries - entries % n  # r*n: run r's facilities start there
-        rows = which[entries // n] * n + entries % n
+        # Entry r*n + c reads row t*n + c of ranked, for run r's table t.
+        rows = np.arange(size) % n
+        offset = np.arange(size) - rows if runs > 1 else 0  # r*n: run r's facilities
+        if len(distinct) > 1:
+            place = {id(x): t * n for t, x in enumerate(distinct)}
+            rows += np.repeat([place[id(x)] for x in metrics], n)
         second = rows * n + 1
         # ranked holds facilities g of a table; entry i reads g as facility
         # offset[i] + g of its own run (offset 0 for one run, whose adds

@@ -344,29 +344,85 @@ def euclidean_metric(coords: np.ndarray) -> MetricSpace:
     return MetricSpace(dist=d, mode="float")
 
 
+class _RawDraws:
+    """`np.random.default_rng(seed)`'s `random()` and `integers(0, span)`,
+    replayed by the stream rules in `random_metric` from its PCG64 bit
+    generator's raw words, drawn `block` at a time as they run out."""
+
+    def __init__(self, seed: int, block: int):
+        bits = np.random.PCG64(seed)
+        self.words = chain.from_iterable(iter(lambda: bits.random_raw(block).tolist(), None))
+        self.waiting = None  # the high half of the last word split, if unused
+
+    def random(self) -> float:
+        return (next(self.words) >> 11) * 2.0**-53
+
+    def _half(self) -> int:
+        if self.waiting is None:
+            word = next(self.words)
+            self.waiting = word >> 32
+            return word & 0xFFFFFFFF
+        half, self.waiting = self.waiting, None
+        return half
+
+    def integer(self, span: int) -> int:
+        """integers(0, span), for 1 <= span <= 2**63."""
+        if span == 1:
+            return 0
+        if span == 1 << 32:
+            return self._half()
+        draw, width = (self._half, 32) if span < 1 << 32 else (self.words.__next__, 64)
+        low = (1 << width) - 1
+        m = draw() * span
+        if m & low < span:
+            threshold = (low + 1 - span) % span
+            while m & low < threshold:
+                m = draw() * span
+        return m >> width
+
+
 def random_metric(kind: str, n: int, seed: int, *, dim: int = 2,
                   edge_prob: float = 0.3, max_weight: int = 9) -> MetricSpace:
     """Deterministic random metric: "euclidean" points or a "random-graph".
 
-    Euclidean instances are floating mode; random graphs are integer mode
-    (a random spanning tree plus extra edges, so always connected).
+    Euclidean instances are floating mode, `np.random.default_rng(seed)`'s
+    points.  Random graphs are integer mode: a random spanning tree plus
+    extra edges, so always connected.  Each vertex v >= 1 draws its tree
+    neighbour `integers(0, v)` and a weight `integers(1, max_weight + 1)`;
+    then each pair u < v draws `random() < edge_prob` and, for an edge, a
+    weight.  These draws of `default_rng(seed)` are replayed from its raw
+    PCG64 words (which numpy keeps stable across versions), by its stream
+    rules for 64-bit results:
+    - `random()` takes one word w and gives (w >> 11) * 2**-53;
+    - a span of 1 draws nothing;
+    - a span below 2**32 takes a 32-bit half, low half of a word first, the
+      high half kept for the next half drawn (a `random()` between leaves
+      it kept), by Lemire's multiply-shift with rejection;
+    - a span of exactly 2**32 is one half as drawn;
+    - a larger span takes whole words, by Lemire's rejection in 64 bits.
+    A graph with an edge needs 1 <= max_weight < 2**63.
     """
     if n < 1:
         raise ValueError("random_metric requires n >= 1")
-    rng = np.random.default_rng(seed)
     if kind == "euclidean":
-        return euclidean_metric(rng.random((n, dim)))
+        return euclidean_metric(np.random.default_rng(seed).random((n, dim)))
     if kind == "random-graph":
-        edges = []
-        for v in range(1, n):
-            u = int(rng.integers(0, v))
-            edges.append((u, v, int(rng.integers(1, max_weight + 1))))
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.random() < edge_prob:
-                    edges.append((u, v, int(rng.integers(1, max_weight + 1))))
-        return metric_from_graph(WeightedGraph(n, tuple(edges)))
+        return metric_from_graph(WeightedGraph(n, _random_edges(n, seed, edge_prob,
+                                                                max_weight)))
     raise ValueError(f"unknown kind {kind!r}")
+
+
+def _random_edges(n: int, seed: int, edge_prob: float, max_weight: int) -> tuple:
+    """The edges of random_metric's random graph, in the order drawn."""
+    if n > 1 and not 1 <= max_weight < 2**63:
+        raise ValueError(f"max_weight must lie in 1..2**63 - 1, got {max_weight}")
+    span, draws = int(max_weight), _RawDraws(seed, n * n)
+    edges = [(draws.integer(v), v, 1 + draws.integer(span)) for v in range(1, n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            if draws.random() < edge_prob:
+                edges.append((u, v, 1 + draws.integer(span)))
+    return tuple(edges)
 
 
 def uniform_metric(n: int) -> MetricSpace:

@@ -150,8 +150,11 @@ def test_first_cover_is_first_covering_combination():
                     if sum(1 << b for b in range(bits)
                            if any(masks[i] >> b & 1 for i in c)) == full]
         assert _can_cover(masks, full, k) == bool(covering), trial
+        # Per bit, the masks holding it: the transpose the oracle packs.
+        coverers = [sum(1 << i for i in range(n) if masks[i] >> b & 1)
+                    for b in range(bits)]
         if covering:
-            assert _first_cover(masks, full, k) == list(covering[0]), trial
+            assert _first_cover(masks, coverers, full, k) == list(covering[0]), trial
 
 
 def test_no_smaller_cost_among_k_subsets():

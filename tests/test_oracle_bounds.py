@@ -1,0 +1,160 @@
+"""The oracle's bounded cover decision against the searches it goes ahead of.
+
+`exact._decide` answers a cover question by a packing bound (refutes), a
+greedy cover (proves), or else `_can_cover`.  Its reference is the search
+over every mask as given (`can_cover_unreduced`): both must answer alike on
+square mask families, where mask p and coverer set q are the two axes of
+one comparison table, symmetric or not.  `exact_opt` is checked against
+the probe-and-try loop it had before the bounds, every decision a
+`_can_cover` search, which must pick the same value and the same
+lexicographically smallest set, and against enumeration.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from revgreedy.exact import (_BudgetExhausted, _can_cover, _cover_masks, _cover_tables,
+                             _decide, exact_opt, exact_opt_enumeration, optimal_solution)
+from revgreedy.metric import MetricSpace, random_metric
+from test_cover_differential import can_cover_unreduced
+
+COMMON = dict(deadline=None, derandomize=True)
+
+
+def transpose(masks, n):
+    """Per bit q of n, the indices p whose masks[p] hold it."""
+    return [sum(1 << p for p, mask in enumerate(masks) if mask >> q & 1)
+            for q in range(n)]
+
+
+@st.composite
+def square_cases(draw):
+    """n masks over n bits, as the oracle's at some radius: symmetric like
+    an integer table's or not, every point covering itself or not, sparse
+    or dense.  Sometimes the masks before `first`, which no cover may use,
+    cover nearly everything, so that a bound that uses them shows."""
+    n = draw(st.integers(1, 10))
+    full = (1 << n) - 1
+    rows = [draw(st.integers(0, full)) for _ in range(n)]
+    if draw(st.booleans()):
+        rows = [row & draw(st.integers(0, full)) for row in rows]
+    if draw(st.booleans()):
+        rows = [sum((rows[min(p, q)] >> max(p, q) & 1) << q for q in range(n))
+                for p in range(n)]
+    if draw(st.booleans()):
+        rows = [row | 1 << p for p, row in enumerate(rows)]
+    covered = draw(st.integers(0, full)) if draw(st.booleans()) else 0
+    first = draw(st.integers(0, n))
+    if draw(st.booleans()):
+        rows[:first] = [row | draw(st.integers(0, full)) | full >> 1 for row in rows[:first]]
+    return rows, full, draw(st.integers(0, 5)), covered, first
+
+
+@settings(max_examples=1500, **COMMON)
+@given(case=square_cases())
+@example(case=([1], 1, 0, 0, 0))
+@example(case=([1], 1, 0, 1, 0))
+@example(case=([1], 1, 1, 0, 1))
+@example(case=([0b011, 0b011, 0b100], 0b111, 1, 0, 0))
+@example(case=([0b011, 0b110, 0b100], 0b111, 2, 0, 1))
+# Points 1..5 on a cycle, each mask from index 1 on covering one edge:
+# packing allows two masks, three are needed, and mask 0 would cover all.
+@example(case=([0b111111, 0b000110, 0b001100, 0b011000, 0b110000, 0b100010],
+               0b111111, 2, 0b000001, 1))
+@example(case=([0b000110, 0b111111, 0b000110, 0b001100, 0b011000, 0b110000, 0b100010],
+               0b1111111, 2, 0b1000001, 2))
+def test_bounded_decision_answers_like_the_unreduced_search(case):
+    masks, full, slots, covered, first = case
+    coverers = transpose(masks, full.bit_length())
+    assert (_decide(masks, coverers, full, slots, covered, first)
+            == can_cover_unreduced(masks, full, slots, covered, first))
+
+
+def test_a_decision_by_a_bound_spends_no_search_node():
+    # A path of five points, each covering its neighbours.
+    masks = [0b00011, 0b00111, 0b01110, 0b11100, 0b11000]
+    coverers = transpose(masks, 5)
+    # Points 0 and 4 share no coverer: one mask cannot serve both.
+    assert not _decide(masks, coverers, 0b11111, 1, budget=0)
+    # No mask from index 2 on covers point 0.
+    assert not _decide(masks, coverers, 0b11111, 3, first=2, budget=0)
+    # Greedy takes masks 1 and 3, which cover everything.
+    assert _decide(masks, coverers, 0b11111, 2, budget=0)
+    # Greedy takes the largest mask first and then needs two more, while
+    # packing allows two: only the search finds masks 0 and 1, at a node.
+    masks = [0b000111, 0b111000, 0b011011]
+    coverers = transpose(masks, 6)
+    assert _decide(masks, coverers, 0b111111, 2)
+    with pytest.raises(_BudgetExhausted):
+        _decide(masks, coverers, 0b111111, 2, budget=0)
+
+
+def exact_opt_by_searches(m, k):
+    """exact_opt before its bounds: every binary-search probe and every
+    slot try one `_can_cover` search, over the masks alone (k < n)."""
+    n = m.n
+    full = (1 << n) - 1
+    cands = np.unique(m.dist[np.triu_indices(n, k=1)])
+    lo, hi = 0, len(cands) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _can_cover(_cover_masks(m, cands[mid]), full, k):
+            hi = mid
+        else:
+            lo = mid + 1
+    masks = _cover_masks(m, cands[lo])
+    chosen, covered = [], 0
+    for slot in range(k):
+        start = chosen[-1] + 1 if chosen else 0
+        c = next(c for c in range(start, n)
+                 if _can_cover(masks, full, k - slot - 1, covered | masks[c], first=c + 1))
+        chosen.append(c)
+        covered |= masks[c]
+    value = int(cands[lo]) if m.mode == "int" else float(cands[lo])
+    return optimal_solution(m, value, chosen)
+
+
+@pytest.mark.parametrize("block", range(6))
+def test_oracle_matches_the_search_loop_on_the_battery(block):
+    # The instances of `verify upper --n 32 --k 5`: generator seed t,
+    # Euclidean for even t, a random graph for odd t.
+    for t in range(10 * block, 10 * block + 10):
+        m = random_metric("euclidean" if t % 2 == 0 else "random-graph", 32, t)
+        assert exact_opt(m, 5, cap=40) == exact_opt_by_searches(m, 5), t
+
+
+def near_tied_table(n, seed):
+    """Small integer distances plus a symmetric float jitter of up to three
+    times the slack, and below the diagonal up to one slack more: many
+    distances within the slack of each other, and a table symmetric only
+    within it."""
+    rng = np.random.default_rng(seed)
+    eps = MetricSpace.eps
+    upper = np.triu(rng.random((n, n)) * 3 * eps, 1)
+    d = (random_metric("random-graph", n, seed, max_weight=2).dist + upper + upper.T
+         + np.tril(rng.random((n, n)) * eps, -1))
+    return MetricSpace(dist=d, mode="float")
+
+
+def test_oracle_matches_the_search_loop_on_tables_symmetric_within_the_slack():
+    asymmetric = 0
+    for seed in range(40):
+        n = 8 + seed % 17
+        m = near_tied_table(n, seed)
+        for k in (2, 3, 5):
+            assert exact_opt(m, k, cap=40) == exact_opt_by_searches(m, k), (seed, k)
+        cands = np.unique(m.dist[np.triu_indices(n, k=1)])
+        asymmetric += any(masks != coverers for masks, coverers in
+                          map(_cover_tables, [m] * len(cands), cands))
+    # The coverers differ from the masks at some radius of most tables.
+    assert asymmetric >= 20
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "random-graph"])
+def test_oracle_matches_enumeration_on_small_instances(kind):
+    for seed in range(25):
+        n = 4 + seed % 8
+        m = random_metric(kind, n, 700 + seed, max_weight=3)
+        for k in range(1, n):
+            assert exact_opt(m, k) == exact_opt_enumeration(m, k), (seed, k)

@@ -200,13 +200,15 @@ def test_metric_rejects_booleans(dist):
         MetricSpace(dist=dist)
 
 
-@pytest.mark.parametrize("mode", ["int", "float"])
-def test_metric_adopts_the_table_it_builds_from_a_list(mode):
-    # The array built from the list is the one table; float mode adds the
-    # n x n booleans of its finiteness check.
+@pytest.mark.parametrize("mode, scale", [("int", 1), ("float", 7), ("float", 1)],
+                         ids=["int", "float", "float-of-ints"])
+def test_metric_adopts_the_table_it_builds_from_a_list(mode, scale):
+    # The array built from the list is the one table, also when float mode
+    # reads a list of ints; float mode adds the n x n booleans of its
+    # finiteness check.
     rows = np.random.default_rng(0).integers(1, 100, (300, 300))
     np.fill_diagonal(rows, 0)
-    rows = (rows if mode == "int" else rows / 7).tolist()
+    rows = (rows if scale == 1 else rows / scale).tolist()
     tracemalloc.start()
     try:
         m = MetricSpace(dist=rows, mode=mode)
@@ -218,9 +220,10 @@ def test_metric_adopts_the_table_it_builds_from_a_list(mode):
 
 
 def test_float_metric_rejects_ints_beyond_float_range():
-    d = np.array([[0, 10**400], [10**400, 0]], dtype=object)
-    with pytest.raises(ValueError, match="finite"):
-        MetricSpace(dist=d, mode="float")
+    rows = [[0, 10**400], [10**400, 0]]
+    for d in (np.array(rows, dtype=object), rows):
+        with pytest.raises(ValueError, match="finite"):
+            MetricSpace(dist=d, mode="float")
 
 
 @pytest.mark.parametrize("key", ["version", "mode", "n"])

@@ -2,9 +2,12 @@
 
 `metric_from_graph` runs Floyd-Warshall in the first of uint8, int16, int32
 and int64 that one Dijkstra pass proves safe, inside the buffer of its int64
-result.  Its reference is the straightforward int64 loop with a fixed
-sentinel; the two must give identical matrices, and the same unreachable
-pair when the graph is disconnected.  The triangle check runs in the first
+result, with the pivots in degree order and, on large graphs, only the
+block a pivot reaches updated.  Its reference is the straightforward int64
+loop in index order with a fixed sentinel; the two must give identical
+matrices, under the shipped block rule and under rules that send more
+pivots through the block at any size, and the same unreachable pair when
+the graph is disconnected.  The triangle check runs in the first
 of those types that holds every sum of two entries (uint8 only when no entry
 is negative); its reference is the wrap-safe int64 loop, and the two must
 give the same witness.  A float table shares that loop, in float64 with the
@@ -12,13 +15,15 @@ mode's slack; its reference is a plain loop over the entries.
 """
 
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from revgreedy import metric
-from revgreedy.lowerbound import build_lower_bound_instance
+from revgreedy.lowerbound import build_lower_bound_instance, size_formula
 from revgreedy.metric import (DisconnectedGraphError, MetricSpace,
                               WeightedGraph, metric_from_graph)
 
@@ -47,18 +52,27 @@ def reference_apsp(g: WeightedGraph):
     return d
 
 
+# (_BLOCK_MIN_N, _BLOCK_SHARE): the shipped rule; one that blocks every
+# pivot short of reaching all vertices, at any size; and one that mixes
+# block and whole-table pivots in either order.
+RULES = [(metric._BLOCK_MIN_N, metric._BLOCK_SHARE), (0, 1), (0, 4)]
+
+
 def assert_matches_reference(g: WeightedGraph):
     expected = reference_apsp(g)
-    if isinstance(expected, tuple):
-        a, b = expected
-        with pytest.raises(DisconnectedGraphError,
-                           match=f"^no path between vertices {a} and {b}$"):
-            metric_from_graph(g)
-        return
-    m = metric_from_graph(g)
-    assert m.dist.dtype == np.int64 and m.mode == "int"
-    assert not m.dist.flags.writeable
-    assert np.array_equal(m.dist, expected)
+    for least, share in RULES:
+        with mock.patch.multiple(metric, _BLOCK_MIN_N=least, _BLOCK_SHARE=share):
+            if isinstance(expected, tuple):
+                a, b = expected
+                with pytest.raises(DisconnectedGraphError,
+                                   match=f"^no path between vertices {a} and {b}$"):
+                    metric_from_graph(g)
+                continue
+            m = metric_from_graph(g)
+        assert m.dist.dtype == np.int64 and m.mode == "int"
+        assert not m.dist.flags.writeable
+        assert np.array_equal(m.dist, expected)
+    return expected
 
 
 # Weight scales: the family's small weights, ones near the uint8/int16
@@ -124,6 +138,61 @@ def test_parallel_edges_heavier_than_the_sentinel(g, data):
 @pytest.mark.parametrize("k", range(2, 13))
 def test_family(k):
     assert_matches_reference(build_lower_bound_instance(k).graph)
+
+
+@pytest.mark.parametrize("k", range(13, 21))
+@pytest.mark.parametrize("pad", [0, 40])
+def test_family_at_block_sizes(k, pad):
+    n = size_formula(k) + pad
+    assert n >= metric._BLOCK_MIN_N
+    assert_matches_reference(build_lower_bound_instance(k, n).graph)
+
+
+def _shape(kind: str, n: int, top: int, seed: int) -> WeightedGraph:
+    """A path, tree, cycle with chords or near-square grid on n vertices,
+    relabelled at random, with weights drawn from 1..top."""
+    rng = np.random.default_rng(seed)
+    if kind == "path":
+        pairs = [(v - 1, v) for v in range(1, n)]
+    elif kind == "tree":
+        pairs = [(int(rng.integers(v)), v) for v in range(1, n)]
+    elif kind == "cycle":
+        pairs = [(v, (v + 1) % n) for v in range(n)]
+        pairs += [tuple(int(x) for x in rng.choice(n, 2, replace=False))
+                  for _ in range(n // 16)]
+    else:
+        width = int(n ** 0.5)
+        pairs = [(v, v + 1) for v in range(n) if (v + 1) % width and v + 1 < n]
+        pairs += [(v, v + width) for v in range(n - width)]
+    label = rng.permutation(n).tolist()
+    return WeightedGraph(n, tuple((label[u], label[v], int(rng.integers(1, top + 1)))
+                                  for u, v in pairs))
+
+
+@pytest.mark.parametrize("kind, n, top, table", [
+    ("tree", 256, 1, np.uint8), ("grid", 289, 1, np.uint8),
+    ("cycle", 300, 1, np.uint8),
+    ("path", 256, 9, np.int16), ("tree", 420, 300, np.int16),
+    ("cycle", 333, 30, np.int16), ("grid", 400, 100, np.int16),
+    ("path", 301, 2**20, np.int32), ("tree", 380, 2**24, np.int32),
+    ("cycle", 420, 2**20, np.int32), ("grid", 256, 2**22, np.int32),
+    ("path", 420, 2**40, np.int64), ("tree", 333, 2**50, np.int64),
+    ("cycle", 256, 2**52, np.int64), ("grid", 324, 2**54, np.int64),
+])
+def test_sparse_shapes_at_block_sizes(kind, n, top, table):
+    expected = assert_matches_reference(_shape(kind, n, top, seed=n + top))
+    assert metric._narrowest(2 * (2 * int(expected[0].max()) + 1)) is table
+
+
+def test_block_path_keeps_the_result_the_only_table():
+    g = build_lower_bound_instance(20).graph
+    tracemalloc.start()
+    try:
+        m = metric_from_graph(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * m.dist.nbytes, peak / m.dist.nbytes
 
 
 @pytest.mark.parametrize("g", [

@@ -4,7 +4,7 @@ approximation-ratio verification at desk scale."""
 from .consolidation import (GammaCapError, critical_indices, gamma,
                             is_consolidation, verify_gamma_decrement)
 from .exact import (OptimalSolution, OracleCapError, exact_opt,
-                    exact_opt_enumeration, optimal_solution)
+                    exact_opt_enumeration, opt_value, optimal_solution)
 from .kcenter import (ScriptedStepError, TiePolicy, Trace, cost,
                       greedy_farthest_first, marginal_costs, reverse_greedy,
                       serves)
@@ -19,7 +19,7 @@ __all__ = [
     "GammaCapError", "critical_indices", "gamma", "is_consolidation",
     "verify_gamma_decrement",
     "OptimalSolution", "OracleCapError", "exact_opt", "exact_opt_enumeration",
-    "optimal_solution",
+    "opt_value", "optimal_solution",
     "ScriptedStepError", "TiePolicy", "Trace", "cost",
     "greedy_farthest_first", "marginal_costs", "reverse_greedy", "serves",
     "LowerBoundInstance", "PhaseSchedule", "build_lower_bound_instance",

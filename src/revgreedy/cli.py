@@ -63,13 +63,6 @@ def _load_source(instance, family_k, k=None, n=None):
     return m, k, lowerbound.rebuild_if_lower_bound(m, k)
 
 
-def _optimum(m, k, lb, exact_cap) -> exact.OptimalSolution:
-    """The family's known optimum, else the exact oracle's."""
-    if lb is not None:
-        return lowerbound.known_opt(lb)
-    return exact.exact_opt(m, k, cap=exact_cap)
-
-
 def cmd_gen_lowerbound(args) -> int:
     inst = lowerbound.build_lower_bound_instance(args.k, args.n)
     metric.save_instance(args.out, inst.metric, k=args.k, graph=inst.graph)
@@ -111,7 +104,8 @@ def cmd_run(args) -> int:
     if args.out:
         kcenter.save_trace(args.out, trace)
     try:
-        opt_value = _optimum(m, k, lb, args.exact_cap).opt_value
+        opt_value = (lowerbound.known_opt(lb).opt_value if lb is not None
+                     else exact.opt_value(m, k, cap=args.exact_cap))
     except exact.OracleCapError as err:
         print(f"final_cost={trace.final_cost:g} (ratio omitted: {err})")
         return 0
@@ -144,7 +138,7 @@ def _upper_instance(params: tuple):
     trial, n, k, seed, exact_cap = params
     m = metric.random_metric("euclidean" if trial % 2 == 0 else "random-graph",
                              n, seed)
-    return m, exact.exact_opt(m, k, cap=exact_cap).opt_value
+    return m, exact.opt_value(m, k, cap=exact_cap)
 
 
 def _upper_policies(seed: int) -> list:
@@ -215,7 +209,8 @@ def _verify_upper(args) -> int:
 def _verify_gamma(args) -> int:
     family_k = args.k if args.instance is None else None
     m, k, lb = _load_source(args.instance, family_k, args.k)
-    opt = _optimum(m, k, lb, args.exact_cap)
+    opt = (lowerbound.known_opt(lb) if lb is not None
+           else exact.exact_opt(m, k, cap=args.exact_cap))
     if lb is not None:
         policy = kcenter.TiePolicy.scripted(lowerbound.scripted_schedule(lb).script())
     else:

@@ -1,9 +1,11 @@
 """Exact small-instance k-center oracle.
 
-`exact_opt` binary-searches the pairwise distances, deciding each
-candidate radius with one cover decision (`_decide`), and picks the
-lexicographically smallest optimal set one slot at a time with the same
-decision.  Two exact bounds answer most decisions before any search table
+`opt_value` binary-searches the pairwise distances, deciding each
+candidate radius with one cover decision (`_decide`); `run` and `verify
+upper` read only that value.  `exact_opt` adds the witness that `verify
+gamma` and `verify separation` read: the lexicographically smallest
+optimal set, picked one slot at a time with the same decision, and its
+balls.  Two exact bounds answer most decisions before any search table
 is built: a packing of uncovered clients with pairwise-disjoint coverer
 sets refutes (each needs a mask of its own, the p-center packing bound),
 and a greedy cover within the free slots proves.  Only what neither decides
@@ -11,9 +13,8 @@ goes to `_can_cover`, which cuts the masks to the bits left to cover and
 drops those contained in another before it runs `_search`,
 most-constrained-first backtracking over columns (the masks covering a bit)
 that also serves the consolidation-number search.  Over _SEARCH_BUDGET
-backtrack nodes in one oracle search raise OracleCapError; the budget still
-bounds every search that runs, and a decision settled by a bound spends no
-nodes, so the bounds can only make refusals rarer.
+backtrack nodes in one oracle search raise OracleCapError; a decision
+settled by a bound spends no nodes.
 `exact_opt_enumeration` tries every k-subset; it is kept as the independent
 reference the test suite checks the oracle against, since the oracle is the
 trust anchor for every ratio claim downstream.
@@ -21,6 +22,7 @@ trust anchor for every ratio claim downstream.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
@@ -90,9 +92,10 @@ def _packed(near: np.ndarray) -> list[int]:
 # Backtrack nodes one cover search may visit, in the oracle and in gamma.
 # The most one search was seen to take: 137 over the 60 trials of the
 # benchmark's oracle-battery (`verify upper --n 32 --k 5 --exact-cap 40`,
-# generator seeds 0..59; 249 searches, the other 1,497 decisions settled by
-# a bound), 20 over its gamma-potential commands, and 125,225 in `verify
-# upper --n 96 --k 8 --trials 2 --exact-cap 96` (36 searches).
+# generator seeds 0..59, values only: 123 searches, the other 245 of 368
+# decisions settled by a bound), 20 over its gamma-potential commands, and
+# 125,225 in `verify upper --n 96 --k 8 --trials 2 --exact-cap 96` (11
+# searches of 15 decisions, all binary-search probes).
 _SEARCH_BUDGET = 5_000_000
 
 
@@ -230,15 +233,24 @@ def exact_opt_enumeration(m: MetricSpace, k: int) -> OptimalSolution:
     return optimal_solution(m, best_value, best_set)
 
 
-def exact_opt(m: MetricSpace, k: int, *, cap: int = 20) -> OptimalSolution:
-    """Certified optimal k-center solution for a small instance.
+@contextmanager
+def _refusing(n: int, k: int):
+    """Turn a cover search's exhausted budget into OracleCapError."""
+    try:
+        yield
+    except _BudgetExhausted:
+        raise OracleCapError(f"exact oracle cap exceeded (more than "
+                             f"{_SEARCH_BUDGET} backtrack nodes in one cover "
+                             f"search, n={n}, k={k})") from None
 
-    The optimum value is one of the pairwise distances (0 when k = n), and
+
+def opt_value(m: MetricSpace, k: int, *, cap: int = 20) -> int | float:
+    """The optimal k-center radius of a small instance, without a witness.
+
+    The optimum is one of the pairwise distances (0 when k = n), and
     feasibility is monotone in the radius, so a binary search over those
-    distances with a cover decision at each finds it.  When several
-    optimal sets exist the lexicographically smallest is returned, so
-    downstream verifiers are reproducible.  A cover search that needs more
-    than _SEARCH_BUDGET backtrack nodes raises OracleCapError.
+    distances with a cover decision at each finds it.  A cover search that
+    needs more than _SEARCH_BUDGET backtrack nodes raises OracleCapError.
     """
     n = m.n
     if not (1 <= k <= n):
@@ -246,23 +258,31 @@ def exact_opt(m: MetricSpace, k: int, *, cap: int = 20) -> OptimalSolution:
     if n > cap:
         raise OracleCapError(f"exact oracle cap exceeded (n={n} > cap={cap})")
     if k == n:
-        zero = 0 if m.mode == "int" else 0.0
-        return optimal_solution(m, zero, range(n))
+        return 0 if m.mode == "int" else 0.0
     full = (1 << n) - 1
     cands = np.unique(m.dist[np.triu_indices(n, k=1)])
     lo, hi = 0, len(cands) - 1
-    budget = _SEARCH_BUDGET
-    try:
+    with _refusing(n, k):
         while lo < hi:
             mid = (lo + hi) // 2
-            if _decide(*_cover_tables(m, cands[mid]), full, k, budget=budget):
+            if _decide(*_cover_tables(m, cands[mid]), full, k, budget=_SEARCH_BUDGET):
                 hi = mid
             else:
                 lo = mid + 1
-        chosen = _first_cover(*_cover_tables(m, cands[lo]), full, k, budget=budget)
-    except _BudgetExhausted:
-        raise OracleCapError(f"exact oracle cap exceeded (more than "
-                             f"{budget} backtrack nodes in one cover "
-                             f"search, n={n}, k={k})") from None
-    value = int(cands[lo]) if m.mode == "int" else float(cands[lo])
+    return int(cands[lo]) if m.mode == "int" else float(cands[lo])
+
+
+def exact_opt(m: MetricSpace, k: int, *, cap: int = 20) -> OptimalSolution:
+    """Certified optimal k-center solution for a small instance: the value
+    of `opt_value` and, when several sets attain it, the lexicographically
+    smallest, so downstream verifiers are reproducible.  A cover search
+    past _SEARCH_BUDGET backtrack nodes, in either part, raises
+    OracleCapError."""
+    value = opt_value(m, k, cap=cap)
+    n = m.n
+    if k == n:
+        return optimal_solution(m, value, range(n))
+    with _refusing(n, k):
+        chosen = _first_cover(*_cover_tables(m, value), (1 << n) - 1, k,
+                              budget=_SEARCH_BUDGET)
     return optimal_solution(m, value, chosen)

@@ -181,6 +181,22 @@ def reverse_greedy(m: MetricSpace, k: int, policy: TiePolicy | None = None,
 _SORT_BLOCK = 1 << 14
 
 
+def _stable_argsort(rows: np.ndarray) -> np.ndarray:
+    """np.argsort(rows, axis=1, kind="stable"), with fewer stable sorts for
+    floats.  A float row with no two equal values (NaN never occurs) has one
+    ascending order, which numpy's default, faster sort finds as well; only
+    the rows where that sort puts equal values side by side are re-sorted
+    stably.  An integer block sorts stably, by radix sort in a narrow type."""
+    if rows.dtype.kind != "f":
+        return np.argsort(rows, axis=1, kind="stable")
+    order = np.argsort(rows, axis=1)
+    values = np.take_along_axis(rows, order, axis=1)
+    tied = (values[:, 1:] == values[:, :-1]).any(axis=1)
+    if tied.any():
+        order[tied] = np.argsort(rows[tied], axis=1, kind="stable")
+    return order
+
+
 def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
                         policies: list[TiePolicy], *,
                         record_argmin: bool = False) -> list[Trace]:
@@ -235,17 +251,17 @@ def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
         # position of each entry's second-nearest.  Stable, so equidistant
         # facilities stay in index order on any platform.  An integer table
         # sorts in its narrowest type, where the stable sort is a radix sort
-        # with the same result; rows go in blocks, so the narrow copy and
-        # the sort's output beside ranked stay small.
+        # with the same result, and a float table as _stable_argsort says;
+        # rows go in blocks, so the narrow copy and the sort's output beside
+        # ranked stay small.
         narrow = (_narrowest(int(table.max()), int(table.min())) if mode == "int"
                   else table.dtype)
         sortable = table.reshape(-1, n)
         ranked = np.empty(sortable.shape, np.intp)
         block = max(1, _SORT_BLOCK // n)
         for lo in range(0, len(sortable), block):
-            ranked[lo:lo + block] = np.argsort(
-                sortable[lo:lo + block].astype(narrow, copy=False), axis=1,
-                kind="stable")
+            ranked[lo:lo + block] = _stable_argsort(
+                sortable[lo:lo + block].astype(narrow, copy=False))
         ranked = ranked.reshape(-1)
         # Entry r*n + c reads row t*n + c of ranked, for run r's table t.
         rows = np.arange(size) % n

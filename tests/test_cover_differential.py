@@ -15,6 +15,8 @@ same number of nodes, and so must `gamma` against the same reference over
 its old encoding, one extra bit per required pair in every clique mask.
 """
 
+import re
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -22,7 +24,7 @@ from revgreedy import cli, consolidation, exact, kcenter
 from revgreedy.consolidation import (_maximal_cliques, critical_indices, gamma,
                                      required_pairs)
 from revgreedy.exact import (OracleCapError, _BudgetExhausted, _can_cover, _cover_masks,
-                             _search, exact_opt)
+                             _search, exact_opt, opt_value)
 from revgreedy.lowerbound import build_lower_bound_instance, known_opt, scripted_schedule
 from revgreedy.metric import random_metric
 
@@ -103,11 +105,20 @@ def test_budget_counts_branching_nodes_of_the_reduced_search():
 def test_oracle_budget_exhausted_raises_cap_error(monkeypatch):
     m = random_metric("random-graph", 32, 1)
     unlimited = exact_opt(m, 5, cap=40)
+    # Graph 2's binary search needs a second node; every search of graph 1
+    # that does picks its witness, which opt_value does not.
+    probed = random_metric("random-graph", 32, 2)
     monkeypatch.setattr(exact, "_SEARCH_BUDGET", 1)
     with pytest.raises(OracleCapError, match="more than 1 backtrack nodes"):
         exact_opt(m, 5, cap=40)
+    with pytest.raises(OracleCapError, match=re.escape(
+            "exact oracle cap exceeded (more than 1 backtrack nodes in one "
+            "cover search, n=32, k=5)")):
+        opt_value(probed, 5, cap=40)
+    assert opt_value(m, 5, cap=40) == unlimited.opt_value
     monkeypatch.setattr(exact, "_SEARCH_BUDGET", 10**9)
     assert exact_opt(m, 5, cap=40) == unlimited
+    assert opt_value(m, 5, cap=40) == unlimited.opt_value
 
 
 def test_oracle_budget_refusal_is_incomplete_in_the_cli(monkeypatch, tmp_path, capsys):
@@ -115,13 +126,17 @@ def test_oracle_budget_refusal_is_incomplete_in_the_cli(monkeypatch, tmp_path, c
     assert cli.main(["verify", "upper", "--n", "32", "--k", "5", "--trials", "1",
                      "--exact-cap", "40"]) == 3
     assert "more than 1 backtrack nodes" in capsys.readouterr().err
-    inst = tmp_path / "rand.json"
-    assert cli.main(["gen", "random", "--kind", "random-graph", "--n", "32",
-                     "--seed", "1", "--k", "5", "--out", str(inst)]) == 0
-    capsys.readouterr()
-    assert cli.main(["run", "--instance", str(inst), "--exact-cap", "40"]) == 0
-    out = capsys.readouterr().out
-    assert "ratio omitted" in out and "more than 1 backtrack nodes" in out
+    # `run` asks for the value alone: graph 2 is refused in the binary
+    # search, while graph 1 went over the budget only in its witness.
+    for seed, expected in ((2, "(ratio omitted: exact oracle cap exceeded (more than 1 "
+                                "backtrack nodes in one cover search, n=32, k=5))"),
+                           (1, "opt=4 ratio=1")):
+        inst = tmp_path / f"rand{seed}.json"
+        assert cli.main(["gen", "random", "--kind", "random-graph", "--n", "32",
+                         "--seed", str(seed), "--k", "5", "--out", str(inst)]) == 0
+        capsys.readouterr()
+        assert cli.main(["run", "--instance", str(inst), "--exact-cap", "40"]) == 0
+        assert capsys.readouterr().out.endswith(f" {expected}\n"), seed
 
 
 def search_by_coverers(masks, full, slots):

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from revgreedy.kcenter import (ScriptedStepError, TiePolicy, TraceStep, cost,
-                               marginal_costs, reverse_greedy, reverse_greedy_runs)
+from revgreedy.kcenter import (ScriptedStepError, TiePolicy, TraceStep, _stable_argsort,
+                               cost, marginal_costs, reverse_greedy, reverse_greedy_runs)
 from revgreedy.lowerbound import (build_lower_bound_instance, scripted_schedule,
                                   size_formula)
 from revgreedy.metric import MetricSpace, random_metric, uniform_metric
@@ -183,6 +183,36 @@ def test_engine_keeps_zero_distance_duplicates_apart():
     trace = reverse_greedy(m, 1, record_argmin=True)
     assert as_rows(trace.steps) == as_rows(steps)
     assert trace.final == final
+
+
+def float_tables_with_ties():
+    """Float tables whose rows hold exact ties, duplicate points, -0.0
+    beside 0.0, one value throughout, and no tie at all; small rows and
+    rows long enough for numpy's vectorized sort."""
+    for n in (5, 17, 64, 300, 560):
+        m = random_metric("euclidean", n, n)
+        yield f"euclidean-{n}", m.dist
+        d = m.dist.copy()
+        twins = np.arange(0, n - 1, 3)  # each point 3i + 1 doubles point 3i
+        d[twins + 1] = d[twins]
+        d[:, twins + 1] = d[:, twins]
+        yield f"duplicates-{n}", d
+        yield f"graph-{n}", random_metric("random-graph", n, n, max_weight=3).dist * 1.0
+        signed = np.where(np.random.default_rng(n).random((n, n)) < 0.5, -0.0, 0.0)
+        signed[:, ::4] = np.round(m.dist[:, ::4], 1)
+        yield f"signed-zeros-{n}", signed
+        yield f"uniform-{n}", np.full((n, n), 0.25)
+        yield f"one-tie-{n}", np.where(np.arange(n) == n - 1, m.dist[:, :1], m.dist)
+
+
+@pytest.mark.parametrize("name, rows", list(float_tables_with_ties()),
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_float_sort_is_the_stable_sort(name, rows):
+    expected = np.argsort(rows, axis=1, kind="stable")
+    assert np.array_equal(_stable_argsort(rows), expected)
+    # Rounded to float32, near distances tie as well.
+    assert np.array_equal(_stable_argsort(rows.astype(np.float32)),
+                          np.argsort(rows.astype(np.float32), axis=1, kind="stable"))
 
 
 # --- batches: several policies run side by side on one metric ---

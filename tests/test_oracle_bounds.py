@@ -15,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from revgreedy.exact import (_BudgetExhausted, _can_cover, _cover_masks, _cover_tables,
-                             _decide, exact_opt, exact_opt_enumeration, optimal_solution)
+                             _decide, exact_opt, exact_opt_enumeration, opt_value,
+                             optimal_solution)
 from revgreedy.metric import MetricSpace, random_metric
 from test_cover_differential import can_cover_unreduced
 
@@ -90,6 +91,11 @@ def test_a_decision_by_a_bound_spends_no_search_node():
         _decide(masks, coverers, 0b111111, 2, budget=0)
 
 
+def same_value(value, expected):
+    """Equal, and of the same type: a Python int or float, never numpy's."""
+    return type(value) is type(expected) and value == expected
+
+
 def exact_opt_by_searches(m, k):
     """exact_opt before its bounds: every binary-search probe and every
     slot try one `_can_cover` search, over the masks alone (k < n)."""
@@ -121,7 +127,9 @@ def test_oracle_matches_the_search_loop_on_the_battery(block):
     # Euclidean for even t, a random graph for odd t.
     for t in range(10 * block, 10 * block + 10):
         m = random_metric("euclidean" if t % 2 == 0 else "random-graph", 32, t)
-        assert exact_opt(m, 5, cap=40) == exact_opt_by_searches(m, 5), t
+        expected = exact_opt_by_searches(m, 5)
+        assert exact_opt(m, 5, cap=40) == expected, t
+        assert same_value(opt_value(m, 5, cap=40), expected.opt_value), t
 
 
 def near_tied_table(n, seed):
@@ -143,7 +151,9 @@ def test_oracle_matches_the_search_loop_on_tables_symmetric_within_the_slack():
         n = 8 + seed % 17
         m = near_tied_table(n, seed)
         for k in (2, 3, 5):
-            assert exact_opt(m, k, cap=40) == exact_opt_by_searches(m, k), (seed, k)
+            expected = exact_opt_by_searches(m, k)
+            assert exact_opt(m, k, cap=40) == expected, (seed, k)
+            assert same_value(opt_value(m, k, cap=40), expected.opt_value), (seed, k)
         cands = np.unique(m.dist[np.triu_indices(n, k=1)])
         asymmetric += any(masks != coverers for masks, coverers in
                           map(_cover_tables, [m] * len(cands), cands))
@@ -157,4 +167,8 @@ def test_oracle_matches_enumeration_on_small_instances(kind):
         n = 4 + seed % 8
         m = random_metric(kind, n, 700 + seed, max_weight=3)
         for k in range(1, n):
-            assert exact_opt(m, k) == exact_opt_enumeration(m, k), (seed, k)
+            expected = exact_opt_enumeration(m, k)
+            assert exact_opt(m, k) == expected, (seed, k)
+            assert same_value(opt_value(m, k), expected.opt_value), (seed, k)
+        assert same_value(opt_value(m, n), exact_opt(m, n).opt_value)
+        assert same_value(opt_value(m, n), 0 if m.mode == "int" else 0.0)

@@ -14,14 +14,15 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations, islice
 
-from .exact import (_SEARCH_BUDGET, OptimalSolution, _BudgetExhausted, _bits,
-                    _branch, _columns, _cover_masks)
+from .exact import (OptimalSolution, _BudgetExhausted, _bits, _branch, _columns,
+                    _cover_tables)
 from .kcenter import Trace
 from .metric import FLOAT_EPS, MetricSpace
 
 
 class GammaCapError(RuntimeError):
-    """Consolidation-number brute force would exceed its configured caps."""
+    """The consolidation number was not settled: its search ran past a cap,
+    or no family of at most k sets exists (`lower_bound` is then k + 1)."""
 
     def __init__(self, message: str, lower_bound: int | None = None):
         super().__init__(message)
@@ -56,7 +57,7 @@ def is_consolidation(m: MetricSpace, opt: OptimalSolution, facilities,
     for s, part in enumerate(sets):
         members = sorted(part)
         for x, y in combinations(members, 2):
-            if m.dist[x, y] > limit:
+            if max(m.dist[x, y], m.dist[y, x]) > limit:
                 return ConsolidationReport(False, "diameter", (s, x, y))
 
     for t, ball_t in enumerate(opt.balls):
@@ -101,22 +102,24 @@ def required_pairs(opt: OptimalSolution, facilities: frozenset[int]) -> frozense
 
 
 def gamma(m: MetricSpace, opt: OptimalSolution, facilities, *,
-          clique_cap: int = 2000, search_budget: int = _SEARCH_BUDGET) -> int:
+          clique_cap: int = 2000) -> int:
     """Exact consolidation number by a set-cover search over maximal cliques.
 
     The search space is restricted to maximal cliques of the threshold
-    graph induced on the facilities, the oracle's cover masks at radius
-    2*OPT over the facilities alone (bit i is the i-th smallest), without
-    self-loops; listing stops past `clique_cap` cliques.  This is lossless: a set has diameter <= 2*OPT
-    exactly when it is a clique there; dropping the non-facilities from
-    every member of a valid family keeps it valid (they only add diameter
-    constraints), and so does replacing a member by a maximal clique
-    containing it (covering and optimal pairs survive under supersets).  So
-    some minimum-size family consists of maximal cliques of that induced
-    graph only.  Each facility and each required pair becomes one column,
-    the set of cliques holding it, and the least number of cliques hitting
-    every column is found size by size; `search_budget` bounds the
-    backtrack nodes of each size's search.
+    graph induced on the facilities: the pairs within 2*OPT both ways, as
+    both cover tables of the facilities alone hold them (bit i is the i-th
+    smallest), without self-loops; listing stops past `clique_cap` cliques.
+    This is lossless: a set has diameter <= 2*OPT exactly when it is a
+    clique there; dropping the non-facilities from every member of a valid
+    family keeps it valid (they only add diameter constraints), and so does
+    replacing a member by a maximal clique containing it (covering and
+    optimal pairs survive under supersets).  So some minimum-size family
+    consists of maximal cliques of that induced graph only.  Each facility
+    and each required pair becomes one column, the set of cliques holding
+    it, and the least number of cliques hitting every column is found size
+    by size.  The optimal balls give such a family of k sets unless
+    distances tie within the float slack; with no family of at most k
+    sets, GammaCapError says so, with lower bound k + 1.
     """
     facilities = frozenset(facilities)
     if not facilities:
@@ -124,8 +127,9 @@ def gamma(m: MetricSpace, opt: OptimalSolution, facilities, *,
 
     order = sorted(facilities)
     full = (1 << len(order)) - 1
-    cliques = _maximal_cliques([mask & ~(1 << i) for i, mask in enumerate(
-        _cover_masks(m, 2 * opt.opt_value, order))], full, clique_cap)
+    masks, coverers = _cover_tables(m, 2 * opt.opt_value, order)
+    cliques = _maximal_cliques([mask & coverers[i] & ~(1 << i)
+                                for i, mask in enumerate(masks)], full, clique_cap)
     if len(cliques) > clique_cap:
         raise GammaCapError(f"gamma brute force infeasible: more than "
                             f"{clique_cap} maximal cliques")
@@ -137,16 +141,17 @@ def gamma(m: MetricSpace, opt: OptimalSolution, facilities, *,
 
     # Distinct maximal cliques never contain one another, so the oracle's
     # reduction (exact._can_cover) would drop none of them.
-    for size in range(1, len(opt.balls) + 1):
+    k = len(opt.balls)
+    for size in range(1, k + 1):
         try:
-            if _branch(columns, size, [0], search_budget):
+            if _branch(columns, size, [0]):
                 return size
-        except _BudgetExhausted:
+        except _BudgetExhausted as err:
             raise GammaCapError(
-                f"gamma brute force infeasible: more than {search_budget} "
+                f"gamma brute force infeasible: more than {err.args[0]} "
                 f"backtrack nodes at size {size}", lower_bound=size) from None
-    raise AssertionError("the optimal balls themselves form a consolidation; "
-                         "search must succeed by size k")
+    raise GammaCapError(f"gamma not settled: no consolidation of at most {k} sets within "
+                        f"2*OPT (the float slack can widen an optimal ball)", lower_bound=k + 1)
 
 
 def critical_indices(trace: Trace, opt_value) -> dict[int, int]:

@@ -11,9 +11,10 @@ sets refutes (each needs a mask of its own, the p-center packing bound),
 and a greedy cover within the free slots proves.  Only what neither decides
 goes to `_can_cover`, which cuts the masks to the bits left to cover and
 drops those contained in another before it runs `_search`,
-most-constrained-first backtracking over columns (the masks covering a bit)
-that also serves the consolidation-number search.  Over _SEARCH_BUDGET
-backtrack nodes in one oracle search raise OracleCapError; a decision
+most-constrained-first backtracking (`_branch`) over columns (the masks
+covering a bit).  gamma builds its graph with the oracle's `_cover_tables` and
+searches it with `_branch`, which alone counts nodes against
+_SEARCH_BUDGET: past it, OracleCapError or GammaCapError; a decision
 settled by a bound spends no nodes.
 `exact_opt_enumeration` tries every k-subset; it is kept as the independent
 reference the test suite checks the oracle against, since the oracle is the
@@ -56,10 +57,12 @@ def optimal_solution(m: MetricSpace, value, facilities) -> OptimalSolution:
     return OptimalSolution(value, facilities, balls)
 
 
-def _cover_masks(m: MetricSpace, radius, points=None) -> list[int]:
-    """Bitmask per point of the points within `radius` of it: bit q of
-    entry p is set when dist(p, q) <= radius (within the mode's slack).
-    Given ascending `points`, only those: entry and bit i are points[i]."""
+def _cover_tables(m: MetricSpace, radius, points=None) -> tuple[list[int], list[int]]:
+    """The cover masks at `radius` and, per client q, its coverers: bit q
+    of mask p, and bit p of coverers q, are set when dist(p, q) <= radius
+    (within the mode's slack).  Given ascending `points`, only those: entry
+    and bit i are points[i].  One comparison, packed along each axis; a
+    float table symmetric only within its slack can tell the two apart."""
     d, pick = m.dist, points is not None
     # Picking the distances first copies |points|^2 of them; that is done
     # only when the copy is no larger than the n x n bools it saves.
@@ -68,15 +71,6 @@ def _cover_masks(m: MetricSpace, radius, points=None) -> list[int]:
     near = d <= radius + m.tol()
     if pick:
         near = near[np.ix_(points, points)]
-    return _packed(near)
-
-
-def _cover_tables(m: MetricSpace, radius) -> tuple[list[int], list[int]]:
-    """The cover masks at `radius` and, per client q, its coverers: bit p
-    of entry q is set when dist(p, q) <= radius.  One comparison, packed
-    along each axis; a float table symmetric only within its slack can
-    tell the two apart."""
-    near = m.dist <= radius + m.tol()
     masks = _packed(near)
     return masks, masks if (near == near.T).all() else _packed(near.T)
 
@@ -100,7 +94,7 @@ _SEARCH_BUDGET = 5_000_000
 
 
 class _BudgetExhausted(RuntimeError):
-    """A cover search visited more backtrack nodes than its budget allows."""
+    """A cover search ran past _SEARCH_BUDGET nodes, its one argument."""
 
 
 def _bits(x: int):
@@ -122,33 +116,31 @@ def _columns(masks: list[int], full: int) -> list[int]:
     return list(columns.values())
 
 
-def _search(masks: list[int], full: int, slots: int,
-            budget: int | None = None) -> bool:
+def _search(masks: list[int], full: int, slots: int) -> bool:
     """Do at most `slots` of `masks` cover every bit of `full`?"""
-    return _branch(list(dict.fromkeys(_columns(masks, full))), slots, [0], budget)
+    return _branch(list(dict.fromkeys(_columns(masks, full))), slots, [0])
 
 
-def _branch(columns: list[int], slots: int, nodes: list[int],
-            budget: int | None) -> bool:
+def _branch(columns: list[int], slots: int, nodes: list[int]) -> bool:
     """One search node, counted in nodes[0]: can `slots` positions hit every column?"""
     if not columns or not slots:
         return not columns
     nodes[0] += 1
-    if budget is not None and nodes[0] > budget:
-        raise _BudgetExhausted
+    if nodes[0] > _SEARCH_BUDGET:
+        raise _BudgetExhausted(_SEARCH_BUDGET)
     if slots == 1:  # a child with no slot is not a node: one position hits all
         return reduce(and_, columns) != 0
     best = min(columns, key=int.bit_count)
     while best:
         low = best & -best
-        if _branch([c for c in columns if not c & low], slots - 1, nodes, budget):
+        if _branch([c for c in columns if not c & low], slots - 1, nodes):
             return True
         best ^= low
     return False
 
 
 def _can_cover(masks: list[int], full: int, slots: int, covered: int = 0,
-               first: int = 0, budget: int | None = None) -> bool:
+               first: int = 0) -> bool:
     """Do at most `slots` masks from masks[first:], together with
     `covered`, cover every bit of `full`?
 
@@ -166,11 +158,11 @@ def _can_cover(masks: list[int], full: int, slots: int, covered: int = 0,
                        key=int.bit_count, reverse=True):
         if all(mask & other != mask for other in kept):
             kept.append(mask)
-    return _search(kept, full, slots, budget)
+    return _search(kept, full, slots)
 
 
 def _decide(masks: list[int], coverers: list[int], full: int, slots: int,
-            covered: int = 0, first: int = 0, budget: int | None = None) -> bool:
+            covered: int = 0, first: int = 0) -> bool:
     """_can_cover's answer, settled where they can by two bounds that build
     no search table; coverers[q] has bit p set when masks[p] has bit q.
 
@@ -198,11 +190,10 @@ def _decide(masks: list[int], coverers: list[int], full: int, slots: int,
             break
         gains = [(mask & left).bit_count() for mask in pool]
         left &= ~pool[gains.index(max(gains))]
-    return not left or _can_cover(masks, full, slots, covered, first, budget)
+    return not left or _can_cover(masks, full, slots, covered, first)
 
 
-def _first_cover(masks: list[int], coverers: list[int], full: int, k: int,
-                 budget: int | None = None) -> list[int]:
+def _first_cover(masks: list[int], coverers: list[int], full: int, k: int) -> list[int]:
     """The lexicographically smallest k indices whose masks cover `full`
     (one must exist), filling the slots in turn with the smallest index
     that still extends to a cover (asked of `_decide`, with the masks'
@@ -213,8 +204,7 @@ def _first_cover(masks: list[int], coverers: list[int], full: int, k: int,
     for slot in range(k):
         start = chosen[-1] + 1 if chosen else 0
         c = next(c for c in range(start, len(masks))
-                 if _decide(masks, coverers, full, k - slot - 1, covered | masks[c],
-                            first=c + 1, budget=budget))
+                 if _decide(masks, coverers, full, k - slot - 1, covered | masks[c], c + 1))
         chosen.append(c)
         covered |= masks[c]
     return chosen
@@ -238,9 +228,9 @@ def _refusing(n: int, k: int):
     """Turn a cover search's exhausted budget into OracleCapError."""
     try:
         yield
-    except _BudgetExhausted:
+    except _BudgetExhausted as err:
         raise OracleCapError(f"exact oracle cap exceeded (more than "
-                             f"{_SEARCH_BUDGET} backtrack nodes in one cover "
+                             f"{err.args[0]} backtrack nodes in one cover "
                              f"search, n={n}, k={k})") from None
 
 
@@ -265,7 +255,7 @@ def opt_value(m: MetricSpace, k: int, *, cap: int = 20) -> int | float:
     with _refusing(n, k):
         while lo < hi:
             mid = (lo + hi) // 2
-            if _decide(*_cover_tables(m, cands[mid]), full, k, budget=_SEARCH_BUDGET):
+            if _decide(*_cover_tables(m, cands[mid]), full, k):
                 hi = mid
             else:
                 lo = mid + 1
@@ -283,6 +273,5 @@ def exact_opt(m: MetricSpace, k: int, *, cap: int = 20) -> OptimalSolution:
     if k == n:
         return optimal_solution(m, value, range(n))
     with _refusing(n, k):
-        chosen = _first_cover(*_cover_tables(m, value), (1 << n) - 1, k,
-                              budget=_SEARCH_BUDGET)
+        chosen = _first_cover(*_cover_tables(m, value), (1 << n) - 1, k)
     return optimal_solution(m, value, chosen)

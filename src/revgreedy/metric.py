@@ -445,11 +445,14 @@ def random_metric(kind: str, n: int, seed: int, *, dim: int = 2,
       it kept), by Lemire's multiply-shift with rejection;
     - a span of exactly 2**32 is one half as drawn;
     - a larger span takes whole words, by Lemire's rejection in 64 bits.
-    A graph with an edge needs 1 <= max_weight < 2**63.
+    Euclidean points need dim >= 1, a random graph 0 <= edge_prob <= 1, and
+    a graph with an edge 1 <= max_weight < 2**63.
     """
     if n < 1:
         raise ValueError("random_metric requires n >= 1")
     if kind == "euclidean":
+        if dim < 1:
+            raise ValueError(f"dim must be at least 1, got {dim}")
         return euclidean_metric(np.random.default_rng(seed).random((n, dim)))
     if kind == "random-graph":
         return metric_from_graph(WeightedGraph(n, _random_edges(n, seed, edge_prob,
@@ -459,6 +462,8 @@ def random_metric(kind: str, n: int, seed: int, *, dim: int = 2,
 
 def _random_edges(n: int, seed: int, edge_prob: float, max_weight: int) -> tuple:
     """The edges of random_metric's random graph, in the order drawn."""
+    if not 0 <= edge_prob <= 1:
+        raise ValueError(f"edge_prob must lie in [0, 1], got {edge_prob}")
     if n > 1 and not 1 <= max_weight < 2**63:
         raise ValueError(f"max_weight must lie in 1..2**63 - 1, got {max_weight}")
     span, draws = int(max_weight), _RawDraws(seed, n * n)

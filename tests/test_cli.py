@@ -310,6 +310,23 @@ def test_verify_gamma_on_instance_file(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("table", [
+    [[0.0, 0.4999999991, 1.0, 2.5], [0.4999999991, 0.0, 0.5, 2.0],
+     [1.0, 0.5, 0.0, 1.4999999994], [2.5, 2.0, 1.4999999994, 0.0]],
+    [[0.0, 0.4999999994, 1.0, 2.0], [0.4999999996, 0.0, 0.5, 1.5000000009],
+     [1.0, 0.4999999996, 0.0, 1.0000000006], [2.0000000004, 1.5, 1.0, 0.0]],
+], ids=["symmetric", "asymmetric"])
+def test_verify_gamma_without_a_consolidation_of_k_sets_exits_3(tmp_path, capsys, table):
+    # Valid within the float slack, yet no family of k sets is within 2*OPT.
+    inst = tmp_path / "slack.json"
+    inst.write_text(json.dumps({"version": 1, "mode": "float", "n": 4, "k": 3,
+                                "matrix": table}))
+    assert run_cli(["verify", "gamma", "--instance", str(inst)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "gamma check: incomplete; sequence []\n"
+    assert "Traceback" not in err
+
+
 def test_verify_separation_is_advisory(tmp_path, capsys):
     report = tmp_path / "sep.json"
     assert run_cli(["verify", "separation", "--trials", "3", "--k", "3",
@@ -411,6 +428,10 @@ def test_nonpositive_cap_rejected():
     (["run", "--lowerbound", "3", "--gamma-cap", "5"], 2),
     (["verify", "lower", "--k", "2", "--exact-cap", "5"], 2),
     (["export-dot", "--lowerbound", "3", "--jobs", "1"], 2),
+    # Flags that would make no instance, or an all-zero one.
+    (["gen", "random", "--kind", "euclidean", "--n", "3", "--dim", "0", "--out", "OUT"], 2),
+    (["gen", "random", "--kind", "random-graph", "--n", "3", "--edge-prob", "nan",
+      "--out", "OUT"], 2),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
 def test_bad_input_exit_code_without_traceback(tmp_path, capsys, argv, code):
     # K0 and K7: a 5-point instance file whose k is 0 or above n.

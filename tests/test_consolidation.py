@@ -1,14 +1,18 @@
+import re
+from itertools import combinations
+
+import numpy as np
 import pytest
 from conftest import gamma_unrestricted, separated_pairs_metric
 
-from revgreedy import consolidation
+from revgreedy import consolidation, exact
 from revgreedy.consolidation import (GammaCapError, critical_indices, gamma,
                                      is_consolidation, verify_gamma_decrement)
 from revgreedy.exact import exact_opt
 from revgreedy.kcenter import TiePolicy, Trace, TraceStep, reverse_greedy
 from revgreedy.lowerbound import (build_lower_bound_instance, known_opt,
                                   scripted_schedule)
-from revgreedy.metric import random_metric
+from revgreedy.metric import MetricSpace, random_metric, validate_metric
 
 
 def lb_context(k):
@@ -102,14 +106,103 @@ def test_gamma_empty_facilities_errors():
         gamma(inst.metric, opt, frozenset())
 
 
-def test_gamma_cap_errors():
+def test_gamma_cap_errors(monkeypatch):
     inst, opt = lb_context(4)
+    monkeypatch.setattr(exact, "_SEARCH_BUDGET", 1)
     with pytest.raises(GammaCapError, match="infeasible") as err:
-        gamma(inst.metric, opt, frozenset(range(inst.n)), search_budget=1)
+        gamma(inst.metric, opt, frozenset(range(inst.n)))
     # Size 1 needs only the root node; size 2 is the first to branch.
     assert err.value.lower_bound == 2
+    monkeypatch.undo()
     with pytest.raises(GammaCapError, match="infeasible"):
         gamma(inst.metric, opt, frozenset(range(inst.n)), clique_cap=2)
+
+
+# Four points on a line, k=3: tables a validator calls valid, the first
+# exactly symmetric, the second symmetric only within the float slack.  Tied
+# within the slack, an optimal ball holds two points more than 2*OPT + slack
+# apart, so no family of at most k sets is a consolidation.
+SLACK_TABLES = {
+    "symmetric": [[0.0, 0.4999999991, 1.0, 2.5], [0.4999999991, 0.0, 0.5, 2.0],
+                  [1.0, 0.5, 0.0, 1.4999999994], [2.5, 2.0, 1.4999999994, 0.0]],
+    "asymmetric": [[0.0, 0.4999999994, 1.0, 2.0], [0.4999999996, 0.0, 0.5, 1.5000000009],
+                   [1.0, 0.4999999996, 0.0, 1.0000000006], [2.0000000004, 1.5, 1.0, 0.0]],
+}
+
+
+@pytest.mark.parametrize("name", SLACK_TABLES)
+def test_gamma_without_a_consolidation_of_k_sets_is_incomplete(name):
+    m = MetricSpace(dist=SLACK_TABLES[name], mode="float")
+    assert validate_metric(m).ok
+    opt = exact_opt(m, 3)
+    assert is_consolidation(m, opt, range(4), opt.balls).violated == "diameter"
+    with pytest.raises(GammaCapError, match=re.escape(
+            "no consolidation of at most 3 sets within 2*OPT")) as err:
+        gamma(m, opt, range(4))
+    assert err.value.lower_bound == 4
+    report = verify_gamma_decrement(m, reverse_greedy(m, 3), opt)
+    assert (report.status, report.gamma_values) == ("incomplete", {})
+    assert report.note == str(err.value)
+
+
+def smallest_consolidation(m, opt, facilities):
+    """The fewest sets `is_consolidation` accepts, or None when no family
+    of at most k sets does.  Every family of subsets of the facilities is
+    tried; dropping the other points from a family keeps it valid (they
+    only add diameter pairs), so no smaller family exists elsewhere.  A
+    subset that fails the diameter test alone is left out: it fails every
+    family."""
+    subsets = [part for size in range(1, len(facilities) + 1)
+               for part in combinations(facilities, size)
+               if is_consolidation(m, opt, (), [part]).valid]
+    for size in range(1, len(opt.balls) + 1):
+        if any(is_consolidation(m, opt, facilities, family).valid
+               for family in combinations(subsets, size)):
+            return size
+    return None
+
+
+def jittered_lines(trials, seed=0):
+    """Points on a half-unit grid of a line, every distance moved by
+    0.4-0.9e-9 either way, the same both ways in even trials and not in odd
+    ones: (metric, k, facilities) with up to four facilities."""
+    rng = np.random.default_rng(seed)
+    for trial in range(trials):
+        n = int(rng.integers(3, 8))
+        points = np.sort(rng.choice(8, n, replace=False)) / 2
+        jitter = rng.uniform(0.4e-9, 0.9e-9, (n, n)) * rng.choice([-1, 1], (n, n))
+        if trial % 2 == 0:
+            jitter = np.triu(jitter, 1) + np.triu(jitter, 1).T
+        d = np.abs(points[:, None] - points[None, :]) + jitter
+        np.fill_diagonal(d, 0.0)
+        facilities = sorted(rng.choice(n, int(rng.integers(1, min(n, 4) + 1)),
+                                       replace=False).tolist())
+        yield MetricSpace(dist=d, mode="float"), int(rng.integers(1, n)), facilities
+
+
+def test_gamma_is_the_smallest_family_is_consolidation_accepts_on_jittered_lines():
+    # Within 2*OPT one way and not the other: gamma once found 1 here (the
+    # pair 4, 5 as one set) where is_consolidation accepts no single set.
+    points = np.array([0, .5, 1, 2, 2.5, 3.5])
+    d = np.abs(points[:, None] - points[None, :])
+    d[0, 1] -= 0.4e-9
+    d[4, 5] += 0.5e-9
+    d[5, 4] -= 0.5e-9
+    line = MetricSpace(dist=d, mode="float")
+    assert smallest_consolidation(line, exact_opt(line, 5), [4, 5]) == 2
+    cases = [(line, 5, [4, 5]), *jittered_lines(240)]
+    none_exists = 0
+    for trial, (m, k, facilities) in enumerate(cases):
+        opt = exact_opt(m, k)
+        expected = smallest_consolidation(m, opt, facilities)
+        if expected is None:
+            none_exists += 1
+            with pytest.raises(GammaCapError) as err:
+                gamma(m, opt, facilities)
+            assert err.value.lower_bound == k + 1, trial
+        else:
+            assert gamma(m, opt, facilities) == expected, trial
+    assert none_exists
 
 
 # --- critical indices ---

@@ -16,6 +16,7 @@ its old encoding, one extra bit per required pair in every clique mask.
 """
 
 import re
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,7 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 from revgreedy import cli, consolidation, exact, kcenter
 from revgreedy.consolidation import (_maximal_cliques, critical_indices, gamma,
                                      required_pairs)
-from revgreedy.exact import (OracleCapError, _BudgetExhausted, _can_cover, _cover_masks,
+from revgreedy.exact import (OracleCapError, _BudgetExhausted, _can_cover, _cover_tables,
                              _search, exact_opt, opt_value)
 from revgreedy.lowerbound import build_lower_bound_instance, known_opt, scripted_schedule
 from revgreedy.metric import random_metric
@@ -91,15 +92,17 @@ def test_reduced_search_answers_like_the_unreduced_one(case):
             == can_cover_unreduced(masks, full, slots, covered, first))
 
 
-def test_budget_counts_branching_nodes_of_the_reduced_search():
+def test_budget_counts_branching_nodes_of_the_reduced_search(monkeypatch):
     full = (1 << 6) - 1
     # Every mask but the last lies inside it, so the reduced search keeps
     # one mask and branches once; the masks as given would branch twice.
-    assert _can_cover([1 << b for b in range(6)] + [full], full, 2, budget=1)
-    # 0b100 lies inside 0b1111: kept, it would cost the search a third node.
-    assert _can_cover([0b111000, 0b101011, 0b1111, 0b100], full, 3, budget=2)
+    monkeypatch.setattr(exact, "_SEARCH_BUDGET", 1)
+    assert _can_cover([1 << b for b in range(6)] + [full], full, 2)
     with pytest.raises(_BudgetExhausted):
-        _can_cover([1 << b for b in range(6)], full, 6, budget=1)
+        _can_cover([1 << b for b in range(6)], full, 6)
+    # 0b100 lies inside 0b1111: kept, it would cost the search a third node.
+    monkeypatch.setattr(exact, "_SEARCH_BUDGET", 2)
+    assert _can_cover([0b111000, 0b101011, 0b1111, 0b100], full, 3)
 
 
 def test_oracle_budget_exhausted_raises_cap_error(monkeypatch):
@@ -207,10 +210,13 @@ def test_column_search_matches_the_coverers_table(case):
     answer, nodes = search_by_coverers(masks, full, slots)
     assert _search(masks, full, slots) == answer
     # Same visiting order: the budget is first exceeded at the same node.
-    assert _search(masks, full, slots, budget=nodes) == answer
+    # (A function-scoped monkeypatch would outlive one drawn example.)
+    with patch.object(exact, "_SEARCH_BUDGET", nodes):
+        assert _search(masks, full, slots) == answer
     if nodes:
-        with pytest.raises(_BudgetExhausted):
-            _search(masks, full, slots, budget=nodes - 1)
+        with patch.object(exact, "_SEARCH_BUDGET", nodes - 1), \
+                pytest.raises(_BudgetExhausted):
+            _search(masks, full, slots)
 
 
 def gamma_by_pair_bits(m, opt, facilities):
@@ -219,7 +225,7 @@ def gamma_by_pair_bits(m, opt, facilities):
     and the node count of each size tried."""
     facility_bits = sum(1 << f for f in facilities)
     cliques = _maximal_cliques([mask & ~(1 << p) for p, mask in
-                                enumerate(_cover_masks(m, 2 * opt.opt_value))],
+                                enumerate(_cover_tables(m, 2 * opt.opt_value)[0])],
                                facility_bits)
     pair_bits = [((1 << f) | (1 << g), 1 << (m.n + j)) for j, (f, g)
                  in enumerate(sorted(required_pairs(opt, facilities)))]
@@ -255,8 +261,8 @@ def test_gamma_columns_match_the_pair_bit_search(case, monkeypatch):
     _, m, opt, trace = case
     counts = []
 
-    def counting_branch(columns, slots, nodes, budget):
-        answer = exact._branch(columns, slots, nodes, budget)
+    def counting_branch(columns, slots, nodes):
+        answer = exact._branch(columns, slots, nodes)
         counts.append(nodes[0])
         return answer
 

@@ -116,6 +116,17 @@ def test_random_metric_single_point():
     assert m.d(0, 0) == 0
 
 
+@pytest.mark.parametrize("kind, flags", [
+    ("euclidean", dict(dim=0)),
+    ("random-graph", dict(edge_prob=float("nan"))),
+    ("random-graph", dict(edge_prob=-0.5)),
+    ("random-graph", dict(edge_prob=1.5)),
+], ids=str)
+def test_random_metric_rejects_flags_that_make_no_instance(kind, flags):
+    with pytest.raises(ValueError, match="dim|edge_prob"):
+        random_metric(kind, 3, 0, **flags)
+
+
 def test_random_metric_rejects_empty():
     with pytest.raises(ValueError):
         random_metric("euclidean", 0, 1)

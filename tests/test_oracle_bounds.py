@@ -10,13 +10,15 @@ the probe-and-try loop it had before the bounds, every decision a
 lexicographically smallest set, and against enumeration.
 """
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from revgreedy.exact import (_BudgetExhausted, _can_cover, _cover_masks, _cover_tables,
-                             _decide, exact_opt, exact_opt_enumeration, opt_value,
-                             optimal_solution)
+from revgreedy import exact
+from revgreedy.exact import (_BudgetExhausted, _can_cover, _cover_tables, _decide,
+                             exact_opt, exact_opt_enumeration, opt_value, optimal_solution)
 from revgreedy.metric import MetricSpace, random_metric
 from test_cover_differential import can_cover_unreduced
 
@@ -76,19 +78,20 @@ def test_a_decision_by_a_bound_spends_no_search_node():
     # A path of five points, each covering its neighbours.
     masks = [0b00011, 0b00111, 0b01110, 0b11100, 0b11000]
     coverers = transpose(masks, 5)
-    # Points 0 and 4 share no coverer: one mask cannot serve both.
-    assert not _decide(masks, coverers, 0b11111, 1, budget=0)
-    # No mask from index 2 on covers point 0.
-    assert not _decide(masks, coverers, 0b11111, 3, first=2, budget=0)
-    # Greedy takes masks 1 and 3, which cover everything.
-    assert _decide(masks, coverers, 0b11111, 2, budget=0)
+    with patch.object(exact, "_SEARCH_BUDGET", 0):
+        # Points 0 and 4 share no coverer: one mask cannot serve both.
+        assert not _decide(masks, coverers, 0b11111, 1)
+        # No mask from index 2 on covers point 0.
+        assert not _decide(masks, coverers, 0b11111, 3, first=2)
+        # Greedy takes masks 1 and 3, which cover everything.
+        assert _decide(masks, coverers, 0b11111, 2)
     # Greedy takes the largest mask first and then needs two more, while
     # packing allows two: only the search finds masks 0 and 1, at a node.
     masks = [0b000111, 0b111000, 0b011011]
     coverers = transpose(masks, 6)
     assert _decide(masks, coverers, 0b111111, 2)
-    with pytest.raises(_BudgetExhausted):
-        _decide(masks, coverers, 0b111111, 2, budget=0)
+    with patch.object(exact, "_SEARCH_BUDGET", 0), pytest.raises(_BudgetExhausted):
+        _decide(masks, coverers, 0b111111, 2)
 
 
 def same_value(value, expected):
@@ -105,11 +108,11 @@ def exact_opt_by_searches(m, k):
     lo, hi = 0, len(cands) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if _can_cover(_cover_masks(m, cands[mid]), full, k):
+        if _can_cover(_cover_tables(m, cands[mid])[0], full, k):
             hi = mid
         else:
             lo = mid + 1
-    masks = _cover_masks(m, cands[lo])
+    masks = _cover_tables(m, cands[lo])[0]
     chosen, covered = [], 0
     for slot in range(k):
         start = chosen[-1] + 1 if chosen else 0

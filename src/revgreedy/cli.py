@@ -75,10 +75,18 @@ def cmd_gen_lowerbound(args) -> int:
     return 0
 
 
+# The kind of random instance that reads each kind-specific `gen random` flag.
+_READ_BY = {"dim": "euclidean", "edge_prob": "random-graph", "max_weight": "random-graph"}
+
+
 def cmd_gen_random(args) -> int:
-    m = metric.random_metric(args.kind, args.n, args.seed, dim=args.dim,
-                             edge_prob=args.edge_prob,
-                             max_weight=args.max_weight)
+    given = {name: getattr(args, name) for name in _READ_BY
+             if getattr(args, name) is not None}
+    unread = [f"--{name.replace('_', '-')}" for name in given
+              if _READ_BY[name] != args.kind]
+    if unread:
+        raise ValueError(f"--kind {args.kind} does not read {', '.join(unread)}")
+    m = metric.random_metric(args.kind, args.n, args.seed, **given)
     metric.save_instance(args.out, m, k=args.k)
     print(f"n={m.n} k={args.k} mode={m.mode} -> {args.out}")
     return 0
@@ -223,6 +231,7 @@ def _verify_gamma(args) -> int:
     seq = [report.gamma_values[l] for l in sorted(report.gamma_values)]
     print(f"gamma check: {report.status}; sequence {seq}")
     if report.status == "incomplete":
+        print(f"verification incomplete: {report.note}", file=sys.stderr)
         return 3
     return 0 if report.ok else 1
 
@@ -355,9 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen_rand.add_argument("--n", type=int, required=True)
     gen_rand.add_argument("--k", type=int)
     gen_rand.add_argument("--out", required=True)
-    gen_rand.add_argument("--dim", type=int, default=2)
-    gen_rand.add_argument("--edge-prob", type=float, default=0.3)
-    gen_rand.add_argument("--max-weight", type=int, default=9)
+    gen_rand.add_argument("--dim", type=int, help="euclidean only")
+    gen_rand.add_argument("--edge-prob", type=float, help="random-graph only")
+    gen_rand.add_argument("--max-weight", type=int, help="random-graph only")
 
     # run, verify lower and verify gamma take --jobs unread: perfbench passes it.
     run = _command(sub, "run", cmd_run, "--instance", "--lowerbound", "--seed",

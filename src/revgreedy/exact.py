@@ -16,9 +16,9 @@ covering a bit).  gamma builds its graph with the oracle's `_cover_tables` and
 searches it with `_branch`, which alone counts nodes against
 _SEARCH_BUDGET: past it, OracleCapError or GammaCapError; a decision
 settled by a bound spends no nodes.
-`exact_opt_enumeration` tries every k-subset; it is kept as the independent
-reference the test suite checks the oracle against, since the oracle is the
-trust anchor for every ratio claim downstream.
+The oracle is the trust anchor for every ratio claim downstream, so the
+test suite checks it against an independent reference that tries every
+k-subset.
 """
 
 from __future__ import annotations
@@ -26,12 +26,10 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
 from operator import and_
 
 import numpy as np
 
-from .kcenter import cost
 from .metric import MetricSpace
 
 
@@ -208,19 +206,6 @@ def _first_cover(masks: list[int], coverers: list[int], full: int, k: int) -> li
         chosen.append(c)
         covered |= masks[c]
     return chosen
-
-
-def exact_opt_enumeration(m: MetricSpace, k: int) -> OptimalSolution:
-    """Optimal by trying every k-subset; keeps the lexicographically first."""
-    n = m.n
-    best_value = None
-    best_set = None
-    for combo in combinations(range(n), k):
-        value = cost(m, combo)
-        if best_value is None or value < best_value:
-            best_value = value
-            best_set = combo
-    return optimal_solution(m, best_value, best_set)
 
 
 @contextmanager

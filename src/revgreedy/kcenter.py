@@ -1,4 +1,4 @@
-"""The k-center cost model and the greedy engines.
+"""The k-center cost model and the reverse greedy engine.
 
 Facility sets are plain frozensets of point indices.  The reverse greedy
 engine re-derives, at every step, the exact marginal cost of deleting each
@@ -104,14 +104,6 @@ class Trace:
     def cost_sequence(self) -> list:
         """Costs of the shrinking facility sets, starting from the full set."""
         return [0] + [s.cost for s in self.steps]
-
-    def facility_sets(self):
-        """Yield every intermediate facility set, largest first."""
-        current = set(range(self.n))
-        yield frozenset(current)
-        for s in self.steps:
-            current.discard(s.removed)
-            yield frozenset(current)
 
 
 def cost(m: MetricSpace, facilities) -> int | float:
@@ -379,23 +371,6 @@ def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
     return [Trace(k=k, policy=policy.describe(), steps=run,
                   final=frozenset(np.flatnonzero(live[r * n:(r + 1) * n]).tolist()))
             for r, (policy, run) in enumerate(zip(policies, steps))]
-
-
-def greedy_farthest_first(m: MetricSpace, k: int, first: int = 0) -> frozenset[int]:
-    """Pick `first`, then repeatedly the point farthest from the chosen set."""
-    n = m.n
-    if not (1 <= k <= n):
-        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    if not (0 <= first < n):
-        raise ValueError(f"first point {first} out of range")
-    chosen = [first]
-    nearest = m.dist[:, first].copy()
-    for _ in range(k - 1):
-        farthest = nearest.max()
-        nxt = int(np.flatnonzero(nearest >= farthest - m.tol())[0])
-        chosen.append(nxt)
-        np.minimum(nearest, m.dist[:, nxt], out=nearest)
-    return frozenset(chosen)
 
 
 def save_trace(path, trace: Trace) -> None:

@@ -76,12 +76,6 @@ class PhaseSchedule:
     def script(self) -> tuple[int, ...]:
         return tuple(s.point for s in self.steps)
 
-    def phase_sizes(self) -> dict[int, int]:
-        sizes: dict[int, int] = {}
-        for s in self.steps:
-            sizes[s.phase] = sizes.get(s.phase, 0) + 1
-        return sizes
-
 
 def build_lower_bound_instance(k: int, n: int | None = None) -> LowerBoundInstance:
     """Construct the instance for a given k; extra points pad C_0 with leaves.
@@ -329,7 +323,7 @@ def export_dot(inst: LowerBoundInstance, trace: Trace | None = None) -> str:
             for pad in inst.padding:
                 lines.append(f"    v{star.center} -- v{pad};")
         lines.append("  }")
-    for u, v, w in inst.graph.edges:
+    for u, v, w in inst.graph.edges.tolist():
         internal = any(u in s.vertices and v in s.vertices for s in inst.stars)
         pad_edge = u in inst.padding or v in inst.padding
         if internal or pad_edge:

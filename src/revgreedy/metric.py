@@ -31,9 +31,11 @@ def is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _edge_fault(edge, n: int) -> str | None:
-    """The first fault of one (u, v, weight) edge, in the order range or
-    type, self-loop, weight; None for a good edge."""
+def _edge_fault(i: int, edge, n: int) -> str | None:
+    """The first fault of edge i, which should be [u, v, weight], in the
+    order arity, range or type, self-loop, weight; None for a good edge."""
+    if len(edge) != 3:
+        return f"edge {i} {list(edge)} must be [u, v, weight]"
     u, v, w = edge
     if not (is_int(u) and is_int(v) and 0 <= u < n and 0 <= v < n):
         return f"edge ({u},{v}) out of range or not integers"
@@ -44,24 +46,21 @@ def _edge_fault(edge, n: int) -> str | None:
     return None
 
 
-def _edge_array(edges: tuple, n: int) -> np.ndarray:
+def _edge_array(edges, n: int) -> np.ndarray:
     """The edges as an m x 3 int64 array, weights clamped to 2**62.
 
     Checks all edges at once and raises ValueError with the first fault of
-    the first faulty edge.  An edge that cannot enter the array (wrong
-    arity, an entry that is not an integer) is reported only once the
-    edges before it have passed.
+    the first faulty edge.  When an edge cannot enter the array (wrong
+    arity, an entry that is not an integer), one scan in edge order finds
+    that first fault instead.
     """
-    if set(map(len, edges)) - {3}:
-        i = next(i for i, e in enumerate(edges) if len(e) != 3)
-        _edge_array(edges[:i], n)
-        raise ValueError(f"edge {i} {list(edges[i])} must be [u, v, weight]")
+    edges = list(edges)  # any iterable: read more than once below
     flat = list(chain.from_iterable(edges))
-    if not all(t is not bool and issubclass(t, (int, np.integer))
-               for t in set(map(type, flat))):
-        i = next(i for i, x in enumerate(flat) if not is_int(x)) // 3
-        _edge_array(edges[:i], n)
-        raise ValueError(_edge_fault(edges[i], n))
+    if set(map(len, edges)) - {3} or not all(
+            t is not bool and issubclass(t, (int, np.integer))
+            for t in set(map(type, flat))):
+        raise ValueError(next(filter(None, (_edge_fault(i, e, n)
+                                            for i, e in enumerate(edges)))))
     # A vertex clamped to -1 or 2**62 stays out of range.  A weight clamped
     # to 2**62 puts every path through it past the largest eccentricity
     # metric_from_graph accepts, 2**61 - 1, so the clamp changes no result.
@@ -73,24 +72,24 @@ def _edge_array(edges: tuple, n: int) -> np.ndarray:
     u, v, w = a.T
     bad = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v) | (w < 1))
     if bad.size:
-        raise ValueError(_edge_fault(edges[bad[0]], n))
+        i = int(bad[0])
+        raise ValueError(_edge_fault(i, edges[i], n))
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedGraph:
-    """Undirected graph with positive integer edge weights."""
+    """Undirected graph with positive integer edge weights, given as
+    [u, v, weight] edges and kept as _edge_array's table.
+    Graphs compare by identity: an array has no single truth value."""
 
     vertex_count: int
-    edges: tuple[tuple[int, int, int], ...]
-    # The edges as checked by _edge_array: m x 3 int64, clamped to 2**62.
-    array: np.ndarray = field(init=False, repr=False, compare=False)
+    edges: np.ndarray
 
     def __post_init__(self):
         if self.vertex_count < 1:
             raise ValueError("graph needs at least one vertex")
-        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
-        object.__setattr__(self, "array", _edge_array(self.edges, self.vertex_count))
+        object.__setattr__(self, "edges", _edge_array(self.edges, self.vertex_count))
 
 
 @dataclass(frozen=True)
@@ -162,9 +161,6 @@ class MetricSpace:
     @property
     def n(self) -> int:
         return self.dist.shape[0]
-
-    def d(self, a: int, b: int):
-        return self.dist[a, b]
 
     def tol(self) -> float:
         """Comparison slack: 0 in integer mode, eps in floating mode."""
@@ -262,7 +258,7 @@ def metric_from_graph(g: WeightedGraph) -> MetricSpace:
     ValueError if 2*S is too large for int64.
     """
     n = g.vertex_count
-    ends, weights = g.array[:, :2].reshape(-1), g.array[:, 2]
+    ends, weights = g.edges[:, :2].reshape(-1), g.edges[:, 2]
     reach = _distances_from_0(n, ends, weights)
     if None in reach:
         raise DisconnectedGraphError(
@@ -475,13 +471,6 @@ def _random_edges(n: int, seed: int, edge_prob: float, max_weight: int) -> tuple
     return tuple(edges)
 
 
-def uniform_metric(n: int) -> MetricSpace:
-    """All pairwise distances equal to 1."""
-    d = np.ones((n, n), dtype=np.int64)
-    np.fill_diagonal(d, 0)
-    return MetricSpace(dist=d, mode="int")
-
-
 def save_instance(path, m: MetricSpace, k: int | None = None,
                   graph: WeightedGraph | None = None) -> None:
     """Write the instance JSON file.
@@ -492,7 +481,7 @@ def save_instance(path, m: MetricSpace, k: int | None = None,
     """
     doc: dict = {"version": 1, "mode": m.mode, "n": m.n, "k": k}
     if graph is not None:
-        doc["graph"] = {"edges": [[int(u), int(v), int(w)] for u, v, w in graph.edges]}
+        doc["graph"] = {"edges": graph.edges.tolist()}
     else:
         doc["matrix"] = m.dist.tolist()
     if m.labels is not None:

@@ -5,7 +5,56 @@ from itertools import combinations
 import numpy as np
 
 from revgreedy.consolidation import required_pairs
+from revgreedy.exact import optimal_solution
+from revgreedy.kcenter import cost
 from revgreedy.metric import MetricSpace, random_metric
+
+
+def uniform_metric(n: int) -> MetricSpace:
+    """All pairwise distances equal to 1."""
+    d = np.ones((n, n), dtype=np.int64)
+    np.fill_diagonal(d, 0)
+    return MetricSpace(dist=d, mode="int")
+
+
+def exact_opt_enumeration(m, k):
+    """Optimal by trying every k-subset; keeps the lexicographically first."""
+    best_value = best_set = None
+    for combo in combinations(range(m.n), k):
+        value = cost(m, combo)
+        if best_value is None or value < best_value:
+            best_value, best_set = value, combo
+    return optimal_solution(m, best_value, best_set)
+
+
+def greedy_farthest_first(m, k, first=0):
+    """Gonzalez's farthest-first traversal: pick `first`, then repeatedly
+    the point farthest from the chosen set (lowest index on ties)."""
+    chosen = [first]
+    nearest = m.dist[:, first].copy()
+    for _ in range(k - 1):
+        farthest = nearest.max()
+        nxt = int(np.flatnonzero(nearest >= farthest - m.tol())[0])
+        chosen.append(nxt)
+        np.minimum(nearest, m.dist[:, nxt], out=nearest)
+    return frozenset(chosen)
+
+
+def facility_sets(trace):
+    """Yield every intermediate facility set of a trace, largest first."""
+    current = set(range(trace.n))
+    yield frozenset(current)
+    for s in trace.steps:
+        current.discard(s.removed)
+        yield frozenset(current)
+
+
+def phase_sizes(sched) -> dict[int, int]:
+    """The number of scheduled removals in each phase."""
+    sizes: dict[int, int] = {}
+    for s in sched.steps:
+        sizes[s.phase] = sizes.get(s.phase, 0) + 1
+    return sizes
 
 
 def gamma_unrestricted(m, opt, facilities):

@@ -9,13 +9,13 @@ import json
 import time
 from pathlib import Path
 
-from conftest import battery_instance, gamma_unrestricted
+from conftest import (battery_instance, exact_opt_enumeration, gamma_unrestricted,
+                      greedy_farthest_first, phase_sizes)
 
 from revgreedy.consolidation import (gamma, is_consolidation,
                                      verify_gamma_decrement)
-from revgreedy.exact import exact_opt, exact_opt_enumeration
-from revgreedy.kcenter import (TiePolicy, cost, greedy_farthest_first,
-                               reverse_greedy, save_trace)
+from revgreedy.exact import exact_opt
+from revgreedy.kcenter import TiePolicy, cost, reverse_greedy, save_trace
 from revgreedy.lowerbound import (build_lower_bound_instance, known_opt,
                                   scripted_schedule, size_formula,
                                   verify_schedule)
@@ -58,7 +58,7 @@ def test_criterion_2_figure_fidelity(tmp_path):
     inst = build_lower_bound_instance(5)
     assert inst.n == 39
     sched = scripted_schedule(inst)
-    assert [sched.phase_sizes()[r] for r in range(1, 9)] == \
+    assert [phase_sizes(sched)[r] for r in range(1, 9)] == \
         [12, 16, 1, 1, 1, 1, 1, 1]
     trace = reverse_greedy(inst.metric, 5, TiePolicy.scripted(sched.script()))
     c0 = inst.stars[0]

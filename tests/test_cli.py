@@ -4,9 +4,10 @@ import re
 import tracemalloc
 
 import pytest
+from conftest import uniform_metric
 
-from revgreedy import cli, lowerbound
-from revgreedy.metric import save_instance, uniform_metric
+from revgreedy import cli, exact, lowerbound
+from revgreedy.metric import random_metric, save_instance
 
 
 def run_cli(argv):
@@ -37,6 +38,37 @@ def test_gen_random_deterministic(tmp_path):
     assert run_cli(argv + ["--out", str(a)]) == 0
     assert run_cli(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("kind, flags, unread", [
+    ("euclidean", ["--edge-prob", "5", "--max-weight", "0"], "--edge-prob, --max-weight"),
+    ("euclidean", ["--dim", "3", "--max-weight", "9"], "--max-weight"),
+    ("random-graph", ["--dim", "0"], "--dim"),
+    ("random-graph", ["--edge-prob", "0.5", "--dim", "2"], "--dim"),
+])
+def test_gen_random_rejects_flags_its_kind_does_not_read(tmp_path, capsys, kind,
+                                                         flags, unread):
+    out = tmp_path / "r.json"
+    assert run_cli(["gen", "random", "--kind", kind, "--n", "3", "--out", str(out)]
+                   + flags) == 2
+    assert capsys.readouterr().err == f"error: --kind {kind} does not read {unread}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, flags, given", [
+    ("euclidean", [], {}),
+    ("euclidean", ["--dim", "3"], {"dim": 3}),
+    ("random-graph", [], {}),
+    ("random-graph", ["--edge-prob", "0.6", "--max-weight", "2"],
+     {"edge_prob": 0.6, "max_weight": 2}),
+])
+def test_gen_random_passes_the_flags_given(tmp_path, kind, flags, given):
+    out = tmp_path / "r.json"
+    assert run_cli(["gen", "random", "--kind", kind, "--n", "7", "--seed", "3",
+                    "--out", str(out)] + flags) == 0
+    expected = tmp_path / "expected.json"
+    save_instance(expected, random_metric(kind, 7, 3, **given))
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_gen_without_out_is_usage_error(tmp_path):
@@ -324,7 +356,26 @@ def test_verify_gamma_without_a_consolidation_of_k_sets_exits_3(tmp_path, capsys
     assert run_cli(["verify", "gamma", "--instance", str(inst)]) == 3
     out, err = capsys.readouterr()
     assert out == "gamma check: incomplete; sequence []\n"
-    assert "Traceback" not in err
+    assert err == ("verification incomplete: gamma not settled: no consolidation of "
+                   "at most 3 sets within 2*OPT (the float slack can widen an "
+                   "optimal ball)\n")
+
+
+@pytest.mark.parametrize("argv, budget, note", [
+    (["--gamma-cap", "1"], exact._SEARCH_BUDGET, "more than 1 maximal cliques"),
+    ([], 1, "more than 1 backtrack nodes at size 2"),
+], ids=["clique-cap", "node-budget"])
+def test_verify_gamma_says_why_it_is_incomplete(tmp_path, capsys, monkeypatch,
+                                                argv, budget, note):
+    monkeypatch.setattr(exact, "_SEARCH_BUDGET", budget)
+    report = tmp_path / "gamma.json"
+    assert run_cli(["verify", "gamma", "--k", "4", "--out", str(report)] + argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "gamma check: incomplete; sequence []\n"
+    assert err == f"verification incomplete: gamma brute force infeasible: {note}\n"
+    doc = json.loads(report.read_text())
+    assert (doc["status"], doc["note"]) == ("incomplete",
+                                            f"gamma brute force infeasible: {note}")
 
 
 def test_verify_separation_is_advisory(tmp_path, capsys):

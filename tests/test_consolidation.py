@@ -3,7 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from conftest import gamma_unrestricted, separated_pairs_metric
+from conftest import facility_sets, gamma_unrestricted, separated_pairs_metric
 
 from revgreedy import consolidation, exact
 from revgreedy.consolidation import (GammaCapError, critical_indices, gamma,
@@ -311,7 +311,7 @@ def test_decrement_calls_gamma_once_per_critical_level(clique_cap, monkeypatch):
 
     monkeypatch.setattr(consolidation, "gamma", recording_gamma)
     report = verify_gamma_decrement(inst.metric, trace, opt, clique_cap=clique_cap)
-    every = list(trace.facility_sets())
+    every = list(facility_sets(trace))
     expected = [every[i] for _, i in sorted(report.critical.items())]
     if report.complete:
         assert len(report.gamma_values) == 5

@@ -19,6 +19,7 @@ import re
 from unittest.mock import patch
 
 import pytest
+from conftest import facility_sets
 from hypothesis import example, given, settings, strategies as st
 
 from revgreedy import cli, consolidation, exact, kcenter
@@ -269,7 +270,7 @@ def test_gamma_columns_match_the_pair_bit_search(case, monkeypatch):
     monkeypatch.setattr(consolidation, "_branch", counting_branch)
     sets = [trace.final]
     if opt.opt_value > 0:
-        every = list(trace.facility_sets())
+        every = list(facility_sets(trace))
         sets += [every[i] for i in critical_indices(trace, opt.opt_value).values()]
     for facilities in sets:
         counts.clear()

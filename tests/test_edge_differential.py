@@ -94,10 +94,9 @@ def assert_matches_reference(n, edges):
             WeightedGraph(n, edges)
         return
     g = WeightedGraph(n, edges)
-    assert g.edges == tuple(tuple(e) for e in edges)
     expected = [[int(u), int(v), min(int(w), 2**62)] for u, v, w in edges]
-    assert g.array.dtype == np.int64
-    assert g.array.tolist() == expected
+    assert g.edges.dtype == np.int64
+    assert g.edges.tolist() == expected
 
 
 @settings(max_examples=300, **COMMON)
@@ -133,8 +132,15 @@ def test_good_edge_lists_are_accepted(case):
 def test_huge_weights_clamp_and_keep_distances():
     g = WeightedGraph(3, ((0, 1, 1), (1, 2, 2), (0, 2, 2**70),
                           (0, 2, np.uint64(2**64 - 1))))
-    assert g.array[2:, 2].tolist() == [2**62, 2**62]
+    assert g.edges[2:, 2].tolist() == [2**62, 2**62]
     assert metric_from_graph(g).dist.tolist() == [[0, 1, 3], [1, 0, 2], [3, 2, 0]]
+
+
+def test_edges_from_an_iterator_are_checked_like_a_list():
+    with pytest.raises(ValueError, match=re.escape("edge 0 [0, 1] must be")):
+        WeightedGraph(3, iter([(0, 1), (1, 2, 1, 1)]))
+    g = WeightedGraph(3, (e for e in [(0, 1, 1), (1, 2, 3)]))
+    assert g.edges.tolist() == [[0, 1, 1], [1, 2, 3]]
 
 
 def test_wrong_arity_after_a_faulty_edge_reports_the_fault():

@@ -9,13 +9,14 @@ from random import Random
 
 import numpy as np
 import pytest
+from conftest import uniform_metric
 from hypothesis import example, given, settings, strategies as st
 
 from revgreedy.kcenter import (ScriptedStepError, TiePolicy, TraceStep, _stable_argsort,
                                cost, marginal_costs, reverse_greedy, reverse_greedy_runs)
 from revgreedy.lowerbound import (build_lower_bound_instance, scripted_schedule,
                                   size_formula)
-from revgreedy.metric import MetricSpace, random_metric, uniform_metric
+from revgreedy.metric import MetricSpace, random_metric
 
 COMMON = dict(deadline=None, derandomize=True)
 

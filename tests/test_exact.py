@@ -4,14 +4,15 @@ from random import Random
 
 import numpy as np
 import pytest
+from conftest import exact_opt_enumeration, uniform_metric
 from hypothesis import given, settings, strategies as st
 
 from revgreedy.consolidation import gamma
 from revgreedy.exact import (OracleCapError, _can_cover, _first_cover, _search,
-                             exact_opt, exact_opt_enumeration, optimal_solution)
+                             exact_opt, optimal_solution)
 from revgreedy.kcenter import cost
 from revgreedy.lowerbound import build_lower_bound_instance, known_opt
-from revgreedy.metric import MetricSpace, random_metric, uniform_metric
+from revgreedy.metric import MetricSpace, random_metric
 
 
 def test_k_equals_n():
@@ -64,7 +65,7 @@ def test_opt_balls_lower_bound_k3():
     sol = known_opt(inst)
     # Direct distance-scan oracle for each ball.
     for o, got in zip(sorted(sol.facilities), sol.balls):
-        expected = {c for c in range(inst.n) if inst.metric.d(o, c) <= 1}
+        expected = {c for c in range(inst.n) if inst.metric.dist[o, c] <= 1}
         assert got == expected
     for star, b in zip(inst.stars, sol.balls):
         assert star.vertices <= b
@@ -93,7 +94,7 @@ def test_ball_lower_bound_k2():
     inst = build_lower_bound_instance(2)
     c0 = inst.stars[0].center
     (got,) = optimal_solution(inst.metric, 1, {c0}).balls
-    expected = {c for c in range(inst.n) if inst.metric.d(c0, c) <= 1}
+    expected = {c for c in range(inst.n) if inst.metric.dist[c0, c] <= 1}
     assert got == expected
     assert got == inst.stars[0].vertices | {inst.stars[1].center}
 

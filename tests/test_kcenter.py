@@ -4,16 +4,16 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import facility_sets, greedy_farthest_first, uniform_metric
 
 from revgreedy.exact import exact_opt
 from revgreedy.kcenter import (ScriptedStepError, TiePolicy, TraceStep, cost,
-                               greedy_farthest_first, load_trace,
-                               marginal_costs, reverse_greedy, save_trace,
-                               serves)
+                               load_trace, marginal_costs, reverse_greedy,
+                               save_trace, serves)
 from revgreedy.lowerbound import (build_lower_bound_instance,
                                   scripted_schedule)
 from revgreedy.metric import (MetricSpace, WeightedGraph, metric_from_graph,
-                              random_metric, uniform_metric)
+                              random_metric)
 
 
 def two_point_metric(d=5):
@@ -156,7 +156,7 @@ def test_trace_costs_nondecreasing_and_consistent():
         seq = trace.cost_sequence()
         assert all(a <= b for a, b in zip(seq, seq[1:]))
         # Recorded cost after each removal equals cost() of the shrunk set.
-        sets = list(trace.facility_sets())
+        sets = list(facility_sets(trace))
         for i, step in enumerate(trace.steps, start=1):
             assert step.removed in sets[i - 1]
             assert step.cost == cost(m, sets[i])

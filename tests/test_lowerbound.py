@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import phase_sizes
 
 from revgreedy import lowerbound
 from revgreedy.exact import exact_opt
@@ -94,7 +95,7 @@ def test_schedule_k5_shape():
     inst = build_lower_bound_instance(5)
     sched = scripted_schedule(inst)
     assert len(sched.steps) == 34
-    assert sched.phase_sizes() == {1: 12, 2: 16, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1, 8: 1}
+    assert phase_sizes(sched) == {1: 12, 2: 16, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1, 8: 1}
 
 
 def test_schedule_k2_order():

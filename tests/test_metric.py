@@ -4,20 +4,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import uniform_metric
 
 from revgreedy import metric
 from revgreedy.lowerbound import build_lower_bound_instance
 from revgreedy.metric import (DisconnectedGraphError, MetricSpace,
                               WeightedGraph, load_instance, metric_from_graph,
-                              random_metric, save_instance, uniform_metric,
-                              validate_metric)
+                              random_metric, save_instance, validate_metric)
 
 
 def test_path_graph_distances():
     g = WeightedGraph(3, ((0, 1, 1), (1, 2, 2)))
     m = metric_from_graph(g)
-    assert m.d(0, 2) == 3
-    assert m.d(0, 1) == 1
+    assert m.dist[0, 2] == 3
+    assert m.dist[0, 1] == 1
     assert m.mode == "int"
 
 
@@ -26,13 +26,13 @@ def test_star_graph_leaf_pairs_at_two():
     m = metric_from_graph(g)
     for a in (1, 2, 3):
         for b in (1, 2, 3):
-            assert m.d(a, b) == (0 if a == b else 2)
+            assert m.dist[a, b] == (0 if a == b else 2)
 
 
 def test_lower_bound_k2_center_distance():
     inst = build_lower_bound_instance(2)
     c0, c1 = inst.stars[0].center, inst.stars[1].center
-    assert inst.metric.d(c0, c1) == 1
+    assert inst.metric.dist[c0, c1] == 1
 
 
 def test_disconnected_graph_names_pair():
@@ -113,7 +113,7 @@ def test_random_graph_metric_is_valid():
 def test_random_metric_single_point():
     m = random_metric("euclidean", 1, 3)
     assert m.n == 1
-    assert m.d(0, 0) == 0
+    assert m.dist[0, 0] == 0
 
 
 @pytest.mark.parametrize("kind, flags", [
@@ -263,8 +263,8 @@ def test_graph_rejects_weights_whose_paths_reach_the_sentinel():
     top = 2**61 - 1
     edges = ((0, 1, 1), (1, 2, 1), (2, 3, top - 2))
     ok = metric_from_graph(WeightedGraph(4, edges))
-    assert [ok.d(a, 3) for a in range(4)] == [top, top - 1, top - 2, 0]
-    assert ok.d(0, 2) == 2
+    assert [ok.dist[a, 3] for a in range(4)] == [top, top - 1, top - 2, 0]
+    assert ok.dist[0, 2] == 2
     with pytest.raises(ValueError, match="too large") as err:
         metric_from_graph(WeightedGraph(4, edges[:2] + ((2, 3, top - 1),)))
     assert not isinstance(err.value, DisconnectedGraphError)
@@ -298,7 +298,7 @@ def test_instance_loads_int_metrics_of_every_scale(tmp_path, big):
     path = tmp_path / "ok.json"
     path.write_text(json.dumps({"version": 1, "mode": "int", "n": 4, "matrix": matrix}))
     m, _ = load_instance(path)
-    assert m.d(0, 3) == big
+    assert m.dist[0, 3] == big
 
 
 def test_instance_checks_pairwise_axioms_once(tmp_path, monkeypatch):

@@ -14,11 +14,12 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
+from conftest import exact_opt_enumeration
 from hypothesis import example, given, settings, strategies as st
 
 from revgreedy import exact
 from revgreedy.exact import (_BudgetExhausted, _can_cover, _cover_tables, _decide,
-                             exact_opt, exact_opt_enumeration, opt_value, optimal_solution)
+                             exact_opt, opt_value, optimal_solution)
 from revgreedy.metric import MetricSpace, random_metric
 from test_cover_differential import can_cover_unreduced
 

@@ -1,12 +1,12 @@
 """Property-based suites for the module invariants."""
 
 import numpy as np
+from conftest import facility_sets, greedy_farthest_first
 from hypothesis import given, settings, strategies as st
 
 from revgreedy.consolidation import critical_indices, gamma, is_consolidation
 from revgreedy.exact import exact_opt
-from revgreedy.kcenter import (TiePolicy, cost, greedy_farthest_first,
-                               marginal_costs, reverse_greedy)
+from revgreedy.kcenter import TiePolicy, cost, marginal_costs, reverse_greedy
 from revgreedy.lowerbound import build_lower_bound_instance
 from revgreedy.metric import (WeightedGraph, metric_from_graph, random_metric,
                               validate_metric)
@@ -78,7 +78,7 @@ def test_trace_structure(kind, n, seed, k_off, policy_seed):
     assert len(trace.final) == k
     seq = trace.cost_sequence()
     assert all(a <= b for a, b in zip(seq, seq[1:]))
-    sets = list(trace.facility_sets())
+    sets = list(facility_sets(trace))
     for i, step in enumerate(trace.steps, start=1):
         assert step.removed in sets[i - 1]
         assert sets[i] == sets[i - 1] - {step.removed}

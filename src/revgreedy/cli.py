@@ -49,10 +49,15 @@ def _write_report(out: str | None, doc: dict) -> None:
 
 def _load_source(instance, family_k, k=None, n=None):
     """Resolve the single instance source, an instance file or the family
-    member for family_k: (metric, k, lower-bound instance or None)."""
+    member for family_k: (metric, k, lower-bound instance or None); the
+    family reads n, not k, and a file k, not n."""
     if (instance is None) == (family_k is None):
         raise ValueError("exactly one instance source is required: "
                          "--instance or the family's k")
+    if instance is not None and n is not None:
+        raise ValueError("--instance does not read --n")
+    if family_k is not None and k is not None:
+        raise ValueError("--lowerbound does not read --k")
     if family_k is not None:
         inst = lowerbound.build_lower_bound_instance(family_k, n)
         return inst.metric, inst.k, inst
@@ -215,8 +220,9 @@ def _verify_upper(args) -> int:
 
 
 def _verify_gamma(args) -> int:
-    family_k = args.k if args.instance is None else None
-    m, k, lb = _load_source(args.instance, family_k, args.k)
+    # --k names the family member, or k for --instance.
+    family_k, k = (args.k, None) if args.instance is None else (None, args.k)
+    m, k, lb = _load_source(args.instance, family_k, k)
     opt = (lowerbound.known_opt(lb) if lb is not None
            else exact.exact_opt(m, k, cap=args.exact_cap))
     if lb is not None:

@@ -22,11 +22,7 @@ from .metric import FLOAT_EPS, MetricSpace
 
 class GammaCapError(RuntimeError):
     """The consolidation number was not settled: its search ran past a cap,
-    or no family of at most k sets exists (`lower_bound` is then k + 1)."""
-
-    def __init__(self, message: str, lower_bound: int | None = None):
-        super().__init__(message)
-        self.lower_bound = lower_bound
+    or no family of at most k sets exists; the message says which."""
 
 
 @dataclass
@@ -119,7 +115,7 @@ def gamma(m: MetricSpace, opt: OptimalSolution, facilities, *,
     it, and the least number of cliques hitting every column is found size
     by size.  The optimal balls give such a family of k sets unless
     distances tie within the float slack; with no family of at most k
-    sets, GammaCapError says so, with lower bound k + 1.
+    sets, GammaCapError says so.
     """
     facilities = frozenset(facilities)
     if not facilities:
@@ -149,9 +145,9 @@ def gamma(m: MetricSpace, opt: OptimalSolution, facilities, *,
         except _BudgetExhausted as err:
             raise GammaCapError(
                 f"gamma brute force infeasible: more than {err.args[0]} "
-                f"backtrack nodes at size {size}", lower_bound=size) from None
+                f"backtrack nodes at size {size}") from None
     raise GammaCapError(f"gamma not settled: no consolidation of at most {k} sets within "
-                        f"2*OPT (the float slack can widen an optimal ball)", lower_bound=k + 1)
+                        f"2*OPT (the float slack can widen an optimal ball)")
 
 
 def critical_indices(trace: Trace, opt_value) -> dict[int, int]:

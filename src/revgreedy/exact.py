@@ -61,14 +61,8 @@ def _cover_tables(m: MetricSpace, radius, points=None) -> tuple[list[int], list[
     (within the mode's slack).  Given ascending `points`, only those: entry
     and bit i are points[i].  One comparison, packed along each axis; a
     float table symmetric only within its slack can tell the two apart."""
-    d, pick = m.dist, points is not None
-    # Picking the distances first copies |points|^2 of them; that is done
-    # only when the copy is no larger than the n x n bools it saves.
-    if pick and len(points) ** 2 * d.itemsize <= d.size:
-        d, pick = d[np.ix_(points, points)], False
+    d = m.dist if points is None else m.dist[np.ix_(points, points)]
     near = d <= radius + m.tol()
-    if pick:
-        near = near[np.ix_(points, points)]
     masks = _packed(near)
     return masks, masks if (near == near.T).all() else _packed(near.T)
 

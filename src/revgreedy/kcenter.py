@@ -3,8 +3,8 @@
 Facility sets are plain frozensets of point indices.  The reverse greedy
 engine re-derives, at every step, the exact marginal cost of deleting each
 remaining facility, so every recorded step is argmin-verified.  It sorts
-each client's distance row once (O(n^2 log n); an integer table sorts in its
-narrowest type, by radix sort), and the one n x n table it keeps is the
+each client's distance row once (O(n^2 log n); a table of 1- or 2-byte
+integers by radix sort), and the one n x n table it keeps is the
 sorted indices.  Per client it keeps the nearest and second-nearest live
 facility.  A removal re-points only the clients that named the removed
 facility; second-nearest pointers only move forward, so all advances
@@ -25,8 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .metric import (MetricSpace, _narrowest, check_object, is_int, read_document,
-                     write_document)
+from .metric import MetricSpace, check_object, is_int, read_document, write_document
 
 
 class ScriptedStepError(ValueError):
@@ -129,8 +128,9 @@ def serves(m: MetricSpace, facilities, client: int) -> int:
 
 
 def _above_all(m: MetricSpace):
-    """A value above every distance, masking facilities out of a minimum."""
-    return np.iinfo(np.int64).max if m.mode == "int" else np.inf
+    """A value above every distance, masking facilities out of a minimum;
+    an array that holds it takes its type, wider than a narrow table's."""
+    return np.int64(np.iinfo(np.int64).max) if m.mode == "int" else np.float64(np.inf)
 
 
 def marginal_costs(m: MetricSpace, facilities) -> dict[int, int | float]:
@@ -149,8 +149,9 @@ def marginal_costs(m: MetricSpace, facilities) -> dict[int, int | float]:
     rows = np.arange(m.n)
     nearest = d.argmin(axis=1)
     val1 = d[rows, nearest]
-    masked = d.copy()
-    masked[rows, nearest] = _above_all(m)
+    above = _above_all(m)
+    masked = d.astype(above.dtype)
+    masked[rows, nearest] = above
     margins = np.full(len(fac), val1.max())
     np.maximum.at(margins, nearest, masked.min(axis=1))
     scalar = int if m.mode == "int" else float
@@ -178,7 +179,7 @@ def _stable_argsort(rows: np.ndarray) -> np.ndarray:
     floats.  A float row with no two equal values (NaN never occurs) has one
     ascending order, which numpy's default, faster sort finds as well; only
     the rows where that sort puts equal values side by side are re-sorted
-    stably.  An integer block sorts stably, by radix sort in a narrow type."""
+    stably.  An integer block sorts stably (radix sort if 1 or 2 bytes)."""
     if rows.dtype.kind != "f":
         return np.argsort(rows, axis=1, kind="stable")
     order = np.argsort(rows, axis=1)
@@ -242,18 +243,15 @@ def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
         # at flat positions (t*n + c)*n ... + n - 1; second holds the flat
         # position of each entry's second-nearest.  Stable, so equidistant
         # facilities stay in index order on any platform.  An integer table
-        # sorts in its narrowest type, where the stable sort is a radix sort
-        # with the same result, and a float table as _stable_argsort says;
-        # rows go in blocks, so the narrow copy and the sort's output beside
-        # ranked stay small.
-        narrow = (_narrowest(int(table.max()), int(table.min())) if mode == "int"
-                  else table.dtype)
+        # is held in its narrowest type, where the stable sort of a 1- or
+        # 2-byte type is a radix sort, and a float table sorts as
+        # _stable_argsort says; rows go in blocks, so the sort's output and
+        # the float sort's temporaries beside ranked stay small.
         sortable = table.reshape(-1, n)
         ranked = np.empty(sortable.shape, np.intp)
         block = max(1, _SORT_BLOCK // n)
         for lo in range(0, len(sortable), block):
-            ranked[lo:lo + block] = _stable_argsort(
-                sortable[lo:lo + block].astype(narrow, copy=False))
+            ranked[lo:lo + block] = _stable_argsort(sortable[lo:lo + block])
         ranked = ranked.reshape(-1)
         # Entry r*n + c reads row t*n + c of ranked, for run r's table t.
         rows = np.arange(size) % n
@@ -275,8 +273,8 @@ def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
         # gains clients and a client's d2 only grows, so it is a running max
         # kept over the clients that moved.  Removing g costs max(worst[g],
         # largest d1 of g's run); a facility without clients starts at the
-        # smallest d1, below that.
-        worst = np.full(size, d1.min())
+        # smallest d1, below that; a removed one holds above_all.
+        worst = np.full(size, d1.min(), above_all.dtype)
         np.maximum.at(worst, f1, d2)
         f1v, f2v, d1v, worstv = (a.reshape(runs, n) for a in (f1, f2, d1, worst))
 

@@ -1,8 +1,10 @@
 """Finite metric spaces: construction, validation, generation, and file I/O.
 
-Two arithmetic modes are supported.  Integer mode keeps every distance an
-exact int64 so that tie detection downstream is exact; floating mode carries
-a comparison tolerance used for all tie/argmin decisions.  One O(n^3)
+Two arithmetic modes are supported.  Integer mode keeps every distance
+exact, in the narrowest of uint8, int16, int32 and int64 that holds the
+table, so that tie detection downstream is exact; a caller widens before
+any arithmetic that could leave that type.  Floating mode carries a
+comparison tolerance used for all tie/argmin decisions.  One O(n^3)
 triangle loop serves both; `load_instance` runs it on integer matrices only.
 """
 
@@ -98,7 +100,8 @@ class MetricSpace:
 
     Points are the indices 0..n-1; every point is both a client and a
     candidate facility.  `mode` is "int" (exact arithmetic) or "float"
-    (comparisons within `eps`).
+    (comparisons within `eps`).  `dist` is read-only, float64 or, in
+    integer mode, `_narrowest(max, min)`; callers widen before arithmetic.
     """
 
     eps: ClassVar[float] = FLOAT_EPS
@@ -141,18 +144,19 @@ class MetricSpace:
                 raise ValueError("distances must be finite (no NaN or inf)") from None
         if np.issubdtype(d.dtype, np.floating) and not np.isfinite(d).all():
             raise ValueError("distances must be finite (no NaN or inf)")
-        if self.mode == "int" and not np.issubdtype(d.dtype, np.integer):
-            if ((d < -2.0**63) | (d >= 2.0**63)).any():
+        kind = np.float64
+        if self.mode == "int":
+            kind = _narrowest(int(d.max(initial=0)), int(d.min(initial=0)))
+            if kind is None:
                 raise ValueError("integer mode needs distances within the "
                                  "int64 range")
-            if not np.array_equal(d, np.round(d)):
+            if d.dtype.kind == "f" and not np.array_equal(d, np.round(d)):
                 raise ValueError("integer mode needs integer distances")
         # A read-only table that owns its memory cannot change under the
         # metric, so it is shared; a writable or borrowed one is copied.
-        wide = np.int64 if self.mode == "int" else np.float64
-        if not (d.dtype == wide
+        if not (d.dtype == kind
                 and (fresh or d.flags.owndata and not d.flags.writeable)):
-            d = d.astype(wide)
+            d = d.astype(kind)
         d.setflags(write=False)
         object.__setattr__(self, "dist", d)
         if self.labels is not None and len(self.labels) != d.shape[0]:
@@ -238,7 +242,8 @@ def metric_from_graph(g: WeightedGraph) -> MetricSpace:
     distance is at most 2*ecc (go through vertex 0), so S = 2*ecc + 1 serves
     as "no path yet", and Floyd-Warshall runs in the first of uint8, int16,
     int32 and int64 that holds 2*S, the largest sum it forms.  Every entry
-    and sum is non-negative, so the unsigned byte never wraps.
+    and sum is non-negative, so the unsigned byte never wraps.  The metric
+    keeps that table, or its copy in a narrower type that holds the result.
 
     The pivots go in ascending order of degree (ties by index), which keeps
     the vertices an early pivot reaches few on a sparse graph; the result
@@ -270,16 +275,8 @@ def metric_from_graph(g: WeightedGraph) -> MetricSpace:
         raise ValueError(f"path lengths too large for int64: vertex "
                          f"{reach.index(ecc)} lies at least {ecc} from vertex 0")
 
-    # The narrow table and its temporary are the first 2*n*n narrow words of
-    # the int64 result, so the result is the only n x n allocation (an int64
-    # table leaves no room for its temporary, which then gets its own).
-    out = np.empty((n, n), np.int64)
-    words = out.reshape(-1).view(narrow)
-    flat = words[: n * n]
-    d = flat.reshape(n, n)
-    tmp = (words[n * n : 2 * n * n] if words.size >= 2 * n * n
-           else np.empty(n * n, narrow)).reshape(n, n)
-    d.fill(sentinel)
+    d = np.full((n, n), sentinel, narrow)
+    flat, tmp = d.reshape(-1), np.empty_like(d)
     np.fill_diagonal(d, 0)
     weights = np.minimum(weights, sentinel).astype(narrow)
     np.minimum.at(d, (ends[0::2], ends[1::2]), weights)
@@ -298,14 +295,9 @@ def metric_from_graph(g: WeightedGraph) -> MetricSpace:
             check = 2 * near.size < n
         np.add(d[:, k : k + 1], d[k : k + 1, :], out=tmp)
         np.minimum(d, tmp, out=d)
-    # Widen in place, last row first: row i of the result overlaps only
-    # narrow rows >= i, already consumed.  Row 0 overlaps itself, and numpy
-    # does not buffer that cast, so it goes through a copy.
-    for i in range(n - 1, 0, -1):
-        out[i] = d[i]
-    out[0] = d[0].copy()
-    out.setflags(write=False)
-    return MetricSpace(dist=out, mode="int")
+    del tmp  # freed before MetricSpace copies d into a narrower type
+    d.setflags(write=False)
+    return MetricSpace(dist=d, mode="int")
 
 
 def _pairwise_axioms(m: MetricSpace) -> MetricValidationReport:
@@ -314,7 +306,9 @@ def _pairwise_axioms(m: MetricSpace) -> MetricValidationReport:
     tol = m.tol()
     report = MetricValidationReport()
 
-    diag = np.flatnonzero(np.abs(np.diagonal(d)) > tol)
+    exact = m.mode == "int"  # a difference or abs could wrap an integer type
+    diagonal = np.diagonal(d)
+    diag = np.flatnonzero(diagonal != 0 if exact else np.abs(diagonal) > tol)
     if diag.size:
         a = int(diag[0])
         report.violations.append(("identity", (a, a)))
@@ -322,7 +316,7 @@ def _pairwise_axioms(m: MetricSpace) -> MetricValidationReport:
     # Loaded matrices are checked while their parsed JSON is still held,
     # so an exactly symmetric one must cost no n x n array of numbers.
     if not np.array_equal(d, d.T):
-        asym = np.argwhere(np.abs(d - d.T) > tol)
+        asym = np.argwhere(d != d.T if exact else np.abs(d - d.T) > tol)
         if asym.size:
             report.violations.append(("symmetry", tuple(sorted(asym[0].tolist()))))
 

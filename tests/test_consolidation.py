@@ -109,10 +109,9 @@ def test_gamma_empty_facilities_errors():
 def test_gamma_cap_errors(monkeypatch):
     inst, opt = lb_context(4)
     monkeypatch.setattr(exact, "_SEARCH_BUDGET", 1)
-    with pytest.raises(GammaCapError, match="infeasible") as err:
-        gamma(inst.metric, opt, frozenset(range(inst.n)))
     # Size 1 needs only the root node; size 2 is the first to branch.
-    assert err.value.lower_bound == 2
+    with pytest.raises(GammaCapError, match="infeasible.* at size 2$"):
+        gamma(inst.metric, opt, frozenset(range(inst.n)))
     monkeypatch.undo()
     with pytest.raises(GammaCapError, match="infeasible"):
         gamma(inst.metric, opt, frozenset(range(inst.n)), clique_cap=2)
@@ -139,7 +138,6 @@ def test_gamma_without_a_consolidation_of_k_sets_is_incomplete(name):
     with pytest.raises(GammaCapError, match=re.escape(
             "no consolidation of at most 3 sets within 2*OPT")) as err:
         gamma(m, opt, range(4))
-    assert err.value.lower_bound == 4
     report = verify_gamma_decrement(m, reverse_greedy(m, 3), opt)
     assert (report.status, report.gamma_values) == ("incomplete", {})
     assert report.note == str(err.value)
@@ -197,9 +195,8 @@ def test_gamma_is_the_smallest_family_is_consolidation_accepts_on_jittered_lines
         expected = smallest_consolidation(m, opt, facilities)
         if expected is None:
             none_exists += 1
-            with pytest.raises(GammaCapError) as err:
+            with pytest.raises(GammaCapError, match=f"at most {k} sets "):
                 gamma(m, opt, facilities)
-            assert err.value.lower_bound == k + 1, trial
         else:
             assert gamma(m, opt, facilities) == expected, trial
     assert none_exists

@@ -186,6 +186,42 @@ def test_engine_keeps_zero_distance_duplicates_apart():
     assert trace.final == final
 
 
+@st.composite
+def boundary_metrics(draw):
+    """Line and Manhattan metrics whose largest entry is the top of uint8 or
+    int16, or one past it, so the table is stored at the edge of its type."""
+    top = draw(st.sampled_from([255, 256, 32767, 32768]))
+    n = draw(st.integers(2, 12))
+    # Coordinates from a few values, so distances tie; the first and last
+    # points lie top apart, and no two points lie farther apart.
+    values = st.sampled_from([0, 1, top // 2, top // 3, top - 1, top])
+    if draw(st.booleans()):
+        xs = [0, top] + draw(st.lists(values, min_size=n - 2, max_size=n - 2))
+        d = np.abs(np.subtract.outer(xs, xs))
+    else:
+        cut = draw(st.integers(0, top))
+        pts = [(0, 0), (cut, top - cut)] + [
+            (x * cut // top, y * (top - cut) // top)
+            for x, y in draw(st.lists(st.tuples(values, values),
+                                      min_size=n - 2, max_size=n - 2))]
+        xy = np.array(pts)
+        d = np.abs(xy[:, None, :] - xy[None, :, :]).sum(axis=2)
+    assert d.max() == top
+    return MetricSpace(dist=d), draw(st.integers(1, n))
+
+
+@settings(max_examples=120, **COMMON)
+@given(case=boundary_metrics(), data=st.data())
+def test_engine_matches_reference_at_the_type_boundaries(case, data):
+    # Removed facilities and masked nearest entries take a value above
+    # every distance, which a table whose largest entry is its type's
+    # largest cannot hold; the engine and marginal_costs hold it wider.
+    m, k = case
+    stored = {255: np.uint8, 256: np.int16, 32767: np.int16, 32768: np.int32}
+    assert m.dist.dtype == stored[int(m.dist.max())]
+    assert_batch_is_single_runs(m, k, [draw_policy(data, m, k) for _ in range(3)])
+
+
 def float_tables_with_ties():
     """Float tables whose rows hold exact ties, duplicate points, -0.0
     beside 0.0, one value throughout, and no tie at all; small rows and
@@ -356,7 +392,8 @@ def metric_batches(draw):
         if mode == "float" and m.mode == "int":
             m = MetricSpace(dist=m.dist * 0.5, mode="float")
         elif draw(st.booleans()):  # int16 distances, or doubled float ones
-            m = MetricSpace(dist=m.dist * 300, mode=m.mode)
+            wide = np.int64 if m.mode == "int" else np.float64  # before scaling
+            m = MetricSpace(dist=m.dist.astype(wide) * 300, mode=m.mode)
         metrics.append(m)
     return metrics, draw(st.integers(1, n))
 

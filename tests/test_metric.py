@@ -214,9 +214,10 @@ def test_metric_rejects_booleans(dist):
 @pytest.mark.parametrize("mode, scale", [("int", 1), ("float", 7), ("float", 1)],
                          ids=["int", "float", "float-of-ints"])
 def test_metric_adopts_the_table_it_builds_from_a_list(mode, scale):
-    # The array built from the list is the one table, also when float mode
-    # reads a list of ints; float mode adds the n x n booleans of its
-    # finiteness check.
+    # The array built from the list is the one float table, also when float
+    # mode reads a list of ints; float mode adds the n x n booleans of its
+    # finiteness check.  Integer mode builds an int64 array, the table held
+    # before, and keeps a copy in the narrowest type, one byte an entry here.
     rows = np.random.default_rng(0).integers(1, 100, (300, 300))
     np.fill_diagonal(rows, 0)
     rows = (rows if scale == 1 else rows / scale).tolist()
@@ -226,7 +227,9 @@ def test_metric_adopts_the_table_it_builds_from_a_list(mode, scale):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * m.dist.nbytes
+    built = 8 * m.n ** 2  # the int64 or float64 array of the list
+    assert peak < 1.25 * (built + (m.dist.nbytes if mode == "int" else 0))
+    assert m.dist.dtype == (np.uint8 if mode == "int" else np.float64)
     assert m.dist.tolist() == rows and not m.dist.flags.writeable
 
 
@@ -245,6 +248,30 @@ def test_instance_missing_schema_key(tmp_path, key):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=f"lacks '{key}'"):
         load_instance(path)
+
+
+def test_int_mode_rejects_uint64_entries_beyond_int64():
+    # A uint64 array keeps 2**63 exactly; converting it to int64 would wrap.
+    for top in (2**63, 2**64 - 1):
+        d = np.array([[0, top], [top, 0]], np.uint64)
+        with pytest.raises(ValueError, match="within the int64 range"):
+            MetricSpace(dist=d, mode="int")
+    fits = MetricSpace(dist=np.array([[0, 2**63 - 1], [2**63 - 1, 0]], np.uint64))
+    assert fits.dist.dtype == np.int64 and fits.dist[0, 1] == 2**63 - 1
+
+
+@pytest.mark.parametrize("matrix, axiom, witness", [
+    ([[0, 2**62], [-2**62, 0]], "symmetry", (0, 1)),
+    ([[-2**63, 1], [1, 0]], "identity", (0, 0)),
+    ([[0, 32767], [-1, 0]], "symmetry", (0, 1)),
+    ([[-32768, 1], [1, 0]], "identity", (0, 0)),
+], ids=["int64-symmetry", "int64-identity", "int16-symmetry", "int16-identity"])
+def test_axiom_checks_do_not_wrap(matrix, axiom, witness):
+    # The difference d - d.T, or the absolute value of a diagonal entry,
+    # leaves the table's type (int64, or int16 for the last two, held in
+    # their narrowest type): the checks compare entries exactly instead.
+    m = MetricSpace(dist=matrix)
+    assert dict(validate_metric(m).violations)[axiom] == witness
 
 
 @pytest.mark.parametrize("big", [2**63, 1e30, -1e30, 10**30])

@@ -1,17 +1,18 @@
 """The narrow-type loops of revgreedy.metric against plain int64 references.
 
 `metric_from_graph` runs Floyd-Warshall in the first of uint8, int16, int32
-and int64 that one Dijkstra pass proves safe, inside the buffer of its int64
-result, with the pivots in degree order and, on large graphs, only the
-block a pivot reaches updated.  Its reference is the straightforward int64
-loop in index order with a fixed sentinel; the two must give identical
-matrices, under the shipped block rule and under rules that send more
-pivots through the block at any size, and the same unreachable pair when
-the graph is disconnected.  The triangle check runs in the first
-of those types that holds every sum of two entries (uint8 only when no entry
-is negative); its reference is the wrap-safe int64 loop, and the two must
-give the same witness.  A float table shares that loop, in float64 with the
-mode's slack; its reference is a plain loop over the entries.
+and int64 that one Dijkstra pass proves safe, with the pivots in degree
+order and, on large graphs, only the block a pivot reaches updated, and
+the metric keeps the result in the narrowest type of its entries.  Its
+reference is the straightforward int64 loop in index order with a fixed
+sentinel; the two must give identical matrices, under the shipped block
+rule and under rules that send more pivots through the block at any size,
+and the same unreachable pair when the graph is disconnected.  The
+triangle check runs in the first of those types that holds every sum of
+two entries (uint8 only when no entry is negative); its reference is the
+wrap-safe int64 loop, and the two must give the same witness.  A float
+table shares that loop, in float64 with the mode's slack; its reference is
+a plain loop over the entries.
 """
 
 import re
@@ -69,7 +70,8 @@ def assert_matches_reference(g: WeightedGraph):
                     metric_from_graph(g)
                 continue
             m = metric_from_graph(g)
-        assert m.dist.dtype == np.int64 and m.mode == "int"
+        stored = metric._narrowest(int(expected.max()), int(expected.min()))
+        assert m.dist.dtype == stored and m.mode == "int"
         assert not m.dist.flags.writeable
         assert np.array_equal(m.dist, expected)
     return expected
@@ -186,6 +188,9 @@ def test_sparse_shapes_at_block_sizes(kind, n, top, table):
 
 
 def test_block_path_keeps_the_result_the_only_table():
+    # Floyd-Warshall runs in uint8 (sums up to 2 * 77) beside a uint8
+    # temporary, and the metric keeps its table: two bytes an entry and a
+    # little for the blocks, where the int64 table held before took eight.
     g = build_lower_bound_instance(20).graph
     tracemalloc.start()
     try:
@@ -193,7 +198,8 @@ def test_block_path_keeps_the_result_the_only_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.1 * m.dist.nbytes, peak / m.dist.nbytes
+    assert m.dist.dtype == np.uint8
+    assert peak < 2.5 * m.dist.nbytes, peak / m.dist.nbytes
 
 
 @pytest.mark.parametrize("g", [
@@ -206,17 +212,26 @@ def test_one_and_two_vertices(g):
     assert_matches_reference(g)
 
 
-@pytest.mark.parametrize("weight, kind", [
-    (61, np.uint8), (62, np.int16),
-    (8189, np.int16), (8190, np.int32),
-    (2**29 - 3, np.int32), (2**29 - 2, np.int64),
-    (2**61 - 3, np.int64),
-])
-def test_weights_choose_the_table_type(weight, kind):
-    # A path 0-1-2-3 with ecc = weight + 2, so the table must hold
-    # 2 * (2 * ecc + 1) = 4 * weight + 10; the chord 0-3 is never shortest.
+# (weight, Floyd-Warshall's type, the metric's type), named by the first two.
+WEIGHT_TYPES = [
+    (61, np.uint8, np.uint8), (62, np.int16, np.uint8),
+    (253, np.int16, np.uint8), (254, np.int16, np.int16),
+    (8189, np.int16, np.int16), (8190, np.int32, np.int16),
+    (2**29 - 3, np.int32, np.int32), (2**29 - 2, np.int64, np.int32),
+    (2**31 - 3, np.int64, np.int32), (2**31 - 2, np.int64, np.int64),
+    (2**61 - 3, np.int64, np.int64),
+]
+
+
+@pytest.mark.parametrize("weight, kind, stored", WEIGHT_TYPES,
+                         ids=[f"{w}-{k.__name__}" for w, k, _ in WEIGHT_TYPES])
+def test_weights_choose_the_table_type(weight, kind, stored):
+    # A path 0-1-2-3 with ecc = weight + 2, so Floyd-Warshall's table must
+    # hold 2 * (2 * ecc + 1) = 4 * weight + 10 and the metric's the largest
+    # distance, ecc; the chord 0-3 is never shortest.
     g = WeightedGraph(4, ((1, 0, 1), (1, 2, 1), (2, 3, weight), (0, 3, 4 * weight)))
     assert metric._narrowest(4 * weight + 10) is kind
+    assert metric_from_graph(g).dist.dtype == stored
     assert_matches_reference(g)
 
 
@@ -229,9 +244,14 @@ def test_disconnection_names_the_first_unreachable_pair():
 
 
 def test_metric_shares_read_only_owned_tables_and_copies_the_rest():
-    owned = np.array([[0, 2], [2, 0]], dtype=np.int64)
+    owned = np.array([[0, 2], [2, 0]], dtype=np.uint8)
     owned.setflags(write=False)
     assert np.shares_memory(MetricSpace(dist=owned).dist, owned)
+    # A table wider than its entries need is copied into the narrowest type.
+    wide = np.array([[0, 2], [2, 0]], dtype=np.int64)
+    wide.setflags(write=False)
+    m = MetricSpace(dist=wide)
+    assert m.dist.dtype == np.uint8 and not np.shares_memory(m.dist, wide)
     floats = np.array([[0.0, 2.5], [2.5, 0.0]])
     floats.setflags(write=False)
     assert np.shares_memory(MetricSpace(dist=floats, mode="float").dist, floats)
@@ -250,7 +270,7 @@ def test_metric_shares_read_only_owned_tables_and_copies_the_rest():
     base[0, 1] = 5
     assert m.dist[0, 1] == 2
 
-    # An int64 table read in floating mode is converted, not shared.
+    # An integer table read in floating mode is converted, not shared.
     assert MetricSpace(dist=owned, mode="float").dist.dtype == np.float64
 
 

@@ -8,8 +8,8 @@ from revgreedy.consolidation import critical_indices, gamma, is_consolidation
 from revgreedy.exact import exact_opt
 from revgreedy.kcenter import TiePolicy, cost, marginal_costs, reverse_greedy
 from revgreedy.lowerbound import build_lower_bound_instance
-from revgreedy.metric import (WeightedGraph, metric_from_graph, random_metric,
-                              validate_metric)
+from revgreedy.metric import (MetricSpace, WeightedGraph, _narrowest, metric_from_graph,
+                              random_metric, validate_metric)
 
 COMMON = dict(deadline=None, derandomize=True)
 
@@ -33,8 +33,52 @@ def test_lower_bound_metrics_satisfy_axioms(k, pad):
     from revgreedy.lowerbound import size_formula
     inst = build_lower_bound_instance(k, size_formula(k) + pad)
     m = inst.metric
-    assert m.dist.dtype == np.int64
+    assert m.dist.dtype == _narrowest(int(m.dist.max()), int(m.dist.min()))
     assert validate_metric(m).ok
+
+
+# Entry bounds at and around the edges of uint8, int16 and int32.
+_EDGES = [0, 1, 255, 256, 32767, 32768, 2**31 - 1, 2**31, 2**62]
+
+
+@st.composite
+def integer_tables(draw):
+    """A square integer table and what MetricSpace is given for it: a
+    random graph's or the family's metric, a list of ints, an ndarray of
+    any integer type that holds it, or integral floats."""
+    source = draw(st.sampled_from(["random-graph", "family", "list", "ndarray",
+                                   "floats"]))
+    if source == "random-graph":
+        m = random_metric("random-graph", draw(st.integers(1, 12)), draw(seeds),
+                          max_weight=draw(st.sampled_from([1, 9, 200, 2**20, 2**40])))
+        return m.dist.tolist(), m
+    if source == "family":
+        m = build_lower_bound_instance(draw(st.integers(2, 6))).metric
+        return m.dist.tolist(), m
+    n = draw(st.integers(1, 5))
+    hi = draw(st.sampled_from(_EDGES))
+    lo = -draw(st.sampled_from(_EDGES)) if draw(st.booleans()) else 0
+    if source == "floats":  # integral floats, exact below 2**53
+        hi, lo = min(hi, 2**53), max(lo, -2**53)
+    cells = draw(st.lists(st.integers(lo, hi), min_size=n * n, max_size=n * n))
+    rows = [cells[i:i + n] for i in range(0, n * n, n)]
+    if source == "list":
+        return rows, rows
+    if source == "floats":
+        return rows, np.array(rows, np.float64)
+    fits = [t for t in (np.uint8, np.uint16, np.uint32, np.uint64, np.int8, np.int16,
+                        np.int32, np.int64)
+            if np.iinfo(t).min <= min(cells) and max(cells) <= np.iinfo(t).max]
+    return rows, np.array(rows, draw(st.sampled_from(fits)))
+
+
+@settings(max_examples=300, **COMMON)
+@given(case=integer_tables())
+def test_integer_tables_are_stored_in_their_narrowest_type(case):
+    rows, given_as = case
+    m = given_as if isinstance(given_as, MetricSpace) else MetricSpace(dist=given_as)
+    assert m.dist.dtype == _narrowest(max(map(max, rows)), min(map(min, rows)))
+    assert m.dist.tolist() == rows and not m.dist.flags.writeable
 
 
 @settings(max_examples=100, **COMMON)

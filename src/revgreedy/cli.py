@@ -127,18 +127,24 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _lower_row(k: int) -> dict:
-    """Verify one family member; its n x n table is freed on return."""
+def _family_row(k: int) -> tuple:
+    """`verify_schedule`'s report on family member k and that run's wall time;
+    module-level so worker pools can pickle it (the n x n table is freed)."""
     inst = lowerbound.build_lower_bound_instance(k)
-    report = lowerbound.verify_schedule(inst, lowerbound.scripted_schedule(inst))
-    print(f"k={k} n={inst.n} final={report.final_cost} "
-          f"expected={report.expected_final_cost} "
-          f"{'ok' if report.ok else 'FAIL'}")
-    return report.to_json()
+    sched = lowerbound.scripted_schedule(inst)
+    start = time.perf_counter()
+    report = lowerbound.verify_schedule(inst, sched)
+    return report, time.perf_counter() - start
 
 
 def _verify_lower(args) -> int:
-    rows = [_lower_row(k) for k in args.k]
+    rows = []
+    for k in args.k:
+        report, _ = _family_row(k)
+        print(f"k={k} n={report.n} final={report.final_cost} "
+              f"expected={report.expected_final_cost} "
+              f"{'ok' if report.ok else 'FAIL'}")
+        rows.append(report.to_json())
     all_ok = all(row["ok"] for row in rows)
     _write_report(args.out, {"target": "lower", "passed": all_ok, "runs": rows})
     print(f"lower-bound verification: {'pass' if all_ok else 'FAIL'}")
@@ -165,33 +171,6 @@ def _upper_policies(seed: int) -> list:
 _UPPER_CHUNK_ENTRIES = 1 << 16
 
 
-def _upper_chunk(params: list, jobs: int) -> list[dict]:
-    """Battery rows for some trials: each trial's instance and optimum
-    through the pool, then the six tie policies of every trial in one
-    engine pass per arithmetic mode."""
-    solved = _run_pool(_upper_instance, params, jobs)
-    k = params[0][2]
-    rows = {}
-    for mode in ("float", "int"):
-        runs = [(p[0], m, opt, policy) for p, (m, opt) in zip(params, solved)
-                if m.mode == mode for policy in _upper_policies(p[3])]
-        traces = kcenter.reverse_greedy_runs([run[1] for run in runs], k,
-                                             [run[3] for run in runs])
-        for (trial, m, opt, policy), trace in zip(runs, traces):
-            kind = "euclidean" if trial % 2 == 0 else "random-graph"
-            row = rows.setdefault(trial, {"trial": trial, "kind": kind,
-                                          "max_ratio": 0.0, "violations": []})
-            final = trace.final_cost
-            ratio = final / opt if opt else 0.0
-            row["max_ratio"] = max(row["max_ratio"], ratio)
-            if final > 2 * k * opt + m.tol():
-                row["violations"].append({"trial": trial, "kind": kind,
-                                          "policy": policy.describe(),
-                                          "ratio": ratio})
-        del traces  # freed before the next mode's pass
-    return [rows[p[0]] for p in params]
-
-
 def _run_pool(worker, params, jobs: int) -> list:
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # not on every CLI start
@@ -204,10 +183,27 @@ def _verify_upper(args) -> int:
     params = [(t, args.n, args.k, args.seed + t, args.exact_cap)
               for t in range(args.trials)]
     per_chunk = max(1, _UPPER_CHUNK_ENTRIES // max(args.n, 1) ** 2)
-    results = [row for start in range(0, len(params), per_chunk)
-               for row in _upper_chunk(params[start:start + per_chunk], args.jobs)]
-    violations = [v for r in results for v in r["violations"]]
-    max_ratio = max((r["max_ratio"] for r in results), default=0.0)
+    max_ratio, violations = 0.0, []
+    for start in range(0, len(params), per_chunk):
+        chunk = params[start:start + per_chunk]
+        solved = _run_pool(_upper_instance, chunk, args.jobs)
+        # Even trials are Euclidean (float), odd ones random graphs (int):
+        # one engine pass each over all six tie policies of every trial.
+        for parity, kind in enumerate(("euclidean", "random-graph")):
+            runs = [(p[0], m, opt, policy) for p, (m, opt) in zip(chunk, solved)
+                    if p[0] % 2 == parity for policy in _upper_policies(p[3])]
+            traces = kcenter.reverse_greedy_runs([run[1] for run in runs], args.k,
+                                                 [run[3] for run in runs])
+            for (trial, m, opt, policy), trace in zip(runs, traces):
+                final = trace.final_cost
+                ratio = final / opt if opt else 0.0
+                max_ratio = max(max_ratio, ratio)
+                if final > 2 * args.k * opt + m.tol():
+                    violations.append({"trial": trial, "kind": kind,
+                                       "policy": policy.describe(),
+                                       "ratio": ratio})
+            del traces  # freed before the next pass
+    violations.sort(key=lambda v: v["trial"])
     passed = not violations
     doc = {"target": "upper", "trials": args.trials, "n": args.n, "k": args.k,
            "bound": 2 * args.k, "max_ratio": max_ratio,
@@ -286,30 +282,22 @@ def _verify_separation(args) -> int:
     return 0
 
 
-def _sweep_row(k: int) -> list:
-    inst = lowerbound.build_lower_bound_instance(k)
-    sched = lowerbound.scripted_schedule(inst)
-    start = time.perf_counter()
-    trace = kcenter.reverse_greedy(inst.metric, k,
-                                   kcenter.TiePolicy.scripted(sched.script()))
-    elapsed = time.perf_counter() - start
-    final = trace.final_cost
-    return [k, inst.n, final, 1, f"{final:g}", f"{elapsed:.4f}", "verified"]
-
-
 def cmd_sweep(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["k", "n", "final_cost", "opt", "ratio", "runtime_s", "legality"])
-    rows = _run_pool(_sweep_row, args.k, args.jobs)
-    writer.writerows(rows)
+    rows = _run_pool(_family_row, args.k, args.jobs)
+    for k, (report, elapsed) in zip(args.k, rows):
+        final = report.final_cost  # None, an empty cell, when the run stopped
+        writer.writerow([k, report.n, final, 1, "" if final is None else f"{final:g}",
+                         f"{elapsed:.4f}", "verified" if report.ok else "FAIL"])
     text = buf.getvalue()
     if args.out:
         Path(args.out).write_text(text)
         print(f"{len(args.k)} rows -> {args.out}")
     else:
         sys.stdout.write(text)
-    return 0
+    return 0 if all(report.ok for report, _ in rows) else 1
 
 
 def cmd_export_dot(args) -> int:

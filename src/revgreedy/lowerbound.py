@@ -323,12 +323,13 @@ def export_dot(inst: LowerBoundInstance, trace: Trace | None = None) -> str:
             for pad in inst.padding:
                 lines.append(f"    v{star.center} -- v{pad};")
         lines.append("  }")
+    # Edges inside a cluster (padding is C_0's) were drawn with it.
+    cluster = dict.fromkeys(inst.padding, 0)
+    for i, star in enumerate(inst.stars):
+        cluster.update(dict.fromkeys((star.center, *star.leaves), i))
     for u, v, w in inst.graph.edges.tolist():
-        internal = any(u in s.vertices and v in s.vertices for s in inst.stars)
-        pad_edge = u in inst.padding or v in inst.padding
-        if internal or pad_edge:
-            continue
-        lines.append(f'  v{u} -- v{v} [label="{w}"];')
+        if cluster[u] != cluster[v]:
+            lines.append(f'  v{u} -- v{v} [label="{w}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -115,12 +115,16 @@ class MetricSpace:
         rows = [row for row in self.dist if isinstance(row, list)] if listed else []
         kinds = set().union(*(map(type, row) for row in rows))
         d = None
-        if (self.mode == "float" and listed and len(rows) == len(self.dist)
-                and kinds <= {int, float}):
-            # One float64 table, not an int64 one and then its float copy;
-            # an int beyond the float range takes the general path below.
-            with suppress(OverflowError):
-                d = np.asarray(self.dist, np.float64)
+        if listed and len(rows) == len(self.dist):
+            # Straight into the table's type: float64, not an int64 table and
+            # then its float copy, or integer mode's narrowest type, not int64
+            # first.  An int beyond either range takes the general path.
+            if self.mode == "float" and kinds <= {int, float}:
+                with suppress(OverflowError):
+                    d = np.asarray(self.dist, np.float64)
+            elif self.mode == "int" and kinds <= {int}:
+                kind = _narrowest(max(chain([0], *rows)), min(chain([0], *rows)))
+                d = None if kind is None else np.asarray(self.dist, kind)
         if d is None:
             d = np.asarray(self.dist)
         # An array built here from a list, or by a conversion below, is

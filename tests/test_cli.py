@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -421,6 +422,36 @@ def test_sweep_ratios(tmp_path):
     assert all(r["legality"] == "verified" for r in rows)
 
 
+def _rescheduled(monkeypatch, change):
+    """Give every scripted schedule the steps `change(steps)`."""
+    scripted = lowerbound.scripted_schedule
+
+    def rescheduled(inst):
+        sched = scripted(inst)
+        return dataclasses.replace(sched, steps=change(sched.steps))
+    monkeypatch.setattr(lowerbound, "scripted_schedule", rescheduled)
+
+
+def test_sweep_fails_rows_off_their_phase_labels(tmp_path, monkeypatch):
+    # Each run still ends at 2k - 2, but no step costs its phase label.
+    _rescheduled(monkeypatch, lambda steps: tuple(
+        dataclasses.replace(s, phase=s.phase + 1) for s in steps))
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["sweep", "--k", "2..4", "--out", str(out)]) == 1
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [(r["ratio"], r["legality"]) for r in rows] == [
+        ("2", "FAIL"), ("4", "FAIL"), ("6", "FAIL")]
+
+
+def test_sweep_leaves_a_stopped_run_without_cost(tmp_path, monkeypatch):
+    # Reversed, the script's first removal is no greedy choice.
+    _rescheduled(monkeypatch, lambda steps: steps[::-1])
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["sweep", "--k", "3", "--out", str(out)]) == 1
+    row = out.read_text().splitlines()[1].split(",")
+    assert row[:5] == ["3", "14", "", "1", ""] and row[6] == "FAIL"
+
+
 def test_sweep_empty_range_is_header_only(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run_cli(["sweep", "--out", str(out)]) == 0
@@ -533,5 +564,7 @@ def test_sweep_parallel_jobs_match_serial(tmp_path):
     assert run_cli(["sweep", "--k", "2..4", "--out", str(serial)]) == 0
     assert run_cli(["sweep", "--k", "2..4", "--jobs", "2",
                     "--out", str(parallel)]) == 0
-    strip = lambda text: [r.rsplit(",", 2)[0] for r in text.splitlines()]
-    assert strip(serial.read_text()) == strip(parallel.read_text())
+    # Every column but runtime_s, the sixth.
+    strip = lambda path: [r[:5] + r[6:]
+                          for r in csv.reader(path.read_text().splitlines())]
+    assert strip(serial) == strip(parallel)

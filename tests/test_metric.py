@@ -214,10 +214,10 @@ def test_metric_rejects_booleans(dist):
 @pytest.mark.parametrize("mode, scale", [("int", 1), ("float", 7), ("float", 1)],
                          ids=["int", "float", "float-of-ints"])
 def test_metric_adopts_the_table_it_builds_from_a_list(mode, scale):
-    # The array built from the list is the one float table, also when float
-    # mode reads a list of ints; float mode adds the n x n booleans of its
-    # finiteness check.  Integer mode builds an int64 array, the table held
-    # before, and keeps a copy in the narrowest type, one byte an entry here.
+    # The array built from the list is the table kept.  Float mode builds
+    # one float64 table, also from a list of ints, and adds the n x n
+    # booleans of its finiteness check.  Integer mode reads the list straight
+    # into the narrowest type, one byte an entry here, with no int64 array.
     rows = np.random.default_rng(0).integers(1, 100, (300, 300))
     np.fill_diagonal(rows, 0)
     rows = (rows if scale == 1 else rows / scale).tolist()
@@ -227,8 +227,8 @@ def test_metric_adopts_the_table_it_builds_from_a_list(mode, scale):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    built = 8 * m.n ** 2  # the int64 or float64 array of the list
-    assert peak < 1.25 * (built + (m.dist.nbytes if mode == "int" else 0))
+    # In integer mode, no room for an int64 array (8 bytes an entry).
+    assert peak < (2 if mode == "int" else 1.25 * 8) * m.n ** 2
     assert m.dist.dtype == (np.uint8 if mode == "int" else np.float64)
     assert m.dist.tolist() == rows and not m.dist.flags.writeable
 

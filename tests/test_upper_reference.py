@@ -2,6 +2,8 @@
 built, solved and run on its own (one engine pass per trial).  Reports and
 stdout must be byte-identical, with and without a worker pool."""
 
+import json
+
 import pytest
 
 from revgreedy import cli, exact, kcenter, metric
@@ -51,13 +53,13 @@ CASES = [
 ]
 
 
-def check_against_reference(case, jobs, tmp_path, capsys):
+def check_against_reference(case, jobs, tmp_path, capsys, code=0):
     expected = reference_verify_upper(tmp_path / "ref.json", **case)
     argv = ["verify", "upper", "--jobs", str(jobs), "--out", str(tmp_path / "out.json")]
     for flag, value in case.items():
         argv += [f"--{flag.replace('_', '-')}", str(value)]
     capsys.readouterr()
-    assert cli.main(argv) == 0
+    assert cli.main(argv) == code
     assert capsys.readouterr().out == expected
     assert (tmp_path / "out.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
@@ -75,6 +77,21 @@ def test_verify_upper_chunks_match_per_trial_reference(jobs, tmp_path, capsys,
     # Three n = 12 trials per chunk: seven chunks, the last of two trials.
     monkeypatch.setattr(cli, "_UPPER_CHUNK_ENTRIES", 3 * 12 * 12 + 5)
     check_against_reference(dict(n=12, k=3, trials=20), jobs, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_verify_upper_violations_match_per_trial_reference(jobs, tmp_path, capsys,
+                                                           monkeypatch):
+    # Every run past the bound, three trials a chunk: a chunk's Euclidean and
+    # random-graph trials both add violations, listed by trial and policy.
+    final_cost = kcenter.Trace.final_cost.fget
+    monkeypatch.setattr(kcenter.Trace, "final_cost",
+                        property(lambda trace: 100 * final_cost(trace) + 1))
+    monkeypatch.setattr(cli, "_UPPER_CHUNK_ENTRIES", 3 * 12 * 12 + 5)
+    check_against_reference(dict(n=12, k=3, trials=8), jobs, tmp_path, capsys, code=1)
+    report = json.loads((tmp_path / "out.json").read_text())
+    assert [v["trial"] for v in report["violations"]] == [t for t in range(8)
+                                                          for _ in range(6)]
 
 
 @pytest.mark.parametrize("flags, code", [

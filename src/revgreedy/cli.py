@@ -284,7 +284,7 @@ def _verify_separation(args) -> int:
 
 def cmd_sweep(args) -> int:
     buf = io.StringIO()
-    writer = csv.writer(buf)
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["k", "n", "final_cost", "opt", "ratio", "runtime_s", "legality"])
     rows = _run_pool(_family_row, args.k, args.jobs)
     for k, (report, elapsed) in zip(args.k, rows):

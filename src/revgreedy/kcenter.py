@@ -5,16 +5,18 @@ engine re-derives, at every step, the exact marginal cost of deleting each
 remaining facility, so every recorded step is argmin-verified.  It sorts
 each client's distance row once (O(n^2 log n); a table of 1- or 2-byte
 integers by radix sort), and the one n x n table it keeps is the
-sorted indices.  Per client it keeps the nearest and second-nearest live
-facility.  A removal re-points only the clients that named the removed
-facility; second-nearest pointers only move forward, so all advances
-together cost O(n^2), and each step's advance takes O(log longest skip)
-vectorized rounds.  The marginal costs then come from per-facility running
-maxima, updated over the re-pointed clients only.  `reverse_greedy_runs`
-steps many runs side by side, one set of numpy calls per step for all of
-them: several tie policies on one metric, or on several metrics of one n
-and mode, each metric's sorted rows held once.  `reverse_greedy` is its
-batch of one.
+sorted indices, in the narrowest integer type that holds n - 1.  Per client
+it keeps the nearest and second-nearest live facility.  A removal re-points
+only the stale clients, those that named the removed facility;
+second-nearest pointers only move forward, so all advances together cost
+O(n^2).  A step with at most _FEW_STALE stale clients re-points them one by
+one in Python, through memoryviews of the same arrays; any other step takes
+O(log longest skip) vectorized rounds.  The marginal costs then come from
+per-facility running maxima, updated over the re-pointed clients only.
+`reverse_greedy_runs` steps many runs side by side, one set of numpy calls
+per step for all of them: several tie policies on one metric, or on several
+metrics of one n and mode, each metric's sorted rows held once.
+`reverse_greedy` is its batch of one.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .metric import MetricSpace, check_object, is_int, read_document, write_document
+from .metric import (MetricSpace, _narrowest, check_object, is_int, read_document,
+                     write_document)
 
 
 class ScriptedStepError(ValueError):
@@ -170,8 +173,13 @@ def reverse_greedy(m: MetricSpace, k: int, policy: TiePolicy | None = None,
                                record_argmin=record_argmin)[0]
 
 
-# Table entries the engine sorts at once (see reverse_greedy_runs).
+# Table entries the engine sorts at once (see _ranked_rows).
 _SORT_BLOCK = 1 << 14
+
+# Stale clients a step re-points one by one in Python; with more, numpy calls
+# over all of them at once cost less than a Python loop (see
+# reverse_greedy_runs).
+_FEW_STALE = 32
 
 
 def _stable_argsort(rows: np.ndarray) -> np.ndarray:
@@ -188,6 +196,18 @@ def _stable_argsort(rows: np.ndarray) -> np.ndarray:
     if tied.any():
         order[tied] = np.argsort(rows[tied], axis=1, kind="stable")
     return order
+
+
+def _ranked_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row's column indices, nearest first, as one flat array of the
+    narrowest integer type that holds them.  Rows go to _stable_argsort in
+    blocks, so its output and the float sort's temporaries stay small."""
+    n = rows.shape[1]
+    ranked = np.empty(rows.shape, _narrowest(n - 1))
+    block = max(1, _SORT_BLOCK // n)
+    for lo in range(0, len(rows), block):
+        ranked[lo:lo + block] = _stable_argsort(rows[lo:lo + block])
+    return ranked.reshape(-1)
 
 
 def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
@@ -245,14 +265,8 @@ def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
         # facilities stay in index order on any platform.  An integer table
         # is held in its narrowest type, where the stable sort of a 1- or
         # 2-byte type is a radix sort, and a float table sorts as
-        # _stable_argsort says; rows go in blocks, so the sort's output and
-        # the float sort's temporaries beside ranked stay small.
-        sortable = table.reshape(-1, n)
-        ranked = np.empty(sortable.shape, np.intp)
-        block = max(1, _SORT_BLOCK // n)
-        for lo in range(0, len(sortable), block):
-            ranked[lo:lo + block] = _stable_argsort(sortable[lo:lo + block])
-        ranked = ranked.reshape(-1)
+        # _stable_argsort says.
+        ranked = _ranked_rows(table.reshape(-1, n))
         # Entry r*n + c reads row t*n + c of ranked, for run r's table t.
         rows = np.arange(size) % n
         offset = np.arange(size) - rows if runs > 1 else 0  # r*n: run r's facilities
@@ -262,7 +276,7 @@ def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
         second = rows * n + 1
         # ranked holds facilities g of a table; entry i reads g as facility
         # offset[i] + g of its own run (offset 0 for one run, whose adds
-        # below are skipped).
+        # below are skipped).  The adds widen: ranked's type holds n - 1.
         f1, f2 = ranked[second - 1] + offset, ranked[second] + offset
         # Client c of run r lies table[c, g] from facility r*n + g, which is
         # flat entry rows*n + g of the stacked tables: base + (r*n + g).
@@ -277,6 +291,10 @@ def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
         worst = np.full(size, d1.min(), above_all.dtype)
         np.maximum.at(worst, f1, d2)
         f1v, f2v, d1v, worstv = (a.reshape(runs, n) for a in (f1, f2, d1, worst))
+        # The same arrays, item by item, for a step with few stale clients.
+        (rankedm, secondm, f1m, f2m, d1m, d2m, distm, basem, livem,
+         worstm) = map(memoryview, (ranked, second, f1, f2, d1, d2, dist, base, live,
+                                    worst))
 
     for i in range(1, n - k + 1):
         floor = d1v.max(axis=1)
@@ -329,10 +347,25 @@ def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
         # Clients served by a removed facility fall back to their
         # second-nearest; they and the clients whose second-nearest it was
         # advance to the next live facility in their row.  Each pointer only
-        # moves forward.
+        # moves forward.  A few stale clients (a family step has about 5)
+        # cost less re-pointed one by one in Python than through the numpy
+        # calls below, each over whole arrays.
         column = gone[:, None]
         lost = (f1v == column).reshape(-1)
         stale = (lost | (f2v == column).reshape(-1)).nonzero()[0]
+        if stale.size <= _FEW_STALE:
+            for c, fell in zip(stale.tolist(), lost[stale].tolist()):
+                if fell:
+                    f1m[c], d1m[c] = f2m[c], d2m[c]
+                at, first = secondm[c] + 1, c - c % n  # first = offset[c]
+                while not livem[rankedm[at] + first]:
+                    at += 1
+                secondm[c] = at
+                f2m[c] = g = rankedm[at] + first
+                d2m[c] = reach = distm[basem[c] + g]
+                if reach > worstm[f1m[c]]:
+                    worstm[f1m[c]] = reach
+            continue
         f1[lost], d1[lost] = f2[lost], d2[lost]
         # Two single-position rounds settle almost every pointer in the
         # fewest numpy calls.  The rest read a window of positions ahead,
@@ -347,21 +380,21 @@ def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
                 second[moving] += 1
                 found = ranked[second[moving]]
                 if runs > 1:
-                    found += offset[moving]
+                    found = found + offset[moving]
                 moving = moving[~live[found]]
         while moving.size:
             ahead = np.minimum(second[moving, None] + np.arange(1, width + 1),
                                ranked.size - 1)
             found = ranked[ahead]
             if runs > 1:
-                found += offset[moving, None]
+                found = found + offset[moving, None]
             window = live[found]
             hit = window.any(axis=1)
             second[moving] += np.where(hit, window.argmax(axis=1) + 1, width)
             moving, width = moving[~hit], 2 * width
         moved = ranked[second[stale]]
         if runs > 1:
-            moved += offset[stale]
+            moved = moved + offset[stale]
         f2[stale] = moved
         d2[stale] = reach = dist[base[stale] + moved]
         np.maximum.at(worst, f1[stale], reach)

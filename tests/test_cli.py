@@ -452,6 +452,16 @@ def test_sweep_leaves_a_stopped_run_without_cost(tmp_path, monkeypatch):
     assert row[:5] == ["3", "14", "", "1", ""] and row[6] == "FAIL"
 
 
+def test_sweep_ends_its_lines_with_newlines_alone(tmp_path, capsys):
+    # A carriage return would stick to the last field `cut` keeps.
+    assert run_cli(["sweep", "--k", "2..3"]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["sweep", "--k", "2..3", "--out", str(out)]) == 0
+    for text in (printed, out.read_text()):
+        assert "\r" not in text and text.count("\n") == 3
+
+
 def test_sweep_empty_range_is_header_only(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run_cli(["sweep", "--out", str(out)]) == 0

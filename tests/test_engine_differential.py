@@ -4,16 +4,20 @@ takes its argmin.  For small n the reference is itself checked against one
 direct `cost()` evaluation per removal, so the margin formula the two share
 is not its own oracle."""
 
+import sys
 import tracemalloc
 from random import Random
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import uniform_metric
 from hypothesis import example, given, settings, strategies as st
 
-from revgreedy.kcenter import (ScriptedStepError, TiePolicy, TraceStep, _stable_argsort,
-                               cost, marginal_costs, reverse_greedy, reverse_greedy_runs)
+from revgreedy import kcenter
+from revgreedy.kcenter import (ScriptedStepError, TiePolicy, TraceStep, _ranked_rows,
+                               _stable_argsort, cost, marginal_costs, reverse_greedy,
+                               reverse_greedy_runs)
 from revgreedy.lowerbound import (build_lower_bound_instance, scripted_schedule,
                                   size_formula)
 from revgreedy.metric import MetricSpace, random_metric
@@ -468,16 +472,93 @@ def test_multi_metric_batch_needs_one_metric_per_run():
 
 def test_batch_holds_one_sorted_order_per_metric():
     # Five metrics, six runs each.  A sorted order per run would alone take
-    # 30 n x n index tables; one per metric takes 5, and the stacked tables
-    # 5 more.  Two steps keep the traces and pointer windows small.
+    # 30 n x n index tables, one byte an entry at n = 256; one per metric
+    # takes 5, beside the 5 stacked float tables, and the per-run arrays and
+    # the sort's blocks stay under 3 float tables more.  Two steps keep the
+    # traces and pointer windows small.
     n = 256
     metrics = [random_metric("euclidean", n, seed) for seed in range(5)]
     policies = [TiePolicy.lowest_index()] + [TiePolicy.seeded_random(j) for j in range(5)]
-    table = n * n * np.dtype(np.intp).itemsize
+    index, table = n * n, n * n * 8
     tracemalloc.start()
     try:
         reverse_greedy_runs([m for m in metrics for _ in policies], n - 2, policies * 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 14 * table, peak / table
+    assert peak < 8 * table + 5 * index, peak / index
+
+
+@pytest.mark.parametrize("n, kind", [(256, np.uint8), (257, np.int16)])
+def test_sorted_rows_take_the_narrowest_type(n, kind):
+    # Facilities 0..n - 1: one byte holds 255 at most.
+    rows = np.random.default_rng(n).integers(0, 3, (4, n))
+    ranked = _ranked_rows(rows)
+    assert ranked.dtype == kind
+    assert (ranked == np.argsort(rows, axis=1, kind="stable").reshape(-1)).all()
+
+
+# --- a step's stale clients, re-pointed one by one or in numpy rounds ---
+
+def runs_both_ways(m, k, policies, record_argmin=True):
+    """The traces, or the ScriptedStepError text, with every step's stale
+    clients re-pointed in numpy rounds and then all in the Python loop."""
+    results = []
+    for few in (0, sys.maxsize):
+        with mock.patch.object(kcenter, "_FEW_STALE", few):
+            try:
+                traces = reverse_greedy_runs(m, k, policies, record_argmin=record_argmin)
+                results.append([(as_rows(t.steps), t.final) for t in traces])
+            except ScriptedStepError as err:
+                results.append(str(err))
+    return results
+
+
+def few_stale_cases():
+    for k in range(3, 13):
+        inst = build_lower_bound_instance(k)
+        script = TiePolicy.scripted(scripted_schedule(inst).script())
+        yield pytest.param(inst.metric, k, [script, TiePolicy.lowest_index(),
+                                            TiePolicy.seeded_random(k)], id=f"family-{k}")
+    mixed = [TiePolicy.lowest_index(), TiePolicy.seeded_random(1)]
+    yield pytest.param(uniform_metric(150), 2, mixed, id="uniform")
+    yield pytest.param(random_metric("random-graph", 150, 3, edge_prob=0.5, max_weight=2),
+                       3, mixed, id="ties")
+    yield pytest.param(random_metric("euclidean", 150, 4), 3, mixed, id="euclidean")
+    # A verify upper pass: 30 runs on 5 metrics, 960 entries, so facility
+    # ids outgrow the one-byte type of ranked.
+    metrics = [random_metric("random-graph", 32, seed) for seed in range(5)]
+    yield pytest.param([metrics[j % 5] for j in range(30)], 5, [
+        TiePolicy.seeded_random(j) if j % 3 else TiePolicy.lowest_index()
+        for j in range(30)], id="battery")
+
+
+@pytest.mark.parametrize("m, k, policies", few_stale_cases())
+def test_few_stale_loop_matches_numpy_rounds(m, k, policies):
+    rounds, loop = runs_both_ways(m, k, policies)
+    assert not isinstance(rounds, str)
+    assert loop == rounds
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_few_stale_loop_rejects_scripts_like_numpy_rounds(k):
+    inst = build_lower_bound_instance(k)
+    script = list(scripted_schedule(inst).script())
+    rejected = 0
+    for at in range(0, len(script), 5):
+        # The last removal moved to step at + 1, where it is mostly illegal.
+        bad = script[:at] + script[-1:] + script[at:-1]
+        rounds, loop = runs_both_ways(inst.metric, k, [TiePolicy.scripted(bad)],
+                                      record_argmin=False)
+        assert loop == rounds
+        rejected += isinstance(rounds, str)
+    assert rejected >= 4
+
+
+@settings(max_examples=100, **COMMON)
+@given(case=batch_instances(), data=st.data())
+def test_few_stale_loop_matches_numpy_rounds_on_small_batches(case, data):
+    m, k = case
+    policies = [draw_policy(data, m, k) for _ in range(data.draw(st.integers(1, 4)))]
+    rounds, loop = runs_both_ways(m, k, policies)
+    assert loop == rounds

@@ -6,6 +6,12 @@ table, so that tie detection downstream is exact; a caller widens before
 any arithmetic that could leave that type.  Floating mode carries a
 comparison tolerance used for all tie/argmin decisions.  One O(n^3)
 triangle loop serves both; `load_instance` runs it on integer matrices only.
+
+`load_instance` decodes a matrix row by row into its table, so a load
+peaks at the file's text plus one table.  Documents that reader does not
+take (not a JSON object, a syntax error, a matrix row that is not a flat
+list of ints and floats, a bool, an int beyond int64) are read by
+`json.loads` into nested lists, with the same result and the same errors.
 """
 
 from __future__ import annotations
@@ -115,18 +121,24 @@ class MetricSpace:
         rows = [row for row in self.dist if isinstance(row, list)] if listed else []
         kinds = set().union(*(map(type, row) for row in rows))
         d = None
-        if listed and len(rows) == len(self.dist):
-            # Straight into the table's type: float64, not an int64 table and
-            # then its float copy, or integer mode's narrowest type, not int64
-            # first.  An int beyond either range takes the general path.
-            if self.mode == "float" and kinds <= {int, float}:
-                with suppress(OverflowError):
-                    d = np.asarray(self.dist, np.float64)
-            elif self.mode == "int" and kinds <= {int}:
-                kind = _narrowest(max(chain([0], *rows)), min(chain([0], *rows)))
-                d = None if kind is None else np.asarray(self.dist, kind)
-        if d is None:
-            d = np.asarray(self.dist)
+        try:
+            if listed and len(rows) == len(self.dist):
+                # Straight into the table's type: float64, not an int64 table
+                # and then its float copy, or integer mode's narrowest type,
+                # not int64 first.  An int beyond either range takes the
+                # general path.
+                if self.mode == "float" and kinds <= {int, float}:
+                    with suppress(OverflowError):
+                        d = np.asarray(self.dist, np.float64)
+                elif self.mode == "int" and kinds <= {int}:
+                    kind = _narrowest(max(chain([0], *rows)), min(chain([0], *rows)))
+                    d = None if kind is None else np.asarray(self.dist, kind)
+            if d is None:
+                d = np.asarray(self.dist)
+        except ValueError:
+            # numpy's text for rows of unequal lengths, a number among the
+            # rows, or a list among the entries.
+            raise ValueError("distance matrix must be square") from None
         # An array built here from a list, or by a conversion below, is
         # held by nothing else, so it is adopted without a copy.
         fresh = isinstance(self.dist, (list, tuple))
@@ -501,9 +513,10 @@ def check_object(obj, what: str, fields: dict) -> None:
             raise ValueError(f"{what} has {key}={obj[key]!r} of the wrong type")
 
 
-def read_document(path, what: str, fields: dict) -> dict:
-    """Parse a version-1 JSON file whose top level passes check_object."""
-    doc = json.loads(Path(path).read_text())
+def read_document(path, what: str, fields: dict, parse=json.loads) -> dict:
+    """Parse a version-1 JSON file, its text by `parse`, whose top level
+    passes check_object."""
+    doc = parse(Path(path).read_text())
     check_object(doc, f"{what} file", {"version": int, **fields})
     if doc["version"] != 1:
         raise ValueError(f"unsupported {what} file version")
@@ -516,9 +529,108 @@ def write_document(path, doc: dict) -> None:
     Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
+# The json module's own parts, with which _instance_json walks a document.
+_DECODE = json.JSONDecoder().raw_decode
+_SPACE = json.decoder.WHITESPACE.match
+
+
+def _next(text: str, i: int, marks: str) -> tuple[str, int]:
+    """The first character at or after i that is not JSON whitespace, which
+    must be one of marks, and the position after it."""
+    i = _SPACE(text, i).end()
+    mark = text[i : i + 1]
+    if not (mark and mark in marks):
+        raise ValueError(f"expected one of {marks!r} at {i}")
+    return mark, i + 1
+
+
+def _rows_table(text: str, i: int) -> tuple[np.ndarray, int]:
+    """The JSON list of rows whose "[" ends before text[i], decoded one row
+    at a time into a read-only table, and the position after the list.
+
+    The table is sized from the first row.  It is int64 while every entry
+    is an int and float64 from the first float on, the type np.asarray
+    picks for the whole list.  Raises ValueError or OverflowError where the
+    list is not square, an entry is not an int or a float, or an int does
+    not fit the table.
+    """
+    table, count = None, 0
+    while True:
+        row, i = _DECODE(text, _SPACE(text, i).end())
+        if type(row) is not list or not (kinds := set(map(type, row))) <= {int, float}:
+            raise ValueError("a row is not a list of numbers")
+        if table is None:
+            # n rows of n entries take more than n**2 characters.
+            if len(row) ** 2 > len(text):
+                raise ValueError("the matrix is not square")
+            table = np.empty((len(row),) * 2, np.float64 if float in kinds else np.int64)
+        if count == len(table) or len(row) != len(table):
+            raise ValueError("the matrix is not square")
+        if float in kinds and table.dtype == np.int64:
+            table = table.astype(np.float64)
+        table[count] = row
+        count += 1
+        mark, i = _next(text, i, ",]")
+        if mark == "]":
+            break
+    if count != len(table):
+        raise ValueError("the matrix is not square")
+    table.setflags(write=False)
+    return table, i
+
+
+def _matrix_object(text: str) -> dict:
+    """The JSON object that text holds, its "matrix" list as _rows_table's
+    table; raises ValueError or OverflowError where that does not apply.
+
+    Walks the object as json.loads does: scanstring for keys, raw_decode
+    for every other value, JSON whitespace skipped, the last of duplicate
+    keys kept, nothing but whitespace after the object.
+    """
+    doc = {}
+    _, i = _next(text, 0, "{")
+    while True:
+        _, i = _next(text, i, '"')
+        key, i = json.decoder.scanstring(text, i)
+        _, i = _next(text, i, ":")
+        i = _SPACE(text, i).end()
+        if key == "matrix" and text.startswith("[", i):
+            doc[key], i = _rows_table(text, i + 1)
+        else:
+            doc[key], i = _DECODE(text, i)
+        mark, i = _next(text, i, ",}")
+        if mark == "}":
+            break
+    if _SPACE(text, i).end() != len(text):
+        raise ValueError(f"extra data at {i}")
+    return doc
+
+
+def _instance_json(text: str):
+    """json.loads(text), with a top-level "matrix" as _rows_table's table;
+    json.loads itself where _matrix_object does not apply."""
+    try:
+        return _matrix_object(text)
+    except (ValueError, OverflowError):
+        pass  # the half-built table goes with the exception
+    return json.loads(text)
+
+
 def load_instance(path) -> tuple[MetricSpace, int | None]:
-    """Read an instance JSON file; returns (metric, k or None)."""
-    doc = read_document(path, "instance", {"mode": str, "n": int})
+    """Read an instance JSON file; returns (metric, k or None).
+
+    A matrix is decoded row by row into its table, which MetricSpace
+    adopts, so a load peaks at the file's text plus one n x n table, not
+    the nested lists of Python numbers.  A graph's edges are decoded whole.
+    A text that is not a JSON object, does not parse, or holds a matrix row
+    that is not a flat list of ints and floats, a bool, or an int beyond
+    int64 is parsed by json.loads and its matrix read from the lists.  The
+    same checks follow either way: finite numbers, a square matrix of `n`
+    rows, labels, the pairwise axioms and, in integer mode, the triangle
+    inequality.
+    """
+    doc = read_document(path, "instance", {"mode": str, "n": int},
+                        parse=_instance_json)
     if "graph" in doc and "matrix" in doc:
         raise ValueError("instance file must not carry both a graph and a matrix")
     if not (doc.get("k") is None or is_int(doc["k"])):

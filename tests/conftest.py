@@ -1,9 +1,12 @@
 """Shared test oracles, deliberately independent of the library internals."""
 
+import json
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 
+from revgreedy import metric
 from revgreedy.consolidation import required_pairs
 from revgreedy.exact import optimal_solution
 from revgreedy.kcenter import cost
@@ -118,3 +121,20 @@ def separated_pairs_metric(gap: float = 10.0) -> MetricSpace:
     d = np.sqrt((diff * diff).sum(axis=2))
     np.fill_diagonal(d, 0.0)
     return MetricSpace(dist=d, mode="float")
+
+
+def reference_load_instance(path):
+    """load_instance with the document parsed by json.loads, its matrix
+    read by MetricSpace from the nested lists."""
+    with mock.patch.object(metric, "_instance_json", json.loads):
+        return metric.load_instance(path)
+
+
+def load_outcome(load, path):
+    """What load(path) returns, as the table's dtype and bytes, the mode,
+    the labels and k; or what it raises, as the exception's type and text."""
+    try:
+        m, k = load(path)
+    except Exception as err:  # every outcome is compared, errors included
+        return type(err), str(err)
+    return m.dist.dtype.str, m.dist.shape, m.dist.tobytes(), m.mode, m.labels, k

@@ -182,6 +182,21 @@ def test_run_bad_matrix_exits_2(tmp_path, capsys, name, text, message):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("mode, matrix", [
+    ("float", "[[0.0, 1.0], [1.0]]"),
+    ("int", "[[0, 1], [1]]"),
+    ("int", "[[0, 1], 5]"),
+], ids=["float-ragged", "int-ragged", "int-scalar-row"])
+def test_run_non_square_rows_exit_2(tmp_path, capsys, mode, matrix):
+    # A short row, or a number in place of a row, is a matrix that is not
+    # square, not numpy's text on an inhomogeneous list.
+    bad = tmp_path / "rows.json"
+    bad.write_text(f'{{"version": 1, "mode": "{mode}", "n": 2, "k": 1, '
+                   f'"matrix": {matrix}}}')
+    assert run_cli(["run", "--instance", str(bad)]) == 2
+    assert capsys.readouterr() == ("", "error: distance matrix must be square\n")
+
+
 def test_schemaless_schedule_and_trace_exit_2(tmp_path, capsys):
     bad = tmp_path / "s.json"
     bad.write_text('{"version": 1}')

@@ -6,7 +6,9 @@ value, and loads the result.  A loader must return or raise ValueError,
 which the CLI reports with exit code 2; any other exception would escape
 that boundary as a traceback.  No field of any document is a boolean, so
 a value holding one must be rejected, except inside a trace's policy,
-which is carried without being read.
+which is carried without being read.  An instance document must also
+load as it loads with json.loads and MetricSpace's list path: the same
+table, or the same exception with the same text.
 """
 
 import json
@@ -14,6 +16,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from conftest import load_outcome, reference_load_instance
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from revgreedy.kcenter import TiePolicy, load_trace, reverse_greedy, save_trace
@@ -93,6 +96,8 @@ def test_loaders_return_or_raise_value_error(tmp_path, name, loader, doc, key,
     path = data.draw(st.sampled_from(list(_paths(doc[key], (key,)))))
     fuzzed = tmp_path / "fuzz.json"
     fuzzed.write_text(json.dumps(_replaced(doc, path, value)))
+    if loader is load_instance:
+        assert load_outcome(loader, fuzzed) == load_outcome(reference_load_instance, fuzzed)
     try:
         loader(fuzzed)
     except ValueError:

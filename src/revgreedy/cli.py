@@ -12,6 +12,7 @@ Exit codes: 0 pass, 1 verification failure, 2 usage/input error, 3 incomplete.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -98,6 +99,8 @@ def cmd_gen_random(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.schedule and args.policy != "scripted":
+        raise ValueError(f"--policy {args.policy} does not read --schedule")
     m, k, lb = _load_source(args.instance, args.lowerbound, args.k, args.n)
     if args.policy == "lowest-index":
         policy = kcenter.TiePolicy.lowest_index()
@@ -106,6 +109,9 @@ def cmd_run(args) -> int:
     else:
         if args.schedule:
             sched = lowerbound.load_schedule(args.schedule)
+            if (sched.k, sched.n) != (k, m.n):
+                raise ValueError(f"schedule k/n {sched.k}/{sched.n} is not "
+                                 f"the run's {k}/{m.n}")
         elif lb is not None:
             sched = lowerbound.scripted_schedule(lb)
         else:
@@ -171,12 +177,15 @@ def _upper_policies(seed: int) -> list:
 _UPPER_CHUNK_ENTRIES = 1 << 16
 
 
-def _run_pool(worker, params, jobs: int) -> list:
-    if jobs > 1:
+@contextlib.contextmanager
+def _pool_map(jobs: int):
+    """map, or with jobs > 1 the map of one worker pool for the command."""
+    if jobs == 1:
+        yield map
+    else:
         from concurrent.futures import ProcessPoolExecutor  # not on every CLI start
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, params))
-    return [worker(p) for p in params]
+            yield pool.map
 
 
 def _verify_upper(args) -> int:
@@ -184,25 +193,26 @@ def _verify_upper(args) -> int:
               for t in range(args.trials)]
     per_chunk = max(1, _UPPER_CHUNK_ENTRIES // max(args.n, 1) ** 2)
     max_ratio, violations = 0.0, []
-    for start in range(0, len(params), per_chunk):
-        chunk = params[start:start + per_chunk]
-        solved = _run_pool(_upper_instance, chunk, args.jobs)
-        # Even trials are Euclidean (float), odd ones random graphs (int):
-        # one engine pass each over all six tie policies of every trial.
-        for parity, kind in enumerate(("euclidean", "random-graph")):
-            runs = [(p[0], m, opt, policy) for p, (m, opt) in zip(chunk, solved)
-                    if p[0] % 2 == parity for policy in _upper_policies(p[3])]
-            traces = kcenter.reverse_greedy_runs([run[1] for run in runs], args.k,
-                                                 [run[3] for run in runs])
-            for (trial, m, opt, policy), trace in zip(runs, traces):
-                final = trace.final_cost
-                ratio = final / opt if opt else 0.0
-                max_ratio = max(max_ratio, ratio)
-                if final > 2 * args.k * opt + m.tol():
-                    violations.append({"trial": trial, "kind": kind,
-                                       "policy": policy.describe(),
-                                       "ratio": ratio})
-            del traces  # freed before the next pass
+    with _pool_map(args.jobs) as each:
+        for start in range(0, len(params), per_chunk):
+            chunk = params[start:start + per_chunk]
+            solved = list(each(_upper_instance, chunk))
+            # Even trials are Euclidean (float), odd ones random graphs (int):
+            # one engine pass each over all six tie policies of every trial.
+            for parity, kind in enumerate(("euclidean", "random-graph")):
+                runs = [(p[0], m, opt, policy) for p, (m, opt) in zip(chunk, solved)
+                        if p[0] % 2 == parity for policy in _upper_policies(p[3])]
+                traces = kcenter.reverse_greedy_runs([run[1] for run in runs], args.k,
+                                                     [run[3] for run in runs])
+                for (trial, m, opt, policy), trace in zip(runs, traces):
+                    final = trace.final_cost
+                    ratio = final / opt if opt else 0.0
+                    max_ratio = max(max_ratio, ratio)
+                    if final > 2 * args.k * opt + m.tol():
+                        violations.append({"trial": trial, "kind": kind,
+                                           "policy": policy.describe(),
+                                           "ratio": ratio})
+                del traces  # freed before the next pass
     violations.sort(key=lambda v: v["trial"])
     passed = not violations
     doc = {"target": "upper", "trials": args.trials, "n": args.n, "k": args.k,
@@ -269,7 +279,8 @@ def _separation_trial(params: tuple) -> dict:
 
 def _verify_separation(args) -> int:
     params = [(t, args.k, args.seed + t, 64) for t in range(args.trials)]
-    results = _run_pool(_separation_trial, params, args.jobs)
+    with _pool_map(args.jobs) as each:
+        results = list(each(_separation_trial, params))
     used = [r for r in results if r["separated"]]
     above = [r for r in used if r["ratio"] > 2 + 1e-9]
     max_ratio = max((r["ratio"] for r in used), default=0.0)
@@ -286,7 +297,8 @@ def cmd_sweep(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["k", "n", "final_cost", "opt", "ratio", "runtime_s", "legality"])
-    rows = _run_pool(_family_row, args.k, args.jobs)
+    with _pool_map(args.jobs) as each:
+        rows = list(each(_family_row, args.k))
     for k, (report, elapsed) in zip(args.k, rows):
         final = report.final_cost  # None, an empty cell, when the run stopped
         writer.writerow([k, report.n, final, 1, "" if final is None else f"{final:g}",

@@ -357,11 +357,11 @@ def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
             for c, fell in zip(stale.tolist(), lost[stale].tolist()):
                 if fell:
                     f1m[c], d1m[c] = f2m[c], d2m[c]
-                at, first = secondm[c] + 1, c - c % n  # first = offset[c]
-                while not livem[rankedm[at] + first]:
+                at, row0 = secondm[c] + 1, c - c % n  # row0 = offset[c]
+                while not livem[rankedm[at] + row0]:
                     at += 1
                 secondm[c] = at
-                f2m[c] = g = rankedm[at] + first
+                f2m[c] = g = rankedm[at] + row0
                 d2m[c] = reach = distm[basem[c] + g]
                 if reach > worstm[f1m[c]]:
                     worstm[f1m[c]] = reach

@@ -291,10 +291,7 @@ def export_dot(inst: LowerBoundInstance, trace: Trace | None = None) -> str:
     """
     if trace is not None and trace.n != inst.n:
         raise ValueError(f"trace has {trace.n} points, the instance {inst.n}")
-    phase_of: dict[int, int] = {}
-    if trace is not None:
-        for step in trace.steps:
-            phase_of[step.removed] = int(step.cost)
+    phase_of = {} if trace is None else {s.removed: int(s.cost) for s in trace.steps}
 
     labels = inst.metric.labels or tuple(str(p) for p in range(inst.n))
 
@@ -307,26 +304,16 @@ def export_dot(inst: LowerBoundInstance, trace: Trace | None = None) -> str:
             attrs.append(f'style=filled fillcolor="{color}"')
         return f"    v{p} [{' '.join(attrs)}];"
 
+    # C_0's padding is drawn as its leaves: in its cluster, tied to its center.
+    members = [inst.stars[0].leaves + inst.padding,
+               *(star.leaves for star in inst.stars[1:])]
     lines = ["graph lower_bound {", "  node [shape=circle];"]
-    for i, star in enumerate(inst.stars):
-        lines.append(f"  subgraph cluster_{i} {{")
-        lines.append(f'    label="C_{i}";')
-        lines.append(node_line(star.center))
-        for leaf in star.leaves:
-            lines.append(node_line(leaf))
-        if i == 0:
-            for pad in inst.padding:
-                lines.append(node_line(pad))
-        for leaf in star.leaves:
-            lines.append(f"    v{star.center} -- v{leaf};")
-        if i == 0:
-            for pad in inst.padding:
-                lines.append(f"    v{star.center} -- v{pad};")
-        lines.append("  }")
-    # Edges inside a cluster (padding is C_0's) were drawn with it.
-    cluster = dict.fromkeys(inst.padding, 0)
-    for i, star in enumerate(inst.stars):
-        cluster.update(dict.fromkeys((star.center, *star.leaves), i))
+    cluster = {}  # edges inside a cluster are drawn with it
+    for i, (star, leaves) in enumerate(zip(inst.stars, members)):
+        cluster.update(dict.fromkeys((star.center, *leaves), i))
+        lines += [f"  subgraph cluster_{i} {{", f'    label="C_{i}";',
+                  *map(node_line, (star.center, *leaves)),
+                  *(f"    v{star.center} -- v{p};" for p in leaves), "  }"]
     for u, v, w in inst.graph.edges.tolist():
         if cluster[u] != cluster[v]:
             lines.append(f'  v{u} -- v{v} [label="{w}"];')
@@ -348,5 +335,8 @@ def load_schedule(path) -> PhaseSchedule:
     doc = read_document(path, "schedule", {"k": int, "n": int, "steps": list})
     for i, s in enumerate(doc["steps"]):
         check_object(s, f"schedule step {i}", {"point": int, "phase": int})
+        if not 0 <= s["point"] < doc["n"]:
+            raise ValueError(f"schedule step {i} removes {s['point']}, not a "
+                             f"point of 0..{doc['n'] - 1}")
     steps = tuple(ScheduledStep(s["point"], s["phase"]) for s in doc["steps"])
     return PhaseSchedule(k=doc["k"], n=doc["n"], steps=steps)

@@ -7,18 +7,17 @@ any arithmetic that could leave that type.  Floating mode carries a
 comparison tolerance used for all tie/argmin decisions.  One O(n^3)
 triangle loop serves both; `load_instance` runs it on integer matrices only.
 
-`load_instance` decodes a matrix row by row into its table, so a load
-peaks at the file's text plus one table.  Documents that reader does not
-take (not a JSON object, a syntax error, a matrix row that is not a flat
-list of ints and floats, a bool, an int beyond int64) are read by
-`json.loads` into nested lists, with the same result and the same errors.
+Every file is parsed by `_instance_json`, which decodes a top-level
+"matrix" row by row into its table, so a load peaks at the file's text plus
+one table, and otherwise gives what `json.loads` gives, errors included.
+Every table enters `MetricSpace` by `np.asarray` and one scan of the entry
+types given; the read-only tables built here are adopted as they are.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -116,41 +115,29 @@ class MetricSpace:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        # The entry types of the list rows, read before numpy converts them.
-        listed = isinstance(self.dist, list)
-        rows = [row for row in self.dist if isinstance(row, list)] if listed else []
-        kinds = set().union(*(map(type, row) for row in rows))
-        d = None
         try:
-            if listed and len(rows) == len(self.dist):
-                # Straight into the table's type: float64, not an int64 table
-                # and then its float copy, or integer mode's narrowest type,
-                # not int64 first.  An int beyond either range takes the
-                # general path.
-                if self.mode == "float" and kinds <= {int, float}:
-                    with suppress(OverflowError):
-                        d = np.asarray(self.dist, np.float64)
-                elif self.mode == "int" and kinds <= {int}:
-                    kind = _narrowest(max(chain([0], *rows)), min(chain([0], *rows)))
-                    d = None if kind is None else np.asarray(self.dist, kind)
-            if d is None:
-                d = np.asarray(self.dist)
+            d = np.asarray(self.dist)
         except ValueError:
             # numpy's text for rows of unequal lengths, a number among the
             # rows, or a list among the entries.
             raise ValueError("distance matrix must be square") from None
-        # An array built here from a list, or by a conversion below, is
-        # held by nothing else, so it is adopted without a copy.
+        # An array built here from a list or tuple, or by a conversion
+        # below, is held by nothing else, so it is adopted without a copy.
         fresh = isinstance(self.dist, (list, tuple))
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("distance matrix must be square")
         if self.mode not in ("int", "float"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        # np.asarray reads booleans among numbers as 0 and 1.
+        # np.asarray reads booleans among numbers as 0 and 1, so the entries
+        # are scanned as given: those of a list or tuple's rows, or of an
+        # array that does not hold numbers.
+        numeric = d.dtype.kind in "biuf"
+        given = chain.from_iterable(self.dist) if fresh else () if numeric else d.flat
+        kinds = set(map(type, given))
         if d.dtype.kind == "b" or bool in kinds:
             raise ValueError("distances must be numbers, not booleans")
-        if d.dtype.kind not in "biuf":
-            if not all(is_int(x) or isinstance(x, float) for x in d.flat):
+        if not numeric:
+            if not all(issubclass(t, (int, np.integer, float)) for t in kinds):
                 raise ValueError("distances must be numbers")
             # Python ints outside int64 (JSON numbers have no size limit);
             # one beyond the float range is no finite distance either.
@@ -329,8 +316,8 @@ def _pairwise_axioms(m: MetricSpace) -> MetricValidationReport:
         a = int(diag[0])
         report.violations.append(("identity", (a, a)))
 
-    # Loaded matrices are checked while their parsed JSON is still held,
-    # so an exactly symmetric one must cost no n x n array of numbers.
+    # The equality test spares an exactly symmetric float table the n x n
+    # array of its differences d - d.T.
     if not np.array_equal(d, d.T):
         asym = np.argwhere(d != d.T if exact else np.abs(d - d.T) > tol)
         if asym.size:
@@ -392,6 +379,7 @@ def euclidean_metric(coords: np.ndarray) -> MetricSpace:
     diff = coords[:, None, :] - coords[None, :, :]
     d = np.sqrt((diff * diff).sum(axis=2))
     np.fill_diagonal(d, 0.0)
+    d.setflags(write=False)
     return MetricSpace(dist=d, mode="float")
 
 
@@ -513,10 +501,10 @@ def check_object(obj, what: str, fields: dict) -> None:
             raise ValueError(f"{what} has {key}={obj[key]!r} of the wrong type")
 
 
-def read_document(path, what: str, fields: dict, parse=json.loads) -> dict:
-    """Parse a version-1 JSON file, its text by `parse`, whose top level
-    passes check_object."""
-    doc = parse(Path(path).read_text())
+def read_document(path, what: str, fields: dict) -> dict:
+    """Parse a version-1 JSON file by _instance_json, whose top level passes
+    check_object."""
+    doc = _instance_json(Path(path).read_text())
     check_object(doc, f"{what} file", {"version": int, **fields})
     if doc["version"] != 1:
         raise ValueError(f"unsupported {what} file version")
@@ -608,7 +596,8 @@ def _matrix_object(text: str) -> dict:
 
 def _instance_json(text: str):
     """json.loads(text), with a top-level "matrix" as _rows_table's table;
-    json.loads itself where _matrix_object does not apply."""
+    json.loads itself where _matrix_object does not apply.  Every document
+    is parsed here: instances, traces and schedules."""
     try:
         return _matrix_object(text)
     except (ValueError, OverflowError):
@@ -619,18 +608,13 @@ def _instance_json(text: str):
 def load_instance(path) -> tuple[MetricSpace, int | None]:
     """Read an instance JSON file; returns (metric, k or None).
 
-    A matrix is decoded row by row into its table, which MetricSpace
-    adopts, so a load peaks at the file's text plus one n x n table, not
-    the nested lists of Python numbers.  A graph's edges are decoded whole.
-    A text that is not a JSON object, does not parse, or holds a matrix row
-    that is not a flat list of ints and floats, a bool, or an int beyond
-    int64 is parsed by json.loads and its matrix read from the lists.  The
-    same checks follow either way: finite numbers, a square matrix of `n`
-    rows, labels, the pairwise axioms and, in integer mode, the triangle
-    inequality.
+    A matrix arrives as _instance_json's table, which MetricSpace adopts,
+    or as nested lists where that reader does not take it; a graph's edges
+    are decoded whole.  The same checks follow either way: finite numbers,
+    a square matrix of `n` rows, labels, the pairwise axioms and, in
+    integer mode, the triangle inequality.
     """
-    doc = read_document(path, "instance", {"mode": str, "n": int},
-                        parse=_instance_json)
+    doc = read_document(path, "instance", {"mode": str, "n": int})
     if "graph" in doc and "matrix" in doc:
         raise ValueError("instance file must not carry both a graph and a matrix")
     if not (doc.get("k") is None or is_int(doc["k"])):

@@ -1,5 +1,7 @@
+import concurrent.futures
 import csv
 import dataclasses
+import hashlib
 import json
 import re
 import tracemalloc
@@ -301,6 +303,51 @@ def test_run_scripted_needs_schedule_for_plain_instances(tmp_path):
     assert run_cli(["run", "--instance", str(inst), "--policy", "scripted"]) == 2
 
 
+def _family_schedule(tmp_path, k, n=None):
+    """The scripted schedule file of family member k (n points)."""
+    sched = tmp_path / f"s{k}.json"
+    assert run_cli(["gen", "lowerbound", "--k", str(k), *(["--n", str(n)] if n else []),
+                    "--out", str(tmp_path / f"i{k}.json"),
+                    "--schedule-out", str(sched)]) == 0
+    return sched
+
+
+@pytest.mark.parametrize("policy", ["lowest-index", "seeded-random"])
+def test_run_refuses_a_schedule_its_policy_does_not_read(tmp_path, capsys, policy):
+    sched = _family_schedule(tmp_path, 3)
+    capsys.readouterr()
+    assert run_cli(["run", "--lowerbound", "3", "--policy", policy,
+                    "--schedule", str(sched)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --policy {policy} does not read --schedule\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("run, schedule, pairs", [
+    (["--lowerbound", "3"], (7, 99), "7/99 is not the run's 3/14"),
+    (["--lowerbound", "3", "--n", "15"], (3, None), "3/14 is not the run's 3/15"),
+], ids=["k-and-n", "n-alone"])
+def test_run_refuses_a_schedule_of_another_instance(tmp_path, capsys, run, schedule,
+                                                    pairs):
+    sched = _family_schedule(tmp_path, *schedule)
+    capsys.readouterr()
+    assert run_cli(["run", *run, "--policy", "scripted", "--schedule", str(sched)]) == 2
+    assert capsys.readouterr().err == f"error: schedule k/n {pairs}\n"
+
+
+@pytest.mark.parametrize("point", [1000, 14, -1])
+def test_run_names_a_scheduled_point_outside_the_instance(tmp_path, capsys, point):
+    sched = _family_schedule(tmp_path, 3)
+    doc = json.loads(sched.read_text())
+    doc["steps"][0]["point"] = point
+    sched.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli(["run", "--lowerbound", "3", "--policy", "scripted",
+                    "--schedule", str(sched)]) == 2
+    assert capsys.readouterr().err == (f"error: schedule step 0 removes {point}, "
+                                       f"not a point of 0..13\n")
+
+
 # --- verify ---
 
 def test_verify_lower_range(tmp_path, capsys):
@@ -513,6 +560,22 @@ def test_export_dot_from_files_with_trace(tmp_path):
     assert len(re.findall(r"phase=", dot)) == 4
 
 
+@pytest.mark.parametrize("traced, digest", [
+    (False, "ad0d1c42cdc1e5313a84219520dc7b800dedbeacd6a4fcb612eded4c166d47e1"),
+    (True, "e390f56bdb1fde1fc77edc2a09ec0deb55e92e6e92b20f6c3405c0f7a4bcf47b"),
+], ids=["plain", "traced"])
+def test_export_dot_of_a_padded_member_keeps_its_bytes(tmp_path, traced, digest):
+    # k=4 has 25 points; the 5 padding points are drawn as C_0's leaves.
+    out, trace = tmp_path / "g.dot", tmp_path / "t.json"
+    flags = ["--trace", str(trace)] if traced else []
+    if traced:
+        assert run_cli(["run", "--lowerbound", "4", "--n", "30", "--policy", "scripted",
+                        "--out", str(trace)]) == 0
+    assert run_cli(["export-dot", "--lowerbound", "4", "--n", "30", *flags,
+                    "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_export_dot_rejects_non_lowerbound(tmp_path):
     inst = tmp_path / "u.json"
     save_instance(inst, uniform_metric(6), k=2)
@@ -582,6 +645,23 @@ def test_parse_k_range():
 def test_format_flag_rejected():
     # Each command has one output format; there is nothing to select.
     assert run_cli(["sweep", "--k", "2", "--format", "csv"]) == 2
+
+
+@pytest.mark.parametrize("jobs, pools", [(1, 0), (2, 1)])
+def test_verify_upper_opens_at_most_one_pool(tmp_path, monkeypatch, jobs, pools):
+    opened = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    # One n = 12 trial a chunk: three chunks.
+    monkeypatch.setattr(cli, "_UPPER_CHUNK_ENTRIES", 12 * 12)
+    assert run_cli(["verify", "upper", "--n", "12", "--k", "3", "--trials", "3",
+                    "--jobs", str(jobs)]) == 0
+    assert len(opened) == pools
 
 
 def test_sweep_parallel_jobs_match_serial(tmp_path):

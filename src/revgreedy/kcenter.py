@@ -319,7 +319,10 @@ def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
             else:
                 removed = policy.script[i - 1]
                 pick = r * n + removed
-                if not (0 <= removed < n and live[pick]):
+                if not 0 <= removed < n:
+                    raise ScriptedStepError(f"illegal scripted step {i}: facility "
+                                            f"{removed} is not a point of 0..{n - 1}")
+                if not live[pick]:
                     raise ScriptedStepError(f"illegal scripted step {i}: "
                                             f"facility {removed} already removed")
                 # Only a scripted removal can lie outside the argmin set.

@@ -7,9 +7,12 @@ any arithmetic that could leave that type.  Floating mode carries a
 comparison tolerance used for all tie/argmin decisions.  One O(n^3)
 triangle loop serves both; `load_instance` runs it on integer matrices only.
 
-Every file is parsed by `_instance_json`, which decodes a top-level
-"matrix" row by row into its table, so a load peaks at the file's text plus
-one table, and otherwise gives what `json.loads` gives, errors included.
+Every file is parsed by `_read_json`, which reads it through a window of
+`_CHUNK` characters and decodes a top-level "matrix" and a graph's "edges"
+a window of rows at a time into their tables, so a load holds its tables
+and one window's text and rows, never the file's whole text or its
+nested lists, and otherwise gives what `json.loads` gives, errors
+included.
 Every table enters `MetricSpace` by `np.asarray` and one scan of the entry
 types given; the read-only tables built here are adopted as they are.
 """
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import os
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -54,34 +58,38 @@ def _edge_fault(i: int, edge, n: int) -> str | None:
 
 
 def _edge_array(edges, n: int) -> np.ndarray:
-    """The edges as an m x 3 int64 array, weights clamped to 2**62.
+    """The edges as a new m x 3 int64 array, weights clamped to 2**62.
 
     Checks all edges at once and raises ValueError with the first fault of
-    the first faulty edge.  When an edge cannot enter the array (wrong
-    arity, an entry that is not an integer), one scan in edge order finds
-    that first fault instead.
+    the first faulty edge.  An m x 3 int64 array, such as the edge table
+    read_document decodes, is checked as it is.  When an edge of any other
+    input cannot enter the array (wrong arity, an entry that is not an
+    integer), one scan in edge order finds that first fault instead.
     """
-    edges = list(edges)  # any iterable: read more than once below
-    flat = list(chain.from_iterable(edges))
-    if set(map(len, edges)) - {3} or not all(
-            t is not bool and issubclass(t, (int, np.integer))
-            for t in set(map(type, flat))):
-        raise ValueError(next(filter(None, (_edge_fault(i, e, n)
-                                            for i, e in enumerate(edges)))))
-    # A vertex clamped to -1 or 2**62 stays out of range.  A weight clamped
-    # to 2**62 puts every path through it past the largest eccentricity
-    # metric_from_graph accepts, 2**61 - 1, so the clamp changes no result.
-    try:
-        a = np.fromiter(flat, np.int64, len(flat))
-    except OverflowError:
-        a = np.fromiter((min(max(x, -1), 2**62) for x in flat), np.int64, len(flat))
-    a = np.minimum(a, 2**62, out=a).reshape(-1, 3)
+    a = edges
+    if not (isinstance(a, np.ndarray) and a.dtype == np.int64 and a.shape[1:] == (3,)):
+        edges = list(edges)  # any iterable: read more than once below
+        flat = list(chain.from_iterable(edges))
+        if set(map(len, edges)) - {3} or not all(
+                t is not bool and issubclass(t, (int, np.integer))
+                for t in set(map(type, flat))):
+            raise ValueError(next(filter(None, (_edge_fault(i, e, n)
+                                                for i, e in enumerate(edges)))))
+        # A vertex clamped to -1 or 2**62 stays out of range.  A weight
+        # clamped to 2**62 puts every path through it past the largest
+        # eccentricity metric_from_graph accepts, 2**61 - 1, so neither this
+        # clamp nor the one below changes a result.
+        try:
+            a = np.fromiter(flat, np.int64, len(flat))
+        except OverflowError:
+            a = np.fromiter((min(max(x, -1), 2**62) for x in flat), np.int64, len(flat))
+        a = a.reshape(-1, 3)
     u, v, w = a.T
     bad = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v) | (w < 1))
     if bad.size:
         i = int(bad[0])
         raise ValueError(_edge_fault(i, edges[i], n))
-    return a
+    return np.minimum(a, 2**62)
 
 
 @dataclass(frozen=True, eq=False)
@@ -502,9 +510,9 @@ def check_object(obj, what: str, fields: dict) -> None:
 
 
 def read_document(path, what: str, fields: dict) -> dict:
-    """Parse a version-1 JSON file by _instance_json, whose top level passes
-    check_object."""
-    doc = _instance_json(Path(path).read_text())
+    """Parse a version-1 JSON file by _read_json, one window of text at a
+    time; its top level must pass check_object."""
+    doc = _read_json(path)
     check_object(doc, f"{what} file", {"version": int, **fields})
     if doc["version"] != 1:
         raise ValueError(f"unsupported {what} file version")
@@ -517,102 +525,181 @@ def write_document(path, doc: dict) -> None:
     Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
-# The json module's own parts, with which _instance_json walks a document.
+# The json module's own parts, with which _Window walks a document.
 _DECODE = json.JSONDecoder().raw_decode
 _SPACE = json.decoder.WHITESPACE.match
+# Characters read at a time.  `run` on a 560-point Euclidean matrix file
+# (6 MB) peaks at 20.8 MB RSS with a 64 KiB window and at 28.5 MB with a
+# 1 MiB one, as high as reading the whole text (2 vCPUs): the window's
+# text, its bracketed copy and its rows as Python floats add up.
+_CHUNK = 1 << 16
+# The lists of rows that _read_json decodes into tables, by key: a
+# top-level "matrix" (width 0: square) and the "edges" of a top-level
+# "graph" object (width 3).
+_TABLES = {"matrix": 0, "graph": {"edges": 3}}
 
 
-def _next(text: str, i: int, marks: str) -> tuple[str, int]:
-    """The first character at or after i that is not JSON whitespace, which
-    must be one of marks, and the position after it."""
-    i = _SPACE(text, i).end()
-    mark = text[i : i + 1]
-    if not (mark and mark in marks):
-        raise ValueError(f"expected one of {marks!r} at {i}")
-    return mark, i + 1
+class _Window:
+    """An open text file, read _CHUNK characters at a time: text[i:] is
+    what has been read and not yet walked."""
+
+    def __init__(self, file):
+        self.file, self.text, self.i = file, "", 0
+
+    def more(self) -> bool:
+        """Read as much again as is pending, at least _CHUNK characters;
+        False at the end of the file."""
+        rest = self.text[self.i :]
+        read = self.file.read(max(len(rest), _CHUNK))
+        self.text, self.i = rest + read, 0
+        return bool(read)
+
+    def peek(self) -> str:
+        """The next character that is not JSON whitespace, "" at the end of
+        the file; i is left on it."""
+        while (i := _SPACE(self.text, self.i).end()) == len(self.text) and self.more():
+            pass
+        self.i = i
+        return self.text[i : i + 1]
+
+    def mark(self, marks: str) -> str:
+        """The next character, which must be one of marks, walked past."""
+        mark = self.peek()
+        if not (mark and mark in marks):
+            raise ValueError(f"expected one of {marks!r}")
+        self.i += 1
+        return mark
+
+    def value(self):
+        """The next JSON value, by raw_decode.  A value that fails, or ends
+        at the window's end (a number could go on), is decoded again with
+        more text."""
+        self.peek()
+        while True:
+            try:
+                value, end = _DECODE(self.text, self.i)
+            except ValueError:
+                if self.more():
+                    continue
+                raise
+            if end < len(self.text) or not self.more():
+                self.i = end
+                return value
+
+    def rows(self) -> tuple[list, bool]:
+        """The complete rows the window holds of a list of rows, none where
+        a "]" stands in a row's place, and whether the list goes on after
+        them.
+
+        The text from a row's "[" to the last "]" in the window, put in
+        brackets, decodes to those rows; where the list's own "]" comes
+        first, raw_decode stops at it.
+        """
+        self.peek()
+        while not (j := self.text.rfind("]", self.i) + 1):
+            if not self.more():
+                raise ValueError("unterminated list")
+        block, end = _DECODE("[" + self.text[self.i : j] + "]")
+        if end < j - self.i + 2:
+            self.i += end - 1
+            return block, False
+        self.i = j
+        return block, self.mark(",]") == ","
 
 
-def _rows_table(text: str, i: int) -> tuple[np.ndarray, int]:
-    """The JSON list of rows whose "[" ends before text[i], decoded one row
-    at a time into a read-only table, and the position after the list.
+def _rows_table(src: _Window, width: int) -> np.ndarray:
+    """The list of rows whose "[" src has just passed, decoded a window of
+    rows at a time into a read-only table, one numpy assignment per window.
 
-    The table is sized from the first row.  It is int64 while every entry
-    is an int and float64 from the first float on, the type np.asarray
-    picks for the whole list.  Raises ValueError or OverflowError where the
-    list is not square, an entry is not an int or a float, or an int does
-    not fit the table.
+    Width 0 asks for a square matrix sized from its first row, int64 while
+    every entry is an int and float64 from the first float on, the type
+    np.asarray picks for the whole list; a width, for rows of that many
+    ints, int64.  Raises ValueError or OverflowError where the list is not
+    that, or an int does not fit the table.
     """
-    table, count = None, 0
-    while True:
-        row, i = _DECODE(text, _SPACE(text, i).end())
-        if type(row) is not list or not (kinds := set(map(type, row))) <= {int, float}:
+    table, count, more = None, 0, True
+    numbers = {int} if width else {int, float}
+    while more:
+        block, more = src.rows()
+        if set(map(type, block)) != {list} or not (
+                kinds := set(map(type, chain.from_iterable(block)))) <= numbers:
             raise ValueError("a row is not a list of numbers")
         if table is None:
-            # n rows of n entries take more than n**2 characters.
-            if len(row) ** 2 > len(text):
+            size = width or len(block[0])
+            # n rows of n entries take more than n**2 bytes.
+            if not width and size**2 > os.fstat(src.file.fileno()).st_size:
                 raise ValueError("the matrix is not square")
-            table = np.empty((len(row),) * 2, np.float64 if float in kinds else np.int64)
-        if count == len(table) or len(row) != len(table):
-            raise ValueError("the matrix is not square")
+            table = np.empty((len(block) if width else size, size),
+                             np.float64 if float in kinds else np.int64)
+        if set(map(len, block)) != {table.shape[1]}:
+            raise ValueError("a row has the wrong length")
+        if count + len(block) > len(table):
+            if not width:
+                raise ValueError("the matrix is not square")
+            table.resize((2 * (count + len(block)), width), refcheck=False)
         if float in kinds and table.dtype == np.int64:
             table = table.astype(np.float64)
-        table[count] = row
-        count += 1
-        mark, i = _next(text, i, ",]")
-        if mark == "]":
-            break
-    if count != len(table):
+        table[count : count + len(block)] = block
+        count += len(block)
+    if width:
+        table.resize((count, width), refcheck=False)
+    elif count != len(table):
         raise ValueError("the matrix is not square")
     table.setflags(write=False)
-    return table, i
+    return table
 
 
-def _matrix_object(text: str) -> dict:
-    """The JSON object that text holds, its "matrix" list as _rows_table's
-    table; raises ValueError or OverflowError where that does not apply.
-
-    Walks the object as json.loads does: scanstring for keys, raw_decode
-    for every other value, JSON whitespace skipped, the last of duplicate
-    keys kept, nothing but whitespace after the object.
-    """
+def _object(src: _Window, tables: dict) -> dict:
+    """The JSON object src holds next, walked as json.loads walks it (the
+    last of duplicate keys kept); where tables names a key, its list of
+    rows is _rows_table's table, or its object is walked in turn."""
     doc = {}
-    _, i = _next(text, 0, "{")
+    src.mark("{")
     while True:
-        _, i = _next(text, i, '"')
-        key, i = json.decoder.scanstring(text, i)
-        _, i = _next(text, i, ":")
-        i = _SPACE(text, i).end()
-        if key == "matrix" and text.startswith("[", i):
-            doc[key], i = _rows_table(text, i + 1)
+        key = src.value()
+        if type(key) is not str:
+            raise ValueError("expected a key")
+        src.mark(":")
+        part, opens = tables.get(key), src.peek()
+        if isinstance(part, dict) and opens == "{":
+            doc[key] = _object(src, part)
+        elif isinstance(part, int) and opens == "[":
+            src.i += 1
+            doc[key] = _rows_table(src, part)
         else:
-            doc[key], i = _DECODE(text, i)
-        mark, i = _next(text, i, ",}")
-        if mark == "}":
-            break
-    if _SPACE(text, i).end() != len(text):
-        raise ValueError(f"extra data at {i}")
-    return doc
+            doc[key] = src.value()
+        if src.mark(",}") == "}":
+            return doc
 
 
-def _instance_json(text: str):
-    """json.loads(text), with a top-level "matrix" as _rows_table's table;
-    json.loads itself where _matrix_object does not apply.  Every document
-    is parsed here: instances, traces and schedules."""
-    try:
-        return _matrix_object(text)
-    except (ValueError, OverflowError):
-        pass  # the half-built table goes with the exception
-    return json.loads(text)
+def _read_json(path):
+    """json.loads(Path(path).read_text()), read through a window of _CHUNK
+    characters, with the lists of rows that _TABLES names as tables; where
+    the window's walk does not apply, or the file is a pipe, which cannot be
+    read twice, json.loads itself.  Every document is parsed here:
+    instances, traces and schedules."""
+    with Path(path).open() as file:
+        if file.seekable():
+            try:
+                src = _Window(file)
+                doc = _object(src, _TABLES)
+                if not src.peek():
+                    return doc
+            except (ValueError, OverflowError):
+                pass  # half-built tables go with the exception
+            file.seek(0)
+        return json.loads(file.read())
 
 
 def load_instance(path) -> tuple[MetricSpace, int | None]:
     """Read an instance JSON file; returns (metric, k or None).
 
-    A matrix arrives as _instance_json's table, which MetricSpace adopts,
-    or as nested lists where that reader does not take it; a graph's edges
-    are decoded whole.  The same checks follow either way: finite numbers,
-    a square matrix of `n` rows, labels, the pairwise axioms and, in
-    integer mode, the triangle inequality.
+    A matrix arrives as _read_json's table, which MetricSpace adopts, and
+    a graph's edges as its m x 3 table, which is dropped once the graph
+    holds its checked copy; either arrives as nested lists where that
+    reader does not take it.  The same checks follow either way: finite
+    numbers, a square matrix of `n` rows, edge faults, labels, the
+    pairwise axioms and, in integer mode, the triangle inequality.
     """
     doc = read_document(path, "instance", {"mode": str, "n": int})
     if "graph" in doc and "matrix" in doc:
@@ -626,9 +713,9 @@ def load_instance(path) -> tuple[MetricSpace, int | None]:
             raise ValueError("instance labels must be a list of strings")
         labels = tuple(labels)
     if "graph" in doc:
-        check_object(doc["graph"], "instance graph", {"edges": list})
-        edges = doc["graph"]["edges"]
-        if not all(isinstance(e, list) for e in edges):
+        check_object(doc["graph"], "instance graph", {"edges": (list, np.ndarray)})
+        edges = doc.pop("graph")["edges"]
+        if not (isinstance(edges, np.ndarray) or all(isinstance(e, list) for e in edges)):
             raise ValueError("instance graph edges must be [u, v, weight] lists")
         # Checked before the n x n shortest-path table is allocated.
         if mode != "int":
@@ -636,7 +723,9 @@ def load_instance(path) -> tuple[MetricSpace, int | None]:
         if len(edges) < doc["n"] - 1:
             raise DisconnectedGraphError(f"{len(edges)} edges cannot connect "
                                          f"{doc['n']} vertices")
-        m = metric_from_graph(WeightedGraph(doc["n"], edges))
+        g = WeightedGraph(doc["n"], edges)
+        del edges  # the parsed table goes before the shortest-path tables come
+        m = metric_from_graph(g)
         m = MetricSpace(dist=m.dist, mode="int", labels=labels)
     elif "matrix" in doc:
         m = MetricSpace(dist=doc["matrix"], mode=mode, labels=labels)

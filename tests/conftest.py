@@ -2,6 +2,7 @@
 
 import json
 from itertools import combinations
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -125,8 +126,10 @@ def separated_pairs_metric(gap: float = 10.0) -> MetricSpace:
 
 def reference_load_instance(path):
     """load_instance with the document parsed by json.loads, its matrix
-    read by MetricSpace from the nested lists."""
-    with mock.patch.object(metric, "_instance_json", json.loads):
+    read by MetricSpace and its edges by WeightedGraph from the nested
+    lists."""
+    with mock.patch.object(metric, "_read_json",
+                           lambda path: json.loads(Path(path).read_text())):
         return metric.load_instance(path)
 
 

@@ -175,7 +175,8 @@ def test_illegal_script_rejected_like_reference(case, data):
 @pytest.mark.parametrize("point", [7, -1])
 def test_out_of_range_scripted_removal_rejected(point):
     with pytest.raises(ScriptedStepError,
-                       match=rf"step 2: facility {point} already removed"):
+                       match=rf"^illegal scripted step 2: facility {point} "
+                             r"is not a point of 0\.\.4$"):
         reverse_greedy(uniform_metric(5), 2, TiePolicy.scripted((0, point, 1)))
 
 
@@ -360,7 +361,7 @@ def test_out_of_range_removal_in_a_batch_fails_like_the_single_run():
     policies = [TiePolicy.lowest_index(), TiePolicy.scripted((0, 7, 1)),
                 TiePolicy.seeded_random(2)]
     with pytest.raises(ScriptedStepError,
-                       match=r"^illegal scripted step 2: facility 7 already removed$"):
+                       match=r"^illegal scripted step 2: facility 7 is not a point of 0\.\.4$"):
         reverse_greedy_runs(m, 2, policies)
 
 

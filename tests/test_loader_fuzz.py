@@ -7,18 +7,21 @@ which the CLI reports with exit code 2; any other exception would escape
 that boundary as a traceback.  No field of any document is a boolean, so
 a value holding one must be rejected, except inside a trace's policy,
 which is carried without being read.  An instance document must also
-load as it loads with json.loads and MetricSpace's list path: the same
-table, or the same exception with the same text.
+load as it loads with json.loads and the nested lists it gives: the same
+table, or the same exception with the same text, whatever the size of
+the reader's window.
 """
 
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from conftest import load_outcome, reference_load_instance
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from revgreedy import metric
 from revgreedy.kcenter import TiePolicy, load_trace, reverse_greedy, save_trace
 from revgreedy.lowerbound import (build_lower_bound_instance, load_schedule,
                                   save_schedule, scripted_schedule)
@@ -86,6 +89,14 @@ def _replaced(doc, path, value):
     return doc
 
 
+def _fuzzed(tmp_path, doc, key, data, value):
+    """The document written with value over a position drawn at or below key."""
+    path = data.draw(st.sampled_from(list(_paths(doc[key], (key,)))))
+    fuzzed = tmp_path / "fuzz.json"
+    fuzzed.write_text(json.dumps(_replaced(doc, path, value)))
+    return path, fuzzed
+
+
 @pytest.mark.parametrize("name, loader, doc, key", FIELDS,
                          ids=[f"{f[0]}-{f[3]}" for f in FIELDS])
 @settings(max_examples=40, deadline=None, derandomize=True,
@@ -93,9 +104,7 @@ def _replaced(doc, path, value):
 @given(data=st.data(), value=json_values)
 def test_loaders_return_or_raise_value_error(tmp_path, name, loader, doc, key,
                                              data, value):
-    path = data.draw(st.sampled_from(list(_paths(doc[key], (key,)))))
-    fuzzed = tmp_path / "fuzz.json"
-    fuzzed.write_text(json.dumps(_replaced(doc, path, value)))
+    path, fuzzed = _fuzzed(tmp_path, doc, key, data, value)
     if loader is load_instance:
         assert load_outcome(loader, fuzzed) == load_outcome(reference_load_instance, fuzzed)
     try:
@@ -103,3 +112,23 @@ def test_loaders_return_or_raise_value_error(tmp_path, name, loader, doc, key,
     except ValueError:
         return
     assert not _holds_bool(value) or path[0] == "policy"
+
+
+INSTANCE_FIELDS = [(name, doc, key) for name, loader, doc, key in FIELDS
+                   if loader is load_instance]
+
+
+# The instance cases again, read through windows small enough that every
+# value, row and run of whitespace is refilled.
+@pytest.mark.parametrize("chunk", [1, 2, 7, 64])
+@pytest.mark.parametrize("name, doc, key", INSTANCE_FIELDS,
+                         ids=[f"{f[0]}-{f[2]}" for f in INSTANCE_FIELDS])
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), value=json_values)
+def test_instance_loads_like_json_loads_in_small_windows(tmp_path, name, doc, key,
+                                                         chunk, data, value):
+    _, fuzzed = _fuzzed(tmp_path, doc, key, data, value)
+    with mock.patch.object(metric, "_CHUNK", chunk):
+        assert load_outcome(load_instance, fuzzed) == load_outcome(reference_load_instance,
+                                                                   fuzzed)

@@ -3,16 +3,17 @@ the ratio claims, sweep the adversarial family, and export DOT drawings.
 
 Every command is deterministic given its flags (all randomness is seeded).
 Reports go to --out as JSON/CSV; a human summary is printed on stdout.
-`verify upper` solves its trials' instances first (in a worker pool with
---jobs), then runs every trial's tie policies in one engine pass per
-arithmetic mode, a bounded chunk of trials at a time.
+`verify upper` solves its trials' instances first, then runs every trial's
+tie policies in one engine pass per arithmetic mode, a bounded chunk of
+trials at a time.  Ties and radii compare the stored distances exactly; the
+float slack enters only the 2k bound check and the separation gap, which
+lean on the triangle inequality.  `sweep --jobs` runs a worker pool.
 Exit codes: 0 pass, 1 verification failure, 2 usage/input error, 3 incomplete.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import functools
 import io
@@ -157,13 +158,11 @@ def _verify_lower(args) -> int:
     return 0 if all_ok else 1
 
 
-def _upper_instance(params: tuple):
-    """One battery trial's instance and optimum value; module-level so
-    worker pools can pickle it."""
-    trial, n, k, seed, exact_cap = params
+def _upper_instance(trial: int, args):
+    """One battery trial's instance and optimum value."""
     m = metric.random_metric("euclidean" if trial % 2 == 0 else "random-graph",
-                             n, seed)
-    return m, exact.opt_value(m, k, cap=exact_cap)
+                             args.n, args.seed + trial)
+    return m, exact.opt_value(m, args.k, cap=args.exact_cap)
 
 
 def _upper_policies(seed: int) -> list:
@@ -177,42 +176,28 @@ def _upper_policies(seed: int) -> list:
 _UPPER_CHUNK_ENTRIES = 1 << 16
 
 
-@contextlib.contextmanager
-def _pool_map(jobs: int):
-    """map, or with jobs > 1 the map of one worker pool for the command."""
-    if jobs == 1:
-        yield map
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # not on every CLI start
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            yield pool.map
-
-
 def _verify_upper(args) -> int:
-    params = [(t, args.n, args.k, args.seed + t, args.exact_cap)
-              for t in range(args.trials)]
     per_chunk = max(1, _UPPER_CHUNK_ENTRIES // max(args.n, 1) ** 2)
     max_ratio, violations = 0.0, []
-    with _pool_map(args.jobs) as each:
-        for start in range(0, len(params), per_chunk):
-            chunk = params[start:start + per_chunk]
-            solved = list(each(_upper_instance, chunk))
-            # Even trials are Euclidean (float), odd ones random graphs (int):
-            # one engine pass each over all six tie policies of every trial.
-            for parity, kind in enumerate(("euclidean", "random-graph")):
-                runs = [(p[0], m, opt, policy) for p, (m, opt) in zip(chunk, solved)
-                        if p[0] % 2 == parity for policy in _upper_policies(p[3])]
-                traces = kcenter.reverse_greedy_runs([run[1] for run in runs], args.k,
-                                                     [run[3] for run in runs])
-                for (trial, m, opt, policy), trace in zip(runs, traces):
-                    final = trace.final_cost
-                    ratio = final / opt if opt else 0.0
-                    max_ratio = max(max_ratio, ratio)
-                    if final > 2 * args.k * opt + m.tol():
-                        violations.append({"trial": trial, "kind": kind,
-                                           "policy": policy.describe(),
-                                           "ratio": ratio})
-                del traces  # freed before the next pass
+    for start in range(0, args.trials, per_chunk):
+        chunk = range(start, min(start + per_chunk, args.trials))
+        solved = [_upper_instance(trial, args) for trial in chunk]
+        # Even trials are Euclidean (float), odd ones random graphs (int):
+        # one engine pass each over all six tie policies of every trial.
+        for parity, kind in enumerate(("euclidean", "random-graph")):
+            runs = [(t, m, opt, policy) for t, (m, opt) in zip(chunk, solved)
+                    if t % 2 == parity for policy in _upper_policies(args.seed + t)]
+            traces = kcenter.reverse_greedy_runs([run[1] for run in runs], args.k,
+                                                 [run[3] for run in runs])
+            for (trial, m, opt, policy), trace in zip(runs, traces):
+                final = trace.final_cost
+                ratio = final / opt if opt else 0.0
+                max_ratio = max(max_ratio, ratio)
+                if final > 2 * args.k * opt + m.tol():
+                    violations.append({"trial": trial, "kind": kind,
+                                       "policy": policy.describe(),
+                                       "ratio": ratio})
+            del traces  # freed before the next pass
     violations.sort(key=lambda v: v["trial"])
     passed = not violations
     doc = {"target": "upper", "trials": args.trials, "n": args.n, "k": args.k,
@@ -263,10 +248,9 @@ def _separated_instance(k: int, seed: int):
     return metric.euclidean_metric(np.array(coords))
 
 
-def _separation_trial(params: tuple) -> dict:
-    trial, k, seed, exact_cap = params
+def _separation_trial(trial: int, k: int, seed: int) -> dict:
     m = _separated_instance(k, seed)
-    opt = exact.exact_opt(m, k, cap=exact_cap)
+    opt = exact.exact_opt(m, k, cap=64)
     gap = min((float(m.dist[x, y])
                for a, b in combinations(range(len(opt.balls)), 2)
                for x in opt.balls[a] for y in opt.balls[b]),
@@ -278,9 +262,7 @@ def _separation_trial(params: tuple) -> dict:
 
 
 def _verify_separation(args) -> int:
-    params = [(t, args.k, args.seed + t, 64) for t in range(args.trials)]
-    with _pool_map(args.jobs) as each:
-        results = list(each(_separation_trial, params))
+    results = [_separation_trial(t, args.k, args.seed + t) for t in range(args.trials)]
     used = [r for r in results if r["separated"]]
     above = [r for r in used if r["ratio"] > 2 + 1e-9]
     max_ratio = max((r["ratio"] for r in used), default=0.0)
@@ -297,8 +279,12 @@ def cmd_sweep(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["k", "n", "final_cost", "opt", "ratio", "runtime_s", "legality"])
-    with _pool_map(args.jobs) as each:
-        rows = list(each(_family_row, args.k))
+    if args.jobs == 1:
+        rows = list(map(_family_row, args.k))
+    else:
+        from concurrent.futures import ProcessPoolExecutor  # not on every CLI start
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            rows = list(pool.map(_family_row, args.k))
     for k, (report, elapsed) in zip(args.k, rows):
         final = report.final_cost  # None, an empty cell, when the run stopped
         writer.writerow([k, report.n, final, 1, "" if final is None else f"{final:g}",
@@ -374,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen_rand.add_argument("--edge-prob", type=float, help="random-graph only")
     gen_rand.add_argument("--max-weight", type=int, help="random-graph only")
 
-    # run, verify lower and verify gamma take --jobs unread: perfbench passes it.
+    # run and every verify target but separation take --jobs unread:
+    # perfbench passes it.
     run = _command(sub, "run", cmd_run, "--instance", "--lowerbound", "--seed",
                    "--exact-cap", "--out", "--jobs", help="run reverse greedy")
     run.add_argument("--n", type=int)
@@ -399,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     gamma.add_argument("--gamma-cap", type=positive_int, default=2000,
                        help="largest maximal-clique count for gamma")
     separation = _command(targets, "separation", _verify_separation,
-                          "--trials", "--seed", "--out", "--jobs")
+                          "--trials", "--seed", "--out")
     separation.add_argument("--k", type=positive_int, default=3)
 
     sweep = _command(sub, "sweep", cmd_sweep, "--out", "--jobs",

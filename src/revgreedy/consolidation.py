@@ -5,7 +5,9 @@ where every set has diameter at most twice the optimum, and every pair of
 facilities sharing an optimal ball lands together in some set.  The
 consolidation number is the least possible family size; along a reverse
 greedy trace it drops by at least one between consecutive critical states,
-which is what `verify_gamma_decrement` checks empirically.
+which is what `verify_gamma_decrement` checks empirically.  Diameters are
+checked at 2*OPT plus the float slack, since the optimal balls meet that
+bound by the triangle inequality; critical levels compare costs exactly.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from dataclasses import dataclass, field
 from itertools import combinations, islice
 
 from .exact import (OptimalSolution, _BudgetExhausted, _bits, _branch, _columns,
-                    _cover_tables)
+                    _cover_masks)
 from .kcenter import Trace
-from .metric import FLOAT_EPS, MetricSpace
+from .metric import MetricSpace
 
 
 class GammaCapError(RuntimeError):
@@ -102,20 +104,21 @@ def gamma(m: MetricSpace, opt: OptimalSolution, facilities, *,
     """Exact consolidation number by a set-cover search over maximal cliques.
 
     The search space is restricted to maximal cliques of the threshold
-    graph induced on the facilities: the pairs within 2*OPT both ways, as
-    both cover tables of the facilities alone hold them (bit i is the i-th
-    smallest), without self-loops; listing stops past `clique_cap` cliques.
-    This is lossless: a set has diameter <= 2*OPT exactly when it is a
-    clique there; dropping the non-facilities from every member of a valid
+    graph induced on the facilities: the pairs within 2*OPT plus the
+    mode's slack, as the cover masks of the facilities alone hold them
+    (bit i is the i-th smallest), without self-loops; listing stops past
+    `clique_cap` cliques.
+    This is lossless: a set passes is_consolidation's diameter test exactly
+    when it is a clique there; dropping the non-facilities from every member of a valid
     family keeps it valid (they only add diameter constraints), and so does
     replacing a member by a maximal clique containing it (covering and
     optimal pairs survive under supersets).  So some minimum-size family
     consists of maximal cliques of that induced graph only.  Each facility
     and each required pair becomes one column, the set of cliques holding
     it, and the least number of cliques hitting every column is found size
-    by size.  The optimal balls give such a family of k sets unless
-    distances tie within the float slack; with no family of at most k
-    sets, GammaCapError says so.
+    by size.  The optimal balls give such a family of k sets on any table
+    that keeps the triangle inequality within the slack; on one that does
+    not, no family of at most k sets may exist, and GammaCapError says so.
     """
     facilities = frozenset(facilities)
     if not facilities:
@@ -123,9 +126,9 @@ def gamma(m: MetricSpace, opt: OptimalSolution, facilities, *,
 
     order = sorted(facilities)
     full = (1 << len(order)) - 1
-    masks, coverers = _cover_tables(m, 2 * opt.opt_value, order)
-    cliques = _maximal_cliques([mask & coverers[i] & ~(1 << i)
-                                for i, mask in enumerate(masks)], full, clique_cap)
+    masks = _cover_masks(m, 2 * opt.opt_value + m.tol(), order)
+    cliques = _maximal_cliques([mask & ~(1 << i) for i, mask in enumerate(masks)],
+                               full, clique_cap)
     if len(cliques) > clique_cap:
         raise GammaCapError(f"gamma brute force infeasible: more than "
                             f"{clique_cap} maximal cliques")
@@ -147,7 +150,7 @@ def gamma(m: MetricSpace, opt: OptimalSolution, facilities, *,
                 f"gamma brute force infeasible: more than {err.args[0]} "
                 f"backtrack nodes at size {size}") from None
     raise GammaCapError(f"gamma not settled: no consolidation of at most {k} sets within "
-                        f"2*OPT (the float slack can widen an optimal ball)")
+                        f"2*OPT (the table breaks the triangle inequality)")
 
 
 def critical_indices(trace: Trace, opt_value) -> dict[int, int]:
@@ -161,13 +164,10 @@ def critical_indices(trace: Trace, opt_value) -> dict[int, int]:
     costs = trace.cost_sequence()
     if any(b < a for a, b in zip(costs, costs[1:])):
         raise ValueError("trace cost sequence must be nondecreasing")
-    exact = all(isinstance(c, int) for c in costs) and isinstance(opt_value, int)
-    tol = 0 if exact else FLOAT_EPS
-
     entries: dict[int, int] = {}
     level = 0
-    while costs[-1] > 2 * level * opt_value + tol:
-        entries[level] = bisect_right(costs, 2 * level * opt_value + tol) - 1
+    while costs[-1] > 2 * level * opt_value:
+        entries[level] = bisect_right(costs, 2 * level * opt_value) - 1
         level += 1
     return entries
 

@@ -12,7 +12,9 @@ and a greedy cover within the free slots proves.  Only what neither decides
 goes to `_can_cover`, which cuts the masks to the bits left to cover and
 drops those contained in another before it runs `_search`,
 most-constrained-first backtracking (`_branch`) over columns (the masks
-covering a bit).  gamma builds its graph with the oracle's `_cover_tables` and
+covering a bit).  Radii compare the stored entries exactly, and the table
+must be exactly symmetric, so one mask table (`_cover_masks`) also lists
+each client's coverers.  gamma builds its graph with `_cover_masks` and
 searches it with `_branch`, which alone counts nodes against
 _SEARCH_BUDGET: past it, OracleCapError or GammaCapError; a decision
 settled by a bound spends no nodes.
@@ -50,26 +52,20 @@ def optimal_solution(m: MetricSpace, value, facilities) -> OptimalSolution:
     """The optimum `value` attained by `facilities`, with one closed ball of
     radius `value` per facility (ascending facility index)."""
     facilities = frozenset(facilities)
-    balls = tuple(frozenset(np.flatnonzero(m.dist[o] <= value + m.tol()).tolist())
+    balls = tuple(frozenset(np.flatnonzero(m.dist[o] <= value).tolist())
                   for o in sorted(facilities))
     return OptimalSolution(value, facilities, balls)
 
 
-def _cover_tables(m: MetricSpace, radius, points=None) -> tuple[list[int], list[int]]:
-    """The cover masks at `radius` and, per client q, its coverers: bit q
-    of mask p, and bit p of coverers q, are set when dist(p, q) <= radius
-    (within the mode's slack).  Given ascending `points`, only those: entry
-    and bit i are points[i].  One comparison, packed along each axis; a
-    float table symmetric only within its slack can tell the two apart."""
+def _cover_masks(m: MetricSpace, radius, points=None) -> list[int]:
+    """The cover masks at `radius`: bit q of mask p is set when
+    dist(p, q) <= radius, so mask q is also the set of q's coverers.  Given
+    ascending `points`, only those: entry and bit i are points[i].  Raises
+    ValueError on a table that is not exactly symmetric."""
     d = m.dist if points is None else m.dist[np.ix_(points, points)]
-    near = d <= radius + m.tol()
-    masks = _packed(near)
-    return masks, masks if (near == near.T).all() else _packed(near.T)
-
-
-def _packed(near: np.ndarray) -> list[int]:
-    """Row i of a bool table as an int: bit j set when near[i, j]."""
-    rows = np.packbits(near, axis=1, bitorder="little")
+    if not np.array_equal(d, d.T):
+        raise ValueError("the exact oracle needs an exactly symmetric table")
+    rows = np.packbits(d <= radius, axis=1, bitorder="little")
     width, packed = rows.shape[1], rows.tobytes()
     return [int.from_bytes(packed[i:i + width], "little")
             for i in range(0, len(packed), width)]
@@ -153,10 +149,10 @@ def _can_cover(masks: list[int], full: int, slots: int, covered: int = 0,
     return _search(kept, full, slots)
 
 
-def _decide(masks: list[int], coverers: list[int], full: int, slots: int,
-            covered: int = 0, first: int = 0) -> bool:
+def _decide(masks: list[int], full: int, slots: int, covered: int = 0,
+            first: int = 0) -> bool:
     """_can_cover's answer, settled where they can by two bounds that build
-    no search table; coverers[q] has bit p set when masks[p] has bit q.
+    no search table; masks[q] is also q's coverers, as _cover_masks' are.
 
     Packing refutes: uncovered clients taken fewest allowed coverers first
     (those of masks[first:]), each kept when it shares none with those kept
@@ -166,7 +162,7 @@ def _decide(masks: list[int], coverers: list[int], full: int, slots: int,
     `_can_cover` decides.  Neither bound visits a search node."""
     rest = full & ~covered
     allowed = -1 << first  # the indices of masks[first:], as bits
-    options = sorted((coverers[q] & allowed for q in _bits(rest)), key=int.bit_count)
+    options = sorted((masks[q] & allowed for q in _bits(rest)), key=int.bit_count)
     if options and not options[0]:
         return False
     taken = used = 0
@@ -185,18 +181,18 @@ def _decide(masks: list[int], coverers: list[int], full: int, slots: int,
     return not left or _can_cover(masks, full, slots, covered, first)
 
 
-def _first_cover(masks: list[int], coverers: list[int], full: int, k: int) -> list[int]:
+def _first_cover(masks: list[int], full: int, k: int) -> list[int]:
     """The lexicographically smallest k indices whose masks cover `full`
     (one must exist), filling the slots in turn with the smallest index
-    that still extends to a cover (asked of `_decide`, with the masks'
-    transpose `coverers`).  That index is at most the optimum's own, so it
-    always leaves room for k distinct indices."""
+    that still extends to a cover (asked of `_decide`).  That index is at
+    most the optimum's own, so it always leaves room for k distinct
+    indices."""
     chosen: list[int] = []
     covered = 0
     for slot in range(k):
         start = chosen[-1] + 1 if chosen else 0
         c = next(c for c in range(start, len(masks))
-                 if _decide(masks, coverers, full, k - slot - 1, covered | masks[c], c + 1))
+                 if _decide(masks, full, k - slot - 1, covered | masks[c], c + 1))
         chosen.append(c)
         covered |= masks[c]
     return chosen
@@ -234,7 +230,7 @@ def opt_value(m: MetricSpace, k: int, *, cap: int = 20) -> int | float:
     with _refusing(n, k):
         while lo < hi:
             mid = (lo + hi) // 2
-            if _decide(*_cover_tables(m, cands[mid]), full, k):
+            if _decide(_cover_masks(m, cands[mid]), full, k):
                 hi = mid
             else:
                 lo = mid + 1
@@ -252,5 +248,5 @@ def exact_opt(m: MetricSpace, k: int, *, cap: int = 20) -> OptimalSolution:
     if k == n:
         return optimal_solution(m, value, range(n))
     with _refusing(n, k):
-        chosen = _first_cover(*_cover_tables(m, value), (1 << n) - 1, k)
+        chosen = _first_cover(_cover_masks(m, value), (1 << n) - 1, k)
     return optimal_solution(m, value, chosen)

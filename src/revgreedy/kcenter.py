@@ -2,7 +2,8 @@
 
 Facility sets are plain frozensets of point indices.  The reverse greedy
 engine re-derives, at every step, the exact marginal cost of deleting each
-remaining facility, so every recorded step is argmin-verified.  It sorts
+remaining facility, so every recorded step is argmin-verified; the argmin
+set is the facilities whose cost equals the minimum, in both modes.  It sorts
 each client's distance row once (O(n^2 log n); a table of 1- or 2-byte
 integers by radix sort), and the one n x n table it keeps is the
 sorted indices, in the narrowest integer type that holds n - 1.  Per client
@@ -122,12 +123,7 @@ def serves(m: MetricSpace, facilities, client: int) -> int:
     fac = sorted(facilities)
     if not fac:
         raise ValueError("serves undefined for empty facility set")
-    row = m.dist[client, fac]
-    best = row.min()
-    for j, g in enumerate(fac):
-        if row[j] <= best + m.tol():
-            return g
-    raise AssertionError("unreachable")
+    return fac[int(np.argmin(m.dist[client, fac]))]
 
 
 def _above_all(m: MetricSpace):
@@ -249,7 +245,6 @@ def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
     scripted = all(p.kind == "scripted" for p in policies)
     listed = record_argmin or not scripted
     scalar = int if mode == "int" else float
-    tol = first.tol()
     above_all = _above_all(first)
     size = runs * n
     live = np.ones(size, dtype=bool)
@@ -300,8 +295,8 @@ def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
         floor = d1v.max(axis=1)
         minima = np.maximum(worstv.min(axis=1), floor)
         if listed:
-            # margin <= minimum + tol exactly when worst is, as floor <= minimum.
-            ties = worstv <= (minima + tol)[:, None]
+            # margin <= minimum exactly when worst is, as floor <= minimum.
+            ties = worstv <= minima[:, None]
             # Each run's argmin set in turn, as facilities r*n + g: run r's
             # is tied[bounds[r]:bounds[r + 1]].
             tied = ties.ravel().nonzero()[0]
@@ -327,7 +322,7 @@ def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
                                             f"facility {removed} already removed")
                 # Only a scripted removal can lie outside the argmin set.
                 margin = max(worst[pick], floor[r])
-                if margin > minima[r] + tol:
+                if margin > minima[r]:
                     raise ScriptedStepError(
                         f"illegal scripted step {i}: facility {removed} has "
                         f"marginal cost {scalar(margin)} > minimum "

@@ -2,10 +2,11 @@
 
 Two arithmetic modes are supported.  Integer mode keeps every distance
 exact, in the narrowest of uint8, int16, int32 and int64 that holds the
-table, so that tie detection downstream is exact; a caller widens before
-any arithmetic that could leave that type.  Floating mode carries a
-comparison tolerance used for all tie/argmin decisions.  One O(n^3)
-triangle loop serves both; `load_instance` runs it on integer matrices only.
+table; a caller widens before any arithmetic that could leave that type.
+Ties compare the stored entries exactly in both modes, and floating mode's
+slack `eps` serves only validation and the bounds that lean on the
+triangle inequality.  One O(n^3) triangle loop serves both modes;
+`load_instance` runs it on integer matrices only.
 
 Every file is parsed by `_read_json`, which reads it through a window of
 `_CHUNK` characters and decodes a top-level "matrix" and a graph's "edges"
@@ -29,7 +30,8 @@ from typing import ClassVar
 
 import numpy as np
 
-# Tolerance for tie/argmin comparisons in floating mode.
+# Floating mode's slack for validation and for the bounds that lean on the
+# triangle inequality; no tie or argmin reads it.
 FLOAT_EPS = 1e-9
 
 
@@ -113,7 +115,7 @@ class MetricSpace:
 
     Points are the indices 0..n-1; every point is both a client and a
     candidate facility.  `mode` is "int" (exact arithmetic) or "float"
-    (comparisons within `eps`).  `dist` is read-only, float64 or, in
+    (validated within `eps`).  `dist` is read-only, float64 or, in
     integer mode, `_narrowest(max, min)`; callers widen before arithmetic.
     """
 
@@ -178,7 +180,7 @@ class MetricSpace:
         return self.dist.shape[0]
 
     def tol(self) -> float:
-        """Comparison slack: 0 in integer mode, eps in floating mode."""
+        """Validation slack: 0 in integer mode, eps in floating mode."""
         return 0 if self.mode == "int" else self.eps
 
 
@@ -214,9 +216,13 @@ def _distances_from_0(n: int, ends: np.ndarray, weights: np.ndarray) -> list:
     ends holds the edges' endpoints interleaved (u0, v0, u1, v1, ...), so
     half-edge i belongs to edge i // 2 and leads to ends[i ^ 1].  Arrays, not
     per-vertex lists of tuples: on a dense graph those cost more memory than
-    the n x n result.
+    the n x n result.  Each half-edge array is held in the narrowest type
+    that holds its vertices, weights or positions, and argsort's int64
+    order is gone before the next of them is made.
     """
+    weights = weights.astype(_narrowest(int(weights.max(initial=0))))
     order = np.argsort(ends, kind="stable")
+    order = order.astype(_narrowest(order.size - 1))
     start = np.concatenate(([0], np.bincount(ends, minlength=n).cumsum())).tolist()
     order ^= 1
     other = ends[order]
@@ -274,7 +280,7 @@ def metric_from_graph(g: WeightedGraph) -> MetricSpace:
     ValueError if 2*S is too large for int64.
     """
     n = g.vertex_count
-    ends, weights = g.edges[:, :2].reshape(-1), g.edges[:, 2]
+    ends, weights = g.edges[:, :2].astype(_narrowest(n - 1)).reshape(-1), g.edges[:, 2]
     reach = _distances_from_0(n, ends, weights)
     if None in reach:
         raise DisconnectedGraphError(
@@ -312,26 +318,22 @@ def metric_from_graph(g: WeightedGraph) -> MetricSpace:
 
 
 def _pairwise_axioms(m: MetricSpace) -> MetricValidationReport:
-    """Check identity, symmetry and positivity: the O(n^2) axioms."""
+    """Check identity, symmetry and positivity: the O(n^2) axioms.  Identity
+    and symmetry hold exactly in both modes; positivity, with the mode's
+    slack."""
     d = m.dist
-    tol = m.tol()
     report = MetricValidationReport()
 
-    exact = m.mode == "int"  # a difference or abs could wrap an integer type
-    diagonal = np.diagonal(d)
-    diag = np.flatnonzero(diagonal != 0 if exact else np.abs(diagonal) > tol)
+    diag = np.flatnonzero(np.diagonal(d) != 0)
     if diag.size:
         a = int(diag[0])
         report.violations.append(("identity", (a, a)))
 
-    # The equality test spares an exactly symmetric float table the n x n
-    # array of its differences d - d.T.
-    if not np.array_equal(d, d.T):
-        asym = np.argwhere(d != d.T if exact else np.abs(d - d.T) > tol)
-        if asym.size:
-            report.violations.append(("symmetry", tuple(sorted(asym[0].tolist()))))
+    asym = np.argwhere(d != d.T)
+    if asym.size:
+        report.violations.append(("symmetry", tuple(sorted(asym[0].tolist()))))
 
-    offdiag = d <= tol
+    offdiag = d <= m.tol()
     np.fill_diagonal(offdiag, False)
     nonpos = np.argwhere(offdiag)
     if nonpos.size:

@@ -38,7 +38,7 @@ def greedy_farthest_first(m, k, first=0):
     nearest = m.dist[:, first].copy()
     for _ in range(k - 1):
         farthest = nearest.max()
-        nxt = int(np.flatnonzero(nearest >= farthest - m.tol())[0])
+        nxt = int(np.flatnonzero(nearest >= farthest)[0])
         chosen.append(nxt)
         np.minimum(nearest, m.dist[:, nxt], out=nearest)
     return frozenset(chosen)
@@ -102,8 +102,8 @@ def maximal_cliques_brute(adjacency):
 
 def cover_masks_reference(m, radius):
     """Per point, the bitmask of the points within radius of it, one
-    comparison and one bit at a time."""
-    return [sum(1 << q for q in range(m.n) if m.dist[p, q] <= radius + m.tol())
+    exact comparison and one bit at a time."""
+    return [sum(1 << q for q in range(m.n) if m.dist[p, q] <= radius)
             for p in range(m.n)]
 
 
@@ -141,3 +141,13 @@ def load_outcome(load, path):
     except Exception as err:  # every outcome is compared, errors included
         return type(err), str(err)
     return m.dist.dtype.str, m.dist.shape, m.dist.tobytes(), m.mode, m.labels, k
+
+
+def near_tied_table(n, seed):
+    """Small integer distances plus a symmetric float jitter of up to three
+    times the float slack: many distances within the slack of each other,
+    which every decision compares exactly; exactly symmetric."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)) * 3 * MetricSpace.eps, 1)
+    d = random_metric("random-graph", n, seed, max_weight=2).dist + upper + upper.T
+    return MetricSpace(dist=d, mode="float")

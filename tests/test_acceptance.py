@@ -133,9 +133,7 @@ def test_criterion_5_oracle_self_consistency():
         m, k = battery_instance(trial, seed_base=9000)
         a = exact_opt_enumeration(m, k)
         b = exact_opt(m, k)
-        same = (a.opt_value == b.opt_value if m.mode == "int"
-                else abs(a.opt_value - b.opt_value) <= m.eps)
-        disagreements += not same
+        disagreements += a.opt_value != b.opt_value
     assert disagreements == 0
 
     gamma_checked = 0

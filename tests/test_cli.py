@@ -1,4 +1,3 @@
-import concurrent.futures
 import csv
 import dataclasses
 import hashlib
@@ -428,23 +427,27 @@ def test_verify_gamma_on_instance_file(tmp_path):
     assert code == 0
 
 
-@pytest.mark.parametrize("table", [
-    [[0.0, 0.4999999991, 1.0, 2.5], [0.4999999991, 0.0, 0.5, 2.0],
-     [1.0, 0.5, 0.0, 1.4999999994], [2.5, 2.0, 1.4999999994, 0.0]],
-    [[0.0, 0.4999999994, 1.0, 2.0], [0.4999999996, 0.0, 0.5, 1.5000000009],
-     [1.0, 0.4999999996, 0.0, 1.0000000006], [2.0000000004, 1.5, 1.0, 0.0]],
-], ids=["symmetric", "asymmetric"])
-def test_verify_gamma_without_a_consolidation_of_k_sets_exits_3(tmp_path, capsys, table):
-    # Valid within the float slack, yet no family of k sets is within 2*OPT.
+@pytest.mark.parametrize("table, code, out, err", [
+    # Distances tied within the float slack, which no comparison reads.
+    ([[0.0, 0.4999999991, 1.0, 2.5], [0.4999999991, 0.0, 0.5, 2.0],
+      [1.0, 0.5, 0.0, 1.4999999994], [2.5, 2.0, 1.4999999994, 0.0]],
+     0, "gamma check: premise not applicable; sequence []\n", ""),
+    ([[0.0, 0.4999999994, 1.0, 2.0], [0.4999999996, 0.0, 0.5, 1.5000000009],
+      [1.0, 0.4999999996, 0.0, 1.0000000006], [2.0000000004, 1.5, 1.0, 0.0]],
+     2, "", "error: matrix is not a metric: symmetry violation at (0, 1)\n"),
+    # d(0, 2) = 4 > d(0, 1) + d(1, 2) = 2, which loading does not check.
+    ([[0.0, 1.0, 4.0, 2.0], [1.0, 0.0, 1.0, 3.0], [4.0, 1.0, 0.0, 4.0],
+      [2.0, 3.0, 4.0, 0.0]],
+     3, "gamma check: incomplete; sequence []\n",
+     "verification incomplete: gamma not settled: no consolidation of at most 3 "
+     "sets within 2*OPT (the table breaks the triangle inequality)\n"),
+], ids=["symmetric", "asymmetric", "triangle"])
+def test_verify_gamma_on_hand_made_float_tables(tmp_path, capsys, table, code, out, err):
     inst = tmp_path / "slack.json"
     inst.write_text(json.dumps({"version": 1, "mode": "float", "n": 4, "k": 3,
                                 "matrix": table}))
-    assert run_cli(["verify", "gamma", "--instance", str(inst)]) == 3
-    out, err = capsys.readouterr()
-    assert out == "gamma check: incomplete; sequence []\n"
-    assert err == ("verification incomplete: gamma not settled: no consolidation of "
-                   "at most 3 sets within 2*OPT (the float slack can widen an "
-                   "optimal ball)\n")
+    assert run_cli(["verify", "gamma", "--instance", str(inst)]) == code
+    assert capsys.readouterr() == (out, err)
 
 
 @pytest.mark.parametrize("argv, budget, note", [
@@ -616,6 +619,7 @@ def test_nonpositive_cap_rejected():
     (["verify", "gamma", "--instance", "K7"], 2),
     (["verify", "upper", "--trials", "0"], 2),
     (["sweep", "--k", "2", "--jobs", "0"], 2),
+    (["verify", "separation", "--jobs", "2"], 2),
     # Flags a command does not read are not accepted.
     (["gen", "lowerbound", "--k", "3", "--seed", "1", "--out", "OUT"], 2),
     (["run", "--lowerbound", "3", "--gamma-cap", "5"], 2),
@@ -645,23 +649,6 @@ def test_parse_k_range():
 def test_format_flag_rejected():
     # Each command has one output format; there is nothing to select.
     assert run_cli(["sweep", "--k", "2", "--format", "csv"]) == 2
-
-
-@pytest.mark.parametrize("jobs, pools", [(1, 0), (2, 1)])
-def test_verify_upper_opens_at_most_one_pool(tmp_path, monkeypatch, jobs, pools):
-    opened = []
-
-    class Counted(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            opened.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
-    # One n = 12 trial a chunk: three chunks.
-    monkeypatch.setattr(cli, "_UPPER_CHUNK_ENTRIES", 12 * 12)
-    assert run_cli(["verify", "upper", "--n", "12", "--k", "3", "--trials", "3",
-                    "--jobs", str(jobs)]) == 0
-    assert len(opened) == pools
 
 
 def test_sweep_parallel_jobs_match_serial(tmp_path):

@@ -1,4 +1,3 @@
-import re
 from itertools import combinations
 
 import numpy as np
@@ -115,12 +114,23 @@ def test_gamma_cap_errors(monkeypatch):
     monkeypatch.undo()
     with pytest.raises(GammaCapError, match="infeasible"):
         gamma(inst.metric, opt, frozenset(range(inst.n)), clique_cap=2)
+    # Loading does not check a float table's triangle inequality; this one
+    # breaks it, d(0, 2) = 4 > d(0, 1) + d(1, 2) = 2, and the ball of radius
+    # OPT = 2 about point 3 holds 0 and 2, 4 > 2 * OPT apart.
+    m = MetricSpace(dist=TRIANGLE_BROKEN, mode="float")
+    with pytest.raises(GammaCapError) as err:
+        gamma(m, exact_opt(m, 3), range(4))
+    assert str(err.value) == ("gamma not settled: no consolidation of at most 3 sets "
+                              "within 2*OPT (the table breaks the triangle inequality)")
 
 
-# Four points on a line, k=3: tables a validator calls valid, the first
-# exactly symmetric, the second symmetric only within the float slack.  Tied
-# within the slack, an optimal ball holds two points more than 2*OPT + slack
-# apart, so no family of at most k sets is a consolidation.
+TRIANGLE_BROKEN = [[0.0, 1.0, 4.0, 2.0], [1.0, 0.0, 1.0, 3.0], [4.0, 1.0, 0.0, 4.0],
+                   [2.0, 3.0, 4.0, 0.0]]
+
+# Four points on a line, k=3, with distances tied within the float slack:
+# the first table exactly symmetric, the second symmetric only within the
+# slack.  Compared exactly, the first table's optimal balls share no final
+# facility; the second is no metric.
 SLACK_TABLES = {
     "symmetric": [[0.0, 0.4999999991, 1.0, 2.5], [0.4999999991, 0.0, 0.5, 2.0],
                   [1.0, 0.5, 0.0, 1.4999999994], [2.5, 2.0, 1.4999999994, 0.0]],
@@ -129,18 +139,17 @@ SLACK_TABLES = {
 }
 
 
-@pytest.mark.parametrize("name", SLACK_TABLES)
-def test_gamma_without_a_consolidation_of_k_sets_is_incomplete(name):
-    m = MetricSpace(dist=SLACK_TABLES[name], mode="float")
+def test_the_slack_tables_under_exact_comparison():
+    m = MetricSpace(dist=SLACK_TABLES["symmetric"], mode="float")
     assert validate_metric(m).ok
     opt = exact_opt(m, 3)
-    assert is_consolidation(m, opt, range(4), opt.balls).violated == "diameter"
-    with pytest.raises(GammaCapError, match=re.escape(
-            "no consolidation of at most 3 sets within 2*OPT")) as err:
-        gamma(m, opt, range(4))
+    assert is_consolidation(m, opt, range(4), opt.balls).valid
     report = verify_gamma_decrement(m, reverse_greedy(m, 3), opt)
-    assert (report.status, report.gamma_values) == ("incomplete", {})
-    assert report.note == str(err.value)
+    assert (report.status, report.gamma_values) == ("premise not applicable", {})
+    m = MetricSpace(dist=SLACK_TABLES["asymmetric"], mode="float")
+    assert str(validate_metric(m)) == "symmetry violation at (0, 1)"
+    with pytest.raises(ValueError, match="exactly symmetric"):
+        exact_opt(m, 3)
 
 
 def smallest_consolidation(m, opt, facilities):
@@ -162,15 +171,15 @@ def smallest_consolidation(m, opt, facilities):
 
 def jittered_lines(trials, seed=0):
     """Points on a half-unit grid of a line, every distance moved by
-    0.4-0.9e-9 either way, the same both ways in even trials and not in odd
-    ones: (metric, k, facilities) with up to four facilities."""
+    0.4-0.9e-9 either way, the same both ways: (metric, k, facilities) with
+    up to four facilities.  Moved by up to twice the float slack against
+    each other, some tables break the triangle inequality beyond it."""
     rng = np.random.default_rng(seed)
     for trial in range(trials):
         n = int(rng.integers(3, 8))
         points = np.sort(rng.choice(8, n, replace=False)) / 2
         jitter = rng.uniform(0.4e-9, 0.9e-9, (n, n)) * rng.choice([-1, 1], (n, n))
-        if trial % 2 == 0:
-            jitter = np.triu(jitter, 1) + np.triu(jitter, 1).T
+        jitter = np.triu(jitter, 1) + np.triu(jitter, 1).T
         d = np.abs(points[:, None] - points[None, :]) + jitter
         np.fill_diagonal(d, 0.0)
         facilities = sorted(rng.choice(n, int(rng.integers(1, min(n, 4) + 1)),
@@ -179,22 +188,13 @@ def jittered_lines(trials, seed=0):
 
 
 def test_gamma_is_the_smallest_family_is_consolidation_accepts_on_jittered_lines():
-    # Within 2*OPT one way and not the other: gamma once found 1 here (the
-    # pair 4, 5 as one set) where is_consolidation accepts no single set.
-    points = np.array([0, .5, 1, 2, 2.5, 3.5])
-    d = np.abs(points[:, None] - points[None, :])
-    d[0, 1] -= 0.4e-9
-    d[4, 5] += 0.5e-9
-    d[5, 4] -= 0.5e-9
-    line = MetricSpace(dist=d, mode="float")
-    assert smallest_consolidation(line, exact_opt(line, 5), [4, 5]) == 2
-    cases = [(line, 5, [4, 5]), *jittered_lines(240)]
     none_exists = 0
-    for trial, (m, k, facilities) in enumerate(cases):
+    for trial, (m, k, facilities) in enumerate(jittered_lines(240)):
         opt = exact_opt(m, k)
         expected = smallest_consolidation(m, opt, facilities)
         if expected is None:
             none_exists += 1
+            assert validate_metric(m).violations[0][0] == "triangle", trial
             with pytest.raises(GammaCapError, match=f"at most {k} sets "):
                 gamma(m, opt, facilities)
         else:

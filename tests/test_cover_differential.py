@@ -25,7 +25,7 @@ from hypothesis import example, given, settings, strategies as st
 from revgreedy import cli, consolidation, exact, kcenter
 from revgreedy.consolidation import (_maximal_cliques, critical_indices, gamma,
                                      required_pairs)
-from revgreedy.exact import (OracleCapError, _BudgetExhausted, _can_cover, _cover_tables,
+from revgreedy.exact import (OracleCapError, _BudgetExhausted, _can_cover, _cover_masks,
                              _search, exact_opt, opt_value)
 from revgreedy.lowerbound import build_lower_bound_instance, known_opt, scripted_schedule
 from revgreedy.metric import random_metric
@@ -226,7 +226,7 @@ def gamma_by_pair_bits(m, opt, facilities):
     and the node count of each size tried."""
     facility_bits = sum(1 << f for f in facilities)
     cliques = _maximal_cliques([mask & ~(1 << p) for p, mask in
-                                enumerate(_cover_tables(m, 2 * opt.opt_value)[0])],
+                                enumerate(_cover_masks(m, 2 * opt.opt_value + m.tol()))],
                                facility_bits)
     pair_bits = [((1 << f) | (1 << g), 1 << (m.n + j)) for j, (f, g)
                  in enumerate(sorted(required_pairs(opt, facilities)))]

@@ -40,8 +40,8 @@ def instances(draw):
         m = random_metric("euclidean" if source == "euclidean" else "random-graph",
                           n, seed)
         if source == "graph-as-float":
-            # Float mode with ties, exact or off by less than the tolerance,
-            # so the tolerance decides the argmin.
+            # Float mode with ties, exact or off by less than the float
+            # slack, which the argmin must tell apart.
             rng = np.random.default_rng(seed)
             noise = np.triu(rng.integers(0, 3, (n, n)) * 3e-10, 1)
             m = MetricSpace(dist=m.dist + noise + noise.T, mode="float")
@@ -54,7 +54,7 @@ def reference_argmin(m, current, step):
     if m.n <= 10:
         assert margins == {g: cost(m, current - {g}) for g in current}, step
     minimum = min(margins.values())
-    argmin = tuple(sorted(g for g, v in margins.items() if v <= minimum + m.tol()))
+    argmin = tuple(sorted(g for g, v in margins.items() if v == minimum))
     return margins, minimum, argmin
 
 

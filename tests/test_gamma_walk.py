@@ -24,13 +24,11 @@ def critical_indices_by_scan(trace, opt_value):
     """Per level, the last index whose cost is within 2 * level * opt_value,
     found by a scan of every cost (costs already checked nondecreasing)."""
     costs = trace.cost_sequence()
-    exact = all(isinstance(c, int) for c in costs) and isinstance(opt_value, int)
-    tol = 0 if exact else FLOAT_EPS
     entries = {}
     level = 0
-    while costs[-1] > 2 * level * opt_value + tol:
+    while costs[-1] > 2 * level * opt_value:
         threshold = 2 * level * opt_value
-        entries[level] = max(i for i, c in enumerate(costs) if c <= threshold + tol)
+        entries[level] = max(i for i, c in enumerate(costs) if c <= threshold)
         level += 1
     return entries
 

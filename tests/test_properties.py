@@ -135,10 +135,9 @@ def test_trace_is_argmin_legal_for_any_policy(kind, n, seed, policy_seed):
     policy = TiePolicy.seeded_random(policy_seed)
     trace = reverse_greedy(m, 2, policy)
     current = set(range(n))
-    tol = m.tol()
     for step in trace.steps:
         margins = marginal_costs(m, current)
-        assert margins[step.removed] <= min(margins.values()) + tol
+        assert margins[step.removed] == min(margins.values())
         current.discard(step.removed)
 
 
@@ -202,10 +201,9 @@ def test_critical_indices_cross_their_thresholds(kind, n, seed, policy_seed):
     trace = reverse_greedy(m, 2, TiePolicy.seeded_random(policy_seed))
     crit = critical_indices(trace, opt.opt_value)
     costs = trace.cost_sequence()
-    tol = m.tol()
     for level, index in crit.items():
-        assert costs[index] <= 2 * level * opt.opt_value + tol
-        assert costs[index + 1] > 2 * level * opt.opt_value + tol
+        assert costs[index] <= 2 * level * opt.opt_value
+        assert costs[index + 1] > 2 * level * opt.opt_value
     if crit:
         # Defined levels are contiguous from 0; indices never move backwards.
         assert sorted(crit) == list(range(len(crit)))

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from revgreedy import consolidation
 from revgreedy.consolidation import GammaCapError, _maximal_cliques, gamma
-from revgreedy.exact import _cover_tables, exact_opt, optimal_solution
+from revgreedy.exact import _cover_masks, exact_opt, optimal_solution
 from revgreedy.metric import FLOAT_EPS, MetricSpace, random_metric, validate_metric
 
 
@@ -47,11 +47,11 @@ def test_maximal_cliques_match_brute_force(graph, data):
 
 
 @st.composite
-def near_radius_metrics(draw, symmetric=True):
-    """A matrix whose off-diagonal distances sit at the radius or just
-    inside or outside its slack: +-1 in integer mode, +-eps/2 and +-2 eps
-    in floating mode; symmetric, or each entry drawn on its own.  Up to 20
-    points, so masks span three bytes."""
+def near_radius_metrics(draw):
+    """A symmetric matrix whose off-diagonal distances sit at the radius or
+    just inside or outside it: +-1 in integer mode, +-eps/2 and +-2 eps in
+    floating mode, which the masks compare exactly.  Up to 20 points, so
+    masks span three bytes."""
     mode = draw(st.sampled_from(["int", "float"]))
     n = draw(st.integers(1, 20))
     if mode == "int":
@@ -62,20 +62,15 @@ def near_radius_metrics(draw, symmetric=True):
         offsets = [-2 * FLOAT_EPS, -FLOAT_EPS / 2, 0.0, FLOAT_EPS / 2,
                    FLOAT_EPS, 2 * FLOAT_EPS]
     picks = draw(st.lists(st.sampled_from(offsets), min_size=n * n, max_size=n * n))
-    d = np.array([radius + o for o in picks], dtype=object).reshape(n, n)
-    if symmetric:
-        d = np.triu(d, 1)
-        d = d + d.T
-    else:
-        np.fill_diagonal(d, 0)
-    return MetricSpace(dist=d.tolist(), mode=mode), radius
+    d = np.triu(np.array([radius + o for o in picks], dtype=object).reshape(n, n), 1)
+    return MetricSpace(dist=(d + d.T).tolist(), mode=mode), radius
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(near_radius_metrics())
 def test_cover_masks_match_per_point_reference(case):
     m, radius = case
-    assert _cover_tables(m, radius)[0] == cover_masks_reference(m, radius)
+    assert _cover_masks(m, radius) == cover_masks_reference(m, radius)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -85,25 +80,8 @@ def test_cover_masks_of_a_subset_match_the_reference_restricted(case, data):
     points = sorted(data.draw(st.sets(st.integers(0, m.n - 1), min_size=1)))
     every = cover_masks_reference(m, radius)
     # Entry i and bit j stand for points[i] and points[j].
-    assert _cover_tables(m, radius, points)[0] == [
+    assert _cover_masks(m, radius, points) == [
         sum(1 << j for j, q in enumerate(points) if every[p] >> q & 1) for p in points]
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(near_radius_metrics(symmetric=False), st.data())
-def test_both_cover_tables_match_the_reference_on_asymmetric_tables(case, data):
-    m, radius = case
-    points = data.draw(st.one_of(st.none(), st.sets(st.integers(0, m.n - 1), min_size=1)))
-    points = None if points is None else sorted(points)
-    every = cover_masks_reference(m, radius)
-    chosen = range(m.n) if points is None else points
-    # Mask i holds bit j, and coverers j bit i, when chosen[j] is within
-    # the radius of chosen[i].
-    masks = [sum(1 << j for j, q in enumerate(chosen) if every[p] >> q & 1)
-             for p in chosen]
-    coverers = [sum(1 << i for i, p in enumerate(chosen) if every[p] >> q & 1)
-                for q in chosen]
-    assert _cover_tables(m, radius, points) == (masks, coverers)
 
 
 def cocktail_party_metric(pairs):
@@ -125,7 +103,7 @@ def cocktail_party_metric(pairs):
 def test_cocktail_party_cliques_and_the_cap_as_a_prefix():
     m = cocktail_party_metric(4)
     assert validate_metric(m).ok
-    masks = [mask & ~(1 << p) for p, mask in enumerate(_cover_tables(m, 2)[0])]
+    masks = [mask & ~(1 << p) for p, mask in enumerate(_cover_masks(m, 2))]
     every = _maximal_cliques(masks, (1 << m.n) - 1)
     assert len(every) == len(set(every)) == 2**4
     assert all(clique & 0b11 == 0b11 for clique in every)

@@ -1,6 +1,7 @@
 """`verify upper` against the per-trial battery it replaced: each trial
 built, solved and run on its own (one engine pass per trial).  Reports and
-stdout must be byte-identical, with and without a worker pool."""
+stdout must be byte-identical, under --jobs 1 and 2 alike: `verify upper`
+accepts the flag and reads it no more."""
 
 import json
 
@@ -10,7 +11,7 @@ from revgreedy import cli, exact, kcenter, metric
 
 
 def reference_trial(params: tuple) -> dict:
-    """One battery trial, all on its own; module-level so pools can pickle it."""
+    """One battery trial, all on its own."""
     trial, n, k, seed, exact_cap = params
     kind = "euclidean" if trial % 2 == 0 else "random-graph"
     m = metric.random_metric(kind, n, seed)

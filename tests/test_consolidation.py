@@ -139,17 +139,19 @@ SLACK_TABLES = {
 }
 
 
-def test_the_slack_tables_under_exact_comparison():
-    m = MetricSpace(dist=SLACK_TABLES["symmetric"], mode="float")
+@pytest.mark.parametrize("name", SLACK_TABLES)
+def test_the_slack_tables_under_exact_comparison(name):
+    m = MetricSpace(dist=SLACK_TABLES[name], mode="float")
+    if name == "asymmetric":
+        assert str(validate_metric(m)) == "symmetry violation at (0, 1)"
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            exact_opt(m, 3)
+        return
     assert validate_metric(m).ok
     opt = exact_opt(m, 3)
     assert is_consolidation(m, opt, range(4), opt.balls).valid
     report = verify_gamma_decrement(m, reverse_greedy(m, 3), opt)
     assert (report.status, report.gamma_values) == ("premise not applicable", {})
-    m = MetricSpace(dist=SLACK_TABLES["asymmetric"], mode="float")
-    assert str(validate_metric(m)) == "symmetry violation at (0, 1)"
-    with pytest.raises(ValueError, match="exactly symmetric"):
-        exact_opt(m, 3)
 
 
 def smallest_consolidation(m, opt, facilities):

@@ -10,14 +10,20 @@ sorted indices, in the narrowest integer type that holds n - 1.  Per client
 it keeps the nearest and second-nearest live facility.  A removal re-points
 only the stale clients, those that named the removed facility;
 second-nearest pointers only move forward, so all advances together cost
-O(n^2).  A step with at most _FEW_STALE stale clients re-points them one by
-one in Python, through memoryviews of the same arrays; any other step takes
-O(log longest skip) vectorized rounds.  The marginal costs then come from
-per-facility running maxima, updated over the re-pointed clients only.
+O(n^2).  A single run finds them in per-facility client lists, each the
+clients whose nearest or second-nearest that facility is: as pointers only
+move forward, the lists only grow, and a removed facility's list is its
+stale set.  A step with at most _FEW_STALE stale clients re-points them one
+by one in Python, through memoryviews of the same arrays; any other step
+takes O(log longest skip) vectorized rounds.  The marginal costs then come
+from per-facility running maxima, updated over the re-pointed clients only,
+and a floor per run: the cost of its current set, which is its last
+removal's.  No removal costs less than the floor, so a scripted removal that
+costs no more is legal without reading the minimum.
 `reverse_greedy_runs` steps many runs side by side, one set of numpy calls
-per step for all of them: several tie policies on one metric, or on several
-metrics of one n and mode, each metric's sorted rows held once.
-`reverse_greedy` is its batch of one.
+per step for all of them (a batch scans its arrays for stale clients):
+several tie policies on one metric, or on several metrics of one n and mode,
+each metric's sorted rows held once.  `reverse_greedy` is its batch of one.
 """
 
 from __future__ import annotations
@@ -57,6 +63,9 @@ class TiePolicy:
         if self.kind == "scripted":
             if not self.script:
                 raise ValueError("scripted policy needs a removal sequence")
+            if not all(is_int(p) for p in self.script):
+                raise ValueError("scripted removals must be integers")
+            object.__setattr__(self, "script", tuple(map(int, self.script)))
             if len(set(self.script)) != len(self.script):
                 raise ValueError("scripted removals must be distinct")
 
@@ -70,7 +79,7 @@ class TiePolicy:
 
     @classmethod
     def scripted(cls, script: Iterable[int]) -> "TiePolicy":
-        return cls("scripted", script=tuple(int(p) for p in script))
+        return cls("scripted", script=tuple(script))
 
     def describe(self) -> dict:
         out: dict = {"kind": self.kind}
@@ -242,10 +251,10 @@ def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
     rngs = [Random(p.seed) if p.kind == "seeded-random" else None for p in policies]
     # Scripted runs know their margins in the loop; only runs that pick from
     # their argmin sets, or record them, list them.
-    scripted = all(p.kind == "scripted" for p in policies)
-    listed = record_argmin or not scripted
+    listed = record_argmin or any(p.kind != "scripted" for p in policies)
     scalar = int if mode == "int" else float
     above_all = _above_all(first)
+    top = above_all.item()
     size = runs * n
     live = np.ones(size, dtype=bool)
     steps: list[list[TraceStep]] = [[] for _ in policies]
@@ -281,20 +290,34 @@ def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
         # worst[g] is the largest d2 over g's clients.  A live facility only
         # gains clients and a client's d2 only grows, so it is a running max
         # kept over the clients that moved.  Removing g costs max(worst[g],
-        # largest d1 of g's run); a facility without clients starts at the
-        # smallest d1, below that; a removed one holds above_all.
+        # floor of g's run), where the floor is the run's largest d1, the
+        # cost of its set; a facility without clients starts at the smallest
+        # d1, below that; a removed one holds above_all.  A removal's cost is
+        # that of the set it leaves, so it is the run's next floor, and d1 is
+        # not kept past here.
         worst = np.full(size, d1.min(), above_all.dtype)
         np.maximum.at(worst, f1, d2)
-        f1v, f2v, d1v, worstv = (a.reshape(runs, n) for a in (f1, f2, d1, worst))
-        # The same arrays, item by item, for a step with few stale clients.
-        (rankedm, secondm, f1m, f2m, d1m, d2m, distm, basem, livem,
-         worstm) = map(memoryview, (ranked, second, f1, f2, d1, d2, dist, base, live,
-                                    worst))
+        floor = d1.reshape(runs, n).max(axis=1)
+        f1v, f2v, worstv = (a.reshape(runs, n) for a in (f1, f2, worst))
+        # The same arrays, item by item, for picks and for a step with few
+        # stale clients.
+        (rankedm, secondm, f1m, f2m, d2m, distm, basem, livem, worstm,
+         floorm) = map(memoryview, (ranked, second, f1, f2, d2, dist, base, live, worst,
+                                    floor))
+        if runs == 1:
+            # A single run lists, per facility, the clients whose nearest
+            # or second-nearest it is.  Pointers only move forward, so a
+            # live facility never leaves a client's pair: the lists only
+            # grow, and a removed facility's list is its stale clients.
+            clients = [[] for _ in range(n)]
+            for c, (g, h) in enumerate(zip(f1.tolist(), f2.tolist())):
+                clients[g].append(c)
+                clients[h].append(c)
 
     for i in range(1, n - k + 1):
-        floor = d1v.max(axis=1)
-        minima = np.maximum(worstv.min(axis=1), floor)
+        minima = None
         if listed:
+            minima = np.maximum(worstv.min(axis=1), floor)
             # margin <= minimum exactly when worst is, as floor <= minimum.
             ties = worstv <= minima[:, None]
             # Each run's argmin set in turn, as facilities r*n + g: run r's
@@ -302,9 +325,8 @@ def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
             tied = ties.ravel().nonzero()[0]
             bounds = ([0, *np.count_nonzero(ties, axis=1).cumsum().tolist()]
                       if runs > 1 else [0, tied.size])
-        picks, margins = [], []
+        picks = []
         for r, policy in enumerate(policies):
-            margin = None
             if policy.kind == "lowest-index":
                 pick = int(tied[bounds[r]])
             elif policy.kind == "seeded-random":
@@ -317,44 +339,47 @@ def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
                 if not 0 <= removed < n:
                     raise ScriptedStepError(f"illegal scripted step {i}: facility "
                                             f"{removed} is not a point of 0..{n - 1}")
-                if not live[pick]:
+                if not livem[pick]:
                     raise ScriptedStepError(f"illegal scripted step {i}: "
                                             f"facility {removed} already removed")
-                # Only a scripted removal can lie outside the argmin set.
-                margin = max(worst[pick], floor[r])
+            margin = max(worstm[pick], floorm[r])
+            # Only a scripted removal can lie outside the argmin set, and
+            # one that costs no more than the floor lies inside it; the
+            # minimum is read only for the others.
+            if policy.kind == "scripted" and margin > floorm[r]:
+                if minima is None:
+                    minima = np.maximum(worstv.min(axis=1), floor)
                 if margin > minima[r]:
                     raise ScriptedStepError(
                         f"illegal scripted step {i}: facility {removed} has "
-                        f"marginal cost {scalar(margin)} > minimum "
-                        f"{scalar(minima[r])}")
-                margin = scalar(margin)
-            picks.append(pick)
-            margins.append(margin)
-        gone = np.array(picks)
-        if not scripted:
-            margins = np.maximum(worst[gone], floor).tolist()
-        for r, (pick, margin) in enumerate(zip(picks, margins)):
+                        f"marginal cost {margin} > minimum {scalar(minima[r])}")
             argmin = (tuple((tied[bounds[r]:bounds[r + 1]] - r * n).tolist())
                       if record_argmin else None)
             steps[r].append(TraceStep(pick - r * n, margin, argmin))
-        live[gone] = False
-        worst[gone] = above_all
+            picks.append(pick)
+            floorm[r] = margin
+        for pick in picks:
+            livem[pick] = False
+            worstm[pick] = top
         if i == n - k:
             break
 
         # Clients served by a removed facility fall back to their
         # second-nearest; they and the clients whose second-nearest it was
         # advance to the next live facility in their row.  Each pointer only
-        # moves forward.  A few stale clients (a family step has about 5)
-        # cost less re-pointed one by one in Python than through the numpy
-        # calls below, each over whole arrays.
-        column = gone[:, None]
-        lost = (f1v == column).reshape(-1)
-        stale = (lost | (f2v == column).reshape(-1)).nonzero()[0]
-        if stale.size <= _FEW_STALE:
-            for c, fell in zip(stale.tolist(), lost[stale].tolist()):
-                if fell:
-                    f1m[c], d1m[c] = f2m[c], d2m[c]
+        # moves forward.  A single run reads its stale clients from the
+        # removed facility's list, a batch scans for them.  A few stale
+        # clients (a family step has about 5) cost less re-pointed one by one
+        # in Python than through the numpy calls below.
+        if runs == 1:
+            stale, clients[pick] = clients[pick], None
+        else:
+            column = np.array(picks)[:, None]
+            stale = ((f1v == column) | (f2v == column)).reshape(-1).nonzero()[0]
+        if len(stale) <= _FEW_STALE:
+            for c in (stale if runs == 1 else stale.tolist()):
+                if not livem[f1m[c]]:
+                    f1m[c] = f2m[c]
                 at, row0 = secondm[c] + 1, c - c % n  # row0 = offset[c]
                 while not livem[rankedm[at] + row0]:
                     at += 1
@@ -363,8 +388,12 @@ def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
                 d2m[c] = reach = distm[basem[c] + g]
                 if reach > worstm[f1m[c]]:
                     worstm[f1m[c]] = reach
+                if runs == 1:
+                    clients[g].append(c)
             continue
-        f1[lost], d1[lost] = f2[lost], d2[lost]
+        stale = np.asarray(stale)
+        fell = stale[~live[f1[stale]]]
+        f1[fell] = f2[fell]
         # Two single-position rounds settle almost every pointer in the
         # fewest numpy calls.  The rest read a window of positions ahead,
         # 8 at first and doubling while it holds no live facility, so a
@@ -393,6 +422,9 @@ def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
         moved = ranked[second[stale]]
         if runs > 1:
             moved = moved + offset[stale]
+        else:
+            for c, g in zip(stale.tolist(), moved.tolist()):
+                clients[g].append(c)
         f2[stale] = moved
         d2[stale] = reach = dist[base[stale] + moved]
         np.maximum.at(worst, f1[stale], reach)

@@ -170,6 +170,10 @@ class MetricSpace:
         if not (d.dtype == kind
                 and (fresh or d.flags.owndata and not d.flags.writeable)):
             d = d.astype(kind)
+        # -0.0 equals 0.0 but prints apart, and which of two tied zeros a
+        # maximum returns is the reduction's choice: zeros are stored as 0.0.
+        if kind is np.float64 and np.signbit(d).any():
+            d = d + 0.0
         d.setflags(write=False)
         object.__setattr__(self, "dist", d)
         if self.labels is not None and len(self.labels) != d.shape[0]:

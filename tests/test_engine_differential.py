@@ -563,3 +563,141 @@ def test_few_stale_loop_matches_numpy_rounds_on_small_batches(case, data):
     policies = [draw_policy(data, m, k) for _ in range(data.draw(st.integers(1, 4)))]
     rounds, loop = runs_both_ways(m, k, policies)
     assert loop == rounds
+
+
+# --- single runs: stale clients from per-facility lists, and a running floor ---
+
+def near_tied_floats(n, seed):
+    """A small-weight random graph in float mode, its entries nudged by 0,
+    3e-10 or 6e-10: ties exact or broken by less than 1e-9."""
+    m = random_metric("random-graph", n, seed, edge_prob=0.5, max_weight=2)
+    noise = np.triu(np.random.default_rng(seed).integers(0, 3, (n, n)) * 3e-10, 1)
+    return MetricSpace(dist=m.dist + noise + noise.T, mode="float")
+
+
+def single_run_cases():
+    # Padding by 40 leaves gives the family one step of more than 32 stale
+    # clients, and the lowest-index runs on the integer random graphs take
+    # 3 or 4 such steps.
+    for k in range(3, 9):
+        for pad in (0, 40):
+            inst = build_lower_bound_instance(k, size_formula(k) + pad)
+            script = TiePolicy.scripted(scripted_schedule(inst).script())
+            yield pytest.param(inst.metric, k, [script, TiePolicy.lowest_index()],
+                               id=f"family-{k}+{pad}")
+    for seed in range(3):
+        yield pytest.param(random_metric("random-graph", 60, seed, edge_prob=0.5,
+                                         max_weight=2),
+                           3, [TiePolicy.lowest_index(), TiePolicy.seeded_random(seed)],
+                           id=f"ties-{seed}")
+        yield pytest.param(near_tied_floats(60, seed), 3,
+                           [TiePolicy.lowest_index(), TiePolicy.seeded_random(seed)],
+                           id=f"near-tied-{seed}")
+
+
+@pytest.mark.parametrize("m, k, policies", single_run_cases())
+def test_single_runs_match_reference_at_any_stale_threshold(m, k, policies):
+    # With no stale client re-pointed in Python, with the default split and
+    # with every one re-pointed in Python, a single run reads its stale
+    # clients from its lists and a batch scans for them; both must give the
+    # reference's steps.
+    expected = [as_rows(reference_policy_run(m, k, p)[0]) for p in policies]
+    for few in (0, kcenter._FEW_STALE, 10**9):
+        with mock.patch.object(kcenter, "_FEW_STALE", few):
+            single = [reverse_greedy(m, k, p, record_argmin=True) for p in policies]
+            batch = reverse_greedy_runs(m, k, policies, record_argmin=True)
+            plain = [reverse_greedy(m, k, p) for p in policies]
+        assert [as_rows(t.steps) for t in single] == expected, few
+        assert [as_rows(t.steps) for t in batch] == expected, few
+        assert ([[(s.removed, repr(s.cost)) for s in t.steps] for t in plain]
+                == [[row[:2] for row in rows] for rows in expected]), few
+
+
+def legality_cases():
+    for k in (3, 4, 5):
+        yield pytest.param(build_lower_bound_instance(k).metric, k, id=f"family-{k}")
+    yield pytest.param(random_metric("random-graph", 30, 2, edge_prob=0.4, max_weight=3),
+                       3, id="graph")
+    # Unique Euclidean distances never cost the floor; near ties do.
+    yield pytest.param(near_tied_floats(30, 1), 2, id="near-tied")
+
+
+def completed_script(m, k, prefix):
+    """prefix, then the reference's lowest-index removals to k facilities."""
+    current = set(range(m.n)) - set(prefix)
+    script = list(prefix)
+    for i in range(len(script) + 1, m.n - k + 1):
+        _, _, argmin = reference_argmin(m, current, i)
+        script.append(argmin[0])
+        current.discard(argmin[0])
+    return script
+
+
+@pytest.mark.parametrize("m, k", legality_cases())
+def test_scripted_legality_branches(m, k):
+    # A scripted removal whose cost is the floor (the cost of the set it
+    # leaves, as no client is nearer) is legal without the minimum; one
+    # above the floor is legal exactly at the minimum and otherwise fails
+    # with the reference's cost and minimum.  The first step of a lowest-
+    # index walk to hold each case tries it.
+    current, prefix, seen = set(range(m.n)), [], set()
+    for i in range(1, m.n - k + 1):
+        margins, minimum, argmin = reference_argmin(m, current, i)
+        floor = cost(m, current)
+        for g in sorted(current):
+            case = ("floor" if margins[g] == floor else
+                    "minimum" if margins[g] == minimum else "above")
+            if case in seen:
+                continue
+            seen.add(case)
+            if case == "above":
+                script = [*prefix, g, *sorted(current - {g})][:m.n - k]
+                with pytest.raises(ScriptedStepError) as err:
+                    reverse_greedy(m, k, TiePolicy.scripted(script))
+                assert str(err.value) == (
+                    f"illegal scripted step {i}: facility {g} has marginal "
+                    f"cost {margins[g]} > minimum {minimum}")
+                continue
+            policy = TiePolicy.scripted(completed_script(m, k, [*prefix, g]))
+            steps, _ = reference_policy_run(m, k, policy)
+            assert steps[i - 1].cost == margins[g]
+            trace = reverse_greedy(m, k, policy)
+            assert [(s.removed, repr(s.cost)) for s in trace.steps] == [
+                (s.removed, repr(s.cost)) for s in steps]
+        prefix.append(argmin[0])
+        current.discard(argmin[0])
+    assert seen == {"floor", "minimum", "above"}
+
+
+@pytest.mark.parametrize("record_argmin", [False, True])
+@pytest.mark.parametrize("k", [4, 5])
+def test_batch_of_scripted_and_listed_runs(k, record_argmin):
+    # Scripted runs on their own read the minimum only past the floor; with
+    # a listed run beside them, every step lists the argmin sets.
+    inst = build_lower_bound_instance(k)
+    m = inst.metric
+    family = TiePolicy.scripted(scripted_schedule(inst).script())
+    walk = TiePolicy.scripted(completed_script(m, k, []))
+    for policies in ([family, walk], [family, TiePolicy.seeded_random(k), walk,
+                                      TiePolicy.lowest_index()]):
+        traces = reverse_greedy_runs(m, k, policies, record_argmin=record_argmin)
+        for policy, trace in zip(policies, traces):
+            single = reverse_greedy(m, k, policy, record_argmin=record_argmin)
+            steps, final = reference_policy_run(m, k, policy)
+            if not record_argmin:
+                steps = [TraceStep(s.removed, s.cost) for s in steps]
+            assert as_rows(trace.steps) == as_rows(single.steps) == as_rows(steps)
+            assert trace.final == single.final == final
+
+
+def test_signed_zeros_give_the_unsigned_trace():
+    # Points repeat, so early steps cost zero; every zero of the table is
+    # -0.0, which the metric stores as 0.0.
+    base = random_metric("random-graph", 6, 1, max_weight=3)
+    where = [0, 0, 1, 2, 2, 2, 3, 4, 5, 5, 1, 3]
+    d = base.dist[np.ix_(where, where)] * 1.0
+    m = MetricSpace(dist=np.where(d == 0, -0.0, d), mode="float")
+    for policy in (TiePolicy.lowest_index(), TiePolicy.seeded_random(4)):
+        assert_policy_matches_reference(m, 1, policy)
+        trace = reverse_greedy(m, 1, policy)
+        assert [repr(s.cost) for s in trace.steps][:5] == ["0.0"] * 5

@@ -151,6 +151,22 @@ def test_scripted_wrong_length_errors():
         reverse_greedy(m, 2, TiePolicy.scripted((0, 1)))
 
 
+@pytest.mark.parametrize("entry", [1.0, 1.5, "1", True, False])
+def test_scripted_removals_must_be_integers(entry):
+    # A bool is no facility, though it is an int: True would read as 1.
+    for make in (lambda s: TiePolicy.scripted(s), lambda s: TiePolicy("scripted", script=s)):
+        with pytest.raises(ValueError, match="^scripted removals must be integers$"):
+            make((0, entry, 2))
+
+
+def test_scripted_removals_are_held_as_python_ints():
+    policy = TiePolicy("scripted", script=[np.int16(3), np.uint8(0), 1])
+    assert policy.script == (3, 0, 1)
+    assert all(type(p) is int for p in policy.script)
+    trace = reverse_greedy(uniform_metric(5), 2, policy)
+    assert [type(s.removed) for s in trace.steps] == [int] * 3
+
+
 def test_trace_costs_nondecreasing_and_consistent():
     for seed in range(6):
         m = random_metric("random-graph", 10, 100 + seed)
@@ -227,6 +243,38 @@ def test_pointer_advance_takes_logarithmic_rounds(m, policy):
         rounds = window_rounds_per_step(m, 1, policy)
     assert max(rounds) >= 3
     assert max(rounds) <= math.ceil(math.log2(m.n / 8 + 1))
+
+
+def minimum_reads(m, k, policy):
+    """The trace, and the calls of ndarray.min the run made, counted with a
+    profile hook: one at set-up, then one per read of the runs' minima."""
+    reads = 0
+
+    def hook(frame, event, arg):
+        nonlocal reads
+        if event == "c_call" and getattr(arg, "__name__", None) == "min":
+            reads += 1
+
+    sys.setprofile(hook)
+    try:
+        trace = reverse_greedy(m, k, policy)
+    finally:
+        sys.setprofile(None)
+    return trace, reads
+
+
+@pytest.mark.parametrize("k", [4, 8])
+def test_scripted_run_reads_the_minimum_only_where_the_cost_rises(k):
+    # A removal that costs no more than the last step's cost, the floor, is
+    # in the argmin set, as no removal costs less; only the others compare
+    # with the minimum.
+    inst = build_lower_bound_instance(k)
+    trace, reads = minimum_reads(inst.metric, k,
+                                 TiePolicy.scripted(scripted_schedule(inst).script()))
+    costs = trace.cost_sequence()
+    rises = sum(b > a for a, b in zip(costs, costs[1:]))
+    assert rises == 2 * k - 2 < len(trace.steps) / 3
+    assert reads == 1 + rises
 
 
 # --- farthest-first baseline ---

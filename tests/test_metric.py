@@ -237,6 +237,17 @@ def test_metric_adopts_the_table_it_builds_from_a_list(mode, scale):
     assert m.dist.tolist() == rows and not m.dist.flags.writeable
 
 
+@pytest.mark.parametrize("as_list", [True, False])
+def test_float_metric_stores_zeros_as_positive_zero(as_list):
+    # -0.0 equals 0.0 but prints as "-0.0"; a shared read-only table that
+    # holds one is copied, not changed.
+    d = np.array([[-0.0, -0.0, 1.5], [-0.0, 0.0, 1.5], [1.5, 1.5, -0.0]])
+    d.setflags(write=False)
+    m = MetricSpace(dist=d.tolist() if as_list else d, mode="float")
+    assert m.dist.tolist() == d.tolist() and not np.signbit(m.dist).any()
+    assert np.signbit(d).sum() == 4
+
+
 def test_float_metric_rejects_ints_beyond_float_range():
     rows = [[0, 10**400], [10**400, 0]]
     for d in (np.array(rows, dtype=object), rows):

@@ -3,11 +3,12 @@ the ratio claims, sweep the adversarial family, and export DOT drawings.
 
 Every command is deterministic given its flags (all randomness is seeded).
 Reports go to --out as JSON/CSV; a human summary is printed on stdout.
-`verify upper` solves its trials' instances first, then runs every trial's
-tie policies in one engine pass per arithmetic mode, a bounded chunk of
-trials at a time.  Ties and radii compare the stored distances exactly; the
-float slack enters only the 2k bound check and the separation gap, which
-lean on the triangle inequality.  `sweep --jobs` runs a worker pool.
+`verify upper` solves a bounded chunk of trials' instances, then runs every
+tie policy of the chunk's trials in one engine pass, its integer random
+graphs as exact float64 copies beside the Euclidean trials.  Ties and radii
+compare the stored distances exactly; the float slack enters only the 2k
+bound check and the separation gap, which lean on the triangle inequality.
+`sweep --jobs` runs a worker pool.
 Exit codes: 0 pass, 1 verification failure, 2 usage/input error, 3 incomplete.
 """
 
@@ -159,10 +160,10 @@ def _verify_lower(args) -> int:
 
 
 def _upper_instance(trial: int, args):
-    """One battery trial's instance and optimum value."""
-    m = metric.random_metric("euclidean" if trial % 2 == 0 else "random-graph",
-                             args.n, args.seed + trial)
-    return m, exact.opt_value(m, args.k, cap=args.exact_cap)
+    """One battery trial's kind, instance and optimum value."""
+    kind = "euclidean" if trial % 2 == 0 else "random-graph"
+    m = metric.random_metric(kind, args.n, args.seed + trial)
+    return kind, m, exact.opt_value(m, args.k, cap=args.exact_cap)
 
 
 def _upper_policies(seed: int) -> list:
@@ -170,9 +171,21 @@ def _upper_policies(seed: int) -> list:
             + [kcenter.TiePolicy.seeded_random(seed * 31 + j) for j in range(5)])
 
 
+def _as_float(m: metric.MetricSpace) -> metric.MetricSpace:
+    """m itself in floating mode, else a read-only float64 copy of it.  The
+    engine only compares and copies distances, and an integer distance below
+    2**53 is exact in float64, so the copy's runs are the integer ones with
+    float costs; a battery graph's distances are at most 9 * (n - 1)."""
+    if m.mode == "float":
+        return m
+    dist = m.dist.astype(np.float64)
+    dist.setflags(write=False)
+    return metric.MetricSpace(dist=dist, mode="float")
+
+
 # Table entries (n*n per trial) of the battery held at once: a chunk of
-# trials' tables, then the engine's stacked copy and sorted order of one
-# mode's share of them.
+# trials' tables, their float64 copies, then the engine's stacked copy and
+# sorted order of them all.
 _UPPER_CHUNK_ENTRIES = 1 << 16
 
 
@@ -181,24 +194,26 @@ def _verify_upper(args) -> int:
     max_ratio, violations = 0.0, []
     for start in range(0, args.trials, per_chunk):
         chunk = range(start, min(start + per_chunk, args.trials))
-        solved = [_upper_instance(trial, args) for trial in chunk]
-        # Even trials are Euclidean (float), odd ones random graphs (int):
-        # one engine pass each over all six tie policies of every trial.
-        for parity, kind in enumerate(("euclidean", "random-graph")):
-            runs = [(t, m, opt, policy) for t, (m, opt) in zip(chunk, solved)
-                    if t % 2 == parity for policy in _upper_policies(args.seed + t)]
-            traces = kcenter.reverse_greedy_runs([run[1] for run in runs], args.k,
-                                                 [run[3] for run in runs])
-            for (trial, m, opt, policy), trace in zip(runs, traces):
-                final = trace.final_cost
-                ratio = final / opt if opt else 0.0
-                max_ratio = max(max_ratio, ratio)
-                if final > 2 * args.k * opt + m.tol():
-                    violations.append({"trial": trial, "kind": kind,
-                                       "policy": policy.describe(),
-                                       "ratio": ratio})
-            del traces  # freed before the next pass
-    violations.sort(key=lambda v: v["trial"])
+        # Even trials are Euclidean (float), odd ones random graphs (int),
+        # which join the batch as float copies: one engine pass over all six
+        # tie policies of every trial.
+        runs, engine_metrics = [], []
+        for trial in chunk:
+            kind, m, opt = _upper_instance(trial, args)
+            copy = _as_float(m)
+            for policy in _upper_policies(args.seed + trial):
+                runs.append((trial, kind, m, opt, policy))
+                engine_metrics.append(copy)
+        traces = kcenter.reverse_greedy_runs(engine_metrics, args.k,
+                                             [run[4] for run in runs])
+        for (trial, kind, m, opt, policy), trace in zip(runs, traces):
+            final = trace.final_cost
+            ratio = final / opt if opt else 0.0
+            max_ratio = max(max_ratio, ratio)
+            if final > 2 * args.k * opt + m.tol():
+                violations.append({"trial": trial, "kind": kind,
+                                   "policy": policy.describe(), "ratio": ratio})
+        del runs, engine_metrics, traces  # freed before the next chunk
     passed = not violations
     doc = {"target": "upper", "trials": args.trials, "n": args.n, "k": args.k,
            "bound": 2 * args.k, "max_ratio": max_ratio,

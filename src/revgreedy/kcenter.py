@@ -21,9 +21,11 @@ and a floor per run: the cost of its current set, which is its last
 removal's.  No removal costs less than the floor, so a scripted removal that
 costs no more is legal without reading the minimum.
 `reverse_greedy_runs` steps many runs side by side, one set of numpy calls
-per step for all of them (a batch scans its arrays for stale clients):
-several tie policies on one metric, or on several metrics of one n and mode,
-each metric's sorted rows held once.  `reverse_greedy` is its batch of one.
+per step for all of them, picks included (a batch scans its arrays for stale
+clients, and records removals and costs in arrays that become its traces at
+the end): several tie policies on one metric, or on several metrics of one
+n and mode, each metric's sorted rows held once.  `reverse_greedy` is its
+batch of one, which picks item by item.
 """
 
 from __future__ import annotations
@@ -58,8 +60,14 @@ class TiePolicy:
     def __post_init__(self):
         if self.kind not in ("lowest-index", "seeded-random", "scripted"):
             raise ValueError(f"unknown tie policy {self.kind!r}")
-        if self.kind == "seeded-random" and self.seed is None:
-            raise ValueError("seeded-random policy needs a seed")
+        if self.kind == "seeded-random":
+            if self.seed is None:
+                raise ValueError("seeded-random policy needs a seed")
+            # Random seeds a str or a float its own way and refuses a numpy
+            # integer, and a bool would go into the trace's policy as such.
+            if not is_int(self.seed):
+                raise ValueError("seeded-random seeds must be integers")
+            object.__setattr__(self, "seed", int(self.seed))
         if self.kind == "scripted":
             if not self.script:
                 raise ValueError("scripted policy needs a removal sequence")
@@ -215,6 +223,20 @@ def _ranked_rows(rows: np.ndarray) -> np.ndarray:
     return ranked.reshape(-1)
 
 
+def _illegal_step(i: int, removed: int, n: int, margin=None,
+                  minimum=None) -> ScriptedStepError:
+    """The error of an illegal scripted removal at step i, by the first check
+    it fails: a point of 0..n - 1, then live (no margin given), then no
+    costlier than the minimum."""
+    if not 0 <= removed < n:
+        why = f"is not a point of 0..{n - 1}"
+    elif margin is None:
+        why = "already removed"
+    else:
+        why = f"has marginal cost {margin} > minimum {minimum}"
+    return ScriptedStepError(f"illegal scripted step {i}: facility {removed} {why}")
+
+
 def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
                         policies: list[TiePolicy], *,
                         record_argmin: bool = False) -> list[Trace]:
@@ -222,8 +244,11 @@ def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
 
     `m` is one metric shared by every run, or one metric per run; all must
     have the same n and mode.  Each step makes one set of numpy calls for
-    all runs; only the pick from each run's argmin set is made per run, and
-    a seeded run draws from its own Random(seed) as it would alone.  Entry
+    all runs, the picks included: a seeded run draws from its own
+    Random(seed) as it would alone, and of several illegal scripted runs the
+    lowest-numbered raises the error it raises alone.  Each run's trace is
+    built from arrays of removals and costs at the end.  A single run picks
+    item by item through memoryviews instead.  Entry
     r*n + c of the per-client arrays is client c of run r, and r*n + g is
     facility g of run r.  Each distinct table is sorted once, and its sorted
     rows are held once however many runs read them.  Each client keeps its
@@ -248,16 +273,33 @@ def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
             raise ValueError(f"scripted policy names {len(policy.script)} "
                              f"removals, need {n - k}")
 
-    rngs = [Random(p.seed) if p.kind == "seeded-random" else None for p in policies]
     # Scripted runs know their margins in the loop; only runs that pick from
     # their argmin sets, or record them, list them.
     listed = record_argmin or any(p.kind != "scripted" for p in policies)
-    scalar = int if mode == "int" else float
     above_all = _above_all(first)
     top = above_all.item()
     size = runs * n
     live = np.ones(size, dtype=bool)
-    steps: list[list[TraceStep]] = [[] for _ in policies]
+    if runs == 1:
+        policy = policies[0]
+        rng = Random(policy.seed) if policy.kind == "seeded-random" else None
+        steps: list[TraceStep] = []
+    else:
+        # A batch picks for all runs of a kind at once and records each
+        # step's removals and costs as a row, one column per run.
+        seeded, scripted = (np.flatnonzero([p.kind == kind for p in policies])
+                            for kind in ("seeded-random", "scripted"))
+        rngs = [Random(policies[r].seed) for r in seeded.tolist()]
+        if scripted.size:
+            # Step i's removals of the scripted runs are row i - 1, a
+            # removal outside 0..n - 1 held as -1.
+            script = np.array([[g if 0 <= g < n else -1 for g in policies[r].script]
+                               for r in scripted.tolist()]).T
+            script_base = scripted * n  # facility 0 of each scripted run
+        run_base = np.arange(runs) * n
+        removals = np.empty((n - k, runs), np.intp)
+        costs = np.empty((n - k, runs), above_all.dtype)
+        argmins = []  # per step: every run's tied facilities, and their bounds
 
     if n > k:
         # Runs read the distinct tables, stacked (one table as it is).
@@ -299,8 +341,8 @@ def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
         np.maximum.at(worst, f1, d2)
         floor = d1.reshape(runs, n).max(axis=1)
         f1v, f2v, worstv = (a.reshape(runs, n) for a in (f1, f2, worst))
-        # The same arrays, item by item, for picks and for a step with few
-        # stale clients.
+        # The same arrays, item by item, for a single run's picks and for a
+        # step with few stale clients.
         (rankedm, secondm, f1m, f2m, d2m, distm, basem, livem, worstm,
          floorm) = map(memoryview, (ranked, second, f1, f2, d2, dist, base, live, worst,
                                     floor))
@@ -316,51 +358,76 @@ def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
 
     for i in range(1, n - k + 1):
         minima = None
-        if listed:
-            minima = np.maximum(worstv.min(axis=1), floor)
-            # margin <= minimum exactly when worst is, as floor <= minimum.
-            ties = worstv <= minima[:, None]
-            # Each run's argmin set in turn, as facilities r*n + g: run r's
-            # is tied[bounds[r]:bounds[r + 1]].
-            tied = ties.ravel().nonzero()[0]
-            bounds = ([0, *np.count_nonzero(ties, axis=1).cumsum().tolist()]
-                      if runs > 1 else [0, tied.size])
-        picks = []
-        for r, policy in enumerate(policies):
+        if runs == 1:
+            if listed:
+                minima = np.maximum(worstv.min(axis=1), floor)
+                # margin <= minimum exactly when worst is, as floor <= minimum.
+                tied = (worstv <= minima[:, None]).ravel().nonzero()[0]
             if policy.kind == "lowest-index":
-                pick = int(tied[bounds[r]])
+                pick = int(tied[0])
             elif policy.kind == "seeded-random":
-                # choice draws an index below the set's size, as from the set.
-                drawn = rngs[r].choice(range(bounds[r + 1] - bounds[r]))
-                pick = int(tied[bounds[r] + drawn])
+                pick = int(tied[rng.randrange(tied.size)])
             else:
-                removed = policy.script[i - 1]
-                pick = r * n + removed
-                if not 0 <= removed < n:
-                    raise ScriptedStepError(f"illegal scripted step {i}: facility "
-                                            f"{removed} is not a point of 0..{n - 1}")
-                if not livem[pick]:
-                    raise ScriptedStepError(f"illegal scripted step {i}: "
-                                            f"facility {removed} already removed")
-            margin = max(worstm[pick], floorm[r])
+                pick = policy.script[i - 1]
+                if not (0 <= pick < n and livem[pick]):
+                    raise _illegal_step(i, pick, n)
+            margin = max(worstm[pick], floorm[0])
             # Only a scripted removal can lie outside the argmin set, and
             # one that costs no more than the floor lies inside it; the
             # minimum is read only for the others.
-            if policy.kind == "scripted" and margin > floorm[r]:
+            if policy.kind == "scripted" and margin > floorm[0]:
                 if minima is None:
                     minima = np.maximum(worstv.min(axis=1), floor)
-                if margin > minima[r]:
-                    raise ScriptedStepError(
-                        f"illegal scripted step {i}: facility {removed} has "
-                        f"marginal cost {margin} > minimum {scalar(minima[r])}")
-            argmin = (tuple((tied[bounds[r]:bounds[r + 1]] - r * n).tolist())
-                      if record_argmin else None)
-            steps[r].append(TraceStep(pick - r * n, margin, argmin))
-            picks.append(pick)
-            floorm[r] = margin
-        for pick in picks:
+                if margin > minima[0]:
+                    raise _illegal_step(i, pick, n, margin, minima[0].item())
+            steps.append(TraceStep(pick, margin,
+                                   tuple(tied.tolist()) if record_argmin else None))
+            floorm[0] = margin
             livem[pick] = False
             worstm[pick] = top
+        else:
+            if listed:
+                minima = np.maximum(worstv.min(axis=1), floor)
+                ties = worstv <= minima[:, None]
+                # Every run's argmin set in turn, as facilities r*n + g: run
+                # r's starts at position pos[r] of tied and holds counts[r].
+                tied = ties.ravel().nonzero()[0]
+                counts = np.count_nonzero(ties, axis=1)
+                pos = counts.cumsum() - counts
+                # A lowest-index run takes its first tie, a seeded run the
+                # tie its own Random draws, as it would alone.
+                if rngs:
+                    pos[seeded] += [rng.randrange(count) for rng, count
+                                    in zip(rngs, counts[seeded].tolist())]
+                picks = tied[pos]
+                if record_argmin:
+                    argmins.append(((tied - offset[tied]).tolist(),
+                                    [0, *counts.cumsum().tolist()]))
+            else:
+                picks = np.empty(runs, np.intp)
+            if scripted.size:
+                removed = script[i - 1]
+                picks[scripted] = script_base + np.maximum(removed, 0)
+            margins = np.maximum(worst[picks], floor)
+            if scripted.size:
+                # The single run's checks, for all scripted runs at once: a
+                # point of 0..n - 1, live, and (past the floor) at the minimum.
+                alive = (removed >= 0) & live[picks[scripted]]
+                over = margins[scripted] > floor[scripted]
+                if over.any():
+                    if minima is None:
+                        minima = np.maximum(worstv.min(axis=1), floor)
+                    over = margins[scripted] > minima[scripted]
+                bad = ~alive | over
+                if bad.any():
+                    j = int(bad.argmax())
+                    r = int(scripted[j])
+                    raise _illegal_step(i, policies[r].script[i - 1], n, *(
+                        (margins[r].item(), minima[r].item()) if alive[j] else ()))
+            removals[i - 1] = picks - run_base
+            costs[i - 1] = floor = margins
+            live[picks] = False
+            worst[picks] = top
         if i == n - k:
             break
 
@@ -374,7 +441,7 @@ def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
         if runs == 1:
             stale, clients[pick] = clients[pick], None
         else:
-            column = np.array(picks)[:, None]
+            column = picks[:, None]
             stale = ((f1v == column) | (f2v == column)).reshape(-1).nonzero()[0]
         if len(stale) <= _FEW_STALE:
             for c in (stale if runs == 1 else stale.tolist()):
@@ -429,9 +496,18 @@ def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
         d2[stale] = reach = dist[base[stale] + moved]
         np.maximum.at(worst, f1[stale], reach)
 
-    return [Trace(k=k, policy=policy.describe(), steps=run,
-                  final=frozenset(np.flatnonzero(live[r * n:(r + 1) * n]).tolist()))
-            for r, (policy, run) in enumerate(zip(policies, steps))]
+    if runs == 1:
+        run_steps = [steps]
+    else:
+        # Each run's steps, built once from its columns.
+        run_argmins = ([[tuple(tied[bounds[r]:bounds[r + 1]]) for tied, bounds in argmins]
+                        for r in range(runs)] if record_argmin
+                       else [[None] * (n - k)] * runs)
+        run_steps = [list(map(TraceStep, *columns)) for columns in
+                     zip(removals.T.tolist(), costs.T.tolist(), run_argmins)]
+    return [Trace(k=k, policy=policy.describe(), steps=steps,
+                  final=frozenset(np.flatnonzero(row).tolist()))
+            for policy, steps, row in zip(policies, run_steps, live.reshape(runs, n))]
 
 
 def save_trace(path, trace: Trace) -> None:

@@ -6,6 +6,7 @@ is not its own oracle."""
 
 import sys
 import tracemalloc
+from itertools import permutations
 from random import Random
 from unittest import mock
 
@@ -701,3 +702,72 @@ def test_signed_zeros_give_the_unsigned_trace():
         assert_policy_matches_reference(m, 1, policy)
         trace = reverse_greedy(m, 1, policy)
         assert [repr(s.cost) for s in trace.steps][:5] == ["0.0"] * 5
+
+
+# --- several illegal scripted runs in one batch ---
+
+def illegal_scripts(m, k):
+    """Scripts that follow a highest-index walk to a step i >= 2 and are
+    illegal there in each way a single run checks, by name, and one legal
+    at step i but above the minimum at step i + 1 ("later").  Facility 0 is
+    live and at the minimum at step i, so that a removal outside 0..n - 1
+    fails by its range alone, whatever in-range facility stands in for it."""
+    current, walk, above, zero_tied = set(range(m.n)), [], [], []
+    for i in range(1, m.n - k + 1):
+        margins, minimum, argmin = reference_argmin(m, current, i)
+        above.append(next((g for g in sorted(current) if margins[g] > minimum), None))
+        zero_tied.append(argmin[0] == 0)
+        walk.append(argmin[-1])
+        current.discard(argmin[-1])
+    i = next(i for i in range(2, m.n - k) if above[i - 1] is not None
+             and above[i] is not None and zero_tied[i - 1] and 0 not in walk[:i - 1])
+
+    def script(step, removal):
+        # The walk to step, the removal, then points the walk has not
+        # removed by then, to n - k removals in all.
+        rest = [g for g in range(m.n) if g not in walk[:step - 1] and g != removal]
+        return [*walk[:step - 1], removal, *rest][:m.n - k]
+
+    # TiePolicy refuses a repeated removal, so the run's own check that a
+    # removal is live is reached only by a script changed after validation.
+    removed = TiePolicy.scripted(script(i, walk[i - 1]))
+    object.__setattr__(removed, "script", (*walk[:i - 1], walk[0], *removed.script[i:]))
+    return i, {"range": TiePolicy.scripted(script(i, m.n + 4)),
+               "removed": removed,
+               "above": TiePolicy.scripted(script(i, above[i - 1])),
+               "later": TiePolicy.scripted(script(i + 1, above[i]))}
+
+
+@pytest.mark.parametrize("listed", [False, True])
+@pytest.mark.parametrize("m, k", [
+    pytest.param(build_lower_bound_instance(4).metric, 4, id="family-4"),
+    pytest.param(random_metric("random-graph", 12, 2, max_weight=3), 3, id="graph"),
+    pytest.param(near_tied_floats(12, 1), 2, id="near-tied")])
+def test_several_illegal_scripts_fail_like_the_lowest_numbered_alone(m, k, listed):
+    # Two or three scripted runs illegal at the same step, each in its own
+    # way, in every order; a run illegal only at the next step comes first,
+    # and (if listed) listed runs lie between them.  The batch raises what
+    # its lowest-numbered run illegal at the earliest step raises alone.
+    i, scripts = illegal_scripts(m, k)
+    alone = {}
+    for name, policy in scripts.items():
+        with pytest.raises(ScriptedStepError) as err:
+            reverse_greedy(m, k, policy)
+        alone[name] = str(err.value)
+    assert alone["range"] == (f"illegal scripted step {i}: facility {m.n + 4} "
+                              f"is not a point of 0..{m.n - 1}")
+    assert alone["removed"] == (f"illegal scripted step {i}: facility "
+                                f"{scripts['removed'].script[i - 1]} already removed")
+    assert alone["above"].startswith(f"illegal scripted step {i}: facility "
+                                     f"{scripts['above'].script[i - 1]} has marginal cost ")
+    assert alone["later"].startswith(f"illegal scripted step {i + 1}: ")
+    between = ([TiePolicy.lowest_index(), TiePolicy.seeded_random(i)] if listed
+               else [])
+    for size in (2, 3):
+        for order in permutations(["range", "removed", "above"], size):
+            policies = [scripts["later"]]
+            for j, name in enumerate(order):
+                policies += between[j % 2:j % 2 + 1] + [scripts[name]]
+            with pytest.raises(ScriptedStepError) as batched:
+                reverse_greedy_runs(m, k, policies)
+            assert str(batched.value) == alone[order[0]], order

@@ -167,6 +167,24 @@ def test_scripted_removals_are_held_as_python_ints():
     assert [type(s.removed) for s in trace.steps] == [int] * 3
 
 
+@pytest.mark.parametrize("seed", [1.5, "1", True, False])
+def test_seeded_random_seeds_must_be_integers(seed):
+    # "1" would draw another stream than 1, 1.5 is seeded by its hash, and a
+    # bool would go into the trace's policy as true or false.
+    for make in (TiePolicy.seeded_random, lambda s: TiePolicy("seeded-random", seed=s)):
+        with pytest.raises(ValueError, match="^seeded-random seeds must be integers$"):
+            make(seed)
+
+
+def test_seeded_random_seeds_are_held_as_python_ints():
+    policy = TiePolicy("seeded-random", seed=np.int16(3))
+    assert type(policy.seed) is int
+    assert policy.describe() == {"kind": "seeded-random", "seed": 3}
+    m = random_metric("random-graph", 10, 5)
+    assert (reverse_greedy(m, 3, policy).steps
+            == reverse_greedy(m, 3, TiePolicy.seeded_random(3)).steps)
+
+
 def test_trace_costs_nondecreasing_and_consistent():
     for seed in range(6):
         m = random_metric("random-graph", 10, 100 + seed)

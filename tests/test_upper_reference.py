@@ -5,6 +5,7 @@ accepts the flag and reads it no more."""
 
 import json
 
+import numpy as np
 import pytest
 
 from revgreedy import cli, exact, kcenter, metric
@@ -72,12 +73,48 @@ def test_verify_upper_matches_per_trial_reference(case, jobs, tmp_path, capsys):
     check_against_reference(case, jobs, tmp_path, capsys)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_verify_upper_chunks_match_per_trial_reference(jobs, tmp_path, capsys,
-                                                       monkeypatch):
-    # Three n = 12 trials per chunk: seven chunks, the last of two trials.
-    monkeypatch.setattr(cli, "_UPPER_CHUNK_ENTRIES", 3 * 12 * 12 + 5)
+@pytest.mark.parametrize("entries, jobs", [
+    (3 * 12 * 12 + 5, 1), (3 * 12 * 12 + 5, 2), (12 * 12, 1), (12 * 12, 2)],
+    ids=["1", "2", "one-trial-1", "one-trial-2"])
+def test_verify_upper_chunks_match_per_trial_reference(entries, jobs, tmp_path,
+                                                       capsys, monkeypatch):
+    # Three n = 12 trials per chunk: seven chunks of both kinds, the last of
+    # two trials.  Or one, so that each batch holds one kind of table.
+    monkeypatch.setattr(cli, "_UPPER_CHUNK_ENTRIES", entries)
     check_against_reference(dict(n=12, k=3, trials=20), jobs, tmp_path, capsys)
+
+
+def test_graph_trials_run_exactly_as_float_copies(monkeypatch, capsys):
+    # verify upper --n 32 --k 5 at seeds 0..59 makes one engine pass, the
+    # random graphs (odd trials) as float64 copies beside the Euclidean
+    # trials.  Each copy's runs remove what the integer runs alone remove,
+    # at the same costs as floats, and end on the same set.
+    engine, calls = kcenter.reverse_greedy_runs, []
+
+    def spy(metrics, k, policies):
+        traces = engine(metrics, k, policies)
+        calls.append((metrics, policies, traces))
+        return traces
+
+    monkeypatch.setattr(kcenter, "reverse_greedy_runs", spy)
+    argv = ["verify", "upper", "--n", "32", "--k", "5", "--trials", "60", "--exact-cap", "40"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    [(metrics, policies, traces)] = calls
+    assert len(traces) == 60 * 6
+    for trial in range(1, 60, 2):
+        graph = metric.random_metric("random-graph", 32, trial)
+        runs = slice(6 * trial, 6 * trial + 6)
+        for copy in metrics[runs]:
+            assert (copy.mode, copy.dist.dtype) == ("float", np.float64)
+            assert not copy.dist.flags.writeable
+            assert np.array_equal(copy.dist, graph.dist)
+        for alone, merged in zip(engine(graph, 5, policies[runs]), traces[runs]):
+            assert [s.removed for s in merged.steps] == [s.removed for s in alone.steps]
+            assert merged.final == alone.final
+            for a, b in zip(alone.steps, merged.steps):
+                assert (type(a.cost), type(b.cost)) == (int, float)
+                assert float(a.cost) == b.cost
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -101,13 +101,14 @@ def cmd_gen_random(args) -> int:
 
 
 def cmd_run(args) -> int:
-    if args.schedule and args.policy != "scripted":
-        raise ValueError(f"--policy {args.policy} does not read --schedule")
+    for flag, reader in (("seed", "seeded-random"), ("schedule", "scripted")):
+        if getattr(args, flag) is not None and args.policy != reader:
+            raise ValueError(f"--policy {args.policy} does not read --{flag}")
     m, k, lb = _load_source(args.instance, args.lowerbound, args.k, args.n)
     if args.policy == "lowest-index":
         policy = kcenter.TiePolicy.lowest_index()
     elif args.policy == "seeded-random":
-        policy = kcenter.TiePolicy.seeded_random(args.seed)
+        policy = kcenter.TiePolicy.seeded_random(args.seed or 0)
     else:
         if args.schedule:
             sched = lowerbound.load_schedule(args.schedule)
@@ -384,6 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--policy", default="lowest-index",
                      choices=["lowest-index", "seeded-random", "scripted"])
     run.add_argument("--schedule")
+    # Only seeded-random reads --seed (0 if not given), so run must see
+    # whether it was given.
+    run.set_defaults(seed=None)
 
     verify = sub.add_parser("verify", help="check one of the ratio claims")
     targets = verify.add_subparsers(dest="target", required=True)

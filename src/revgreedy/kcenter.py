@@ -10,22 +10,26 @@ sorted indices, in the narrowest integer type that holds n - 1.  Per client
 it keeps the nearest and second-nearest live facility.  A removal re-points
 only the stale clients, those that named the removed facility;
 second-nearest pointers only move forward, so all advances together cost
-O(n^2).  A single run finds them in per-facility client lists, each the
-clients whose nearest or second-nearest that facility is: as pointers only
-move forward, the lists only grow, and a removed facility's list is its
-stale set.  A step with at most _FEW_STALE stale clients re-points them one
+O(n^2).  A step with at most _FEW_STALE stale clients re-points them one
 by one in Python, through memoryviews of the same arrays; any other step
 takes O(log longest skip) vectorized rounds.  The marginal costs then come
 from per-facility running maxima, updated over the re-pointed clients only,
 and a floor per run: the cost of its current set, which is its last
 removal's.  No removal costs less than the floor, so a scripted removal that
-costs no more is legal without reading the minimum.
+costs no more is legal, and a single scripted run reads the minimum only
+for the others.
 `reverse_greedy_runs` steps many runs side by side, one set of numpy calls
-per step for all of them, picks included (a batch scans its arrays for stale
-clients, and records removals and costs in arrays that become its traces at
-the end): several tie policies on one metric, or on several metrics of one
-n and mode, each metric's sorted rows held once.  `reverse_greedy` is its
-batch of one, which picks item by item.
+per step for all of them: several tie policies on one metric, or on several
+metrics of one n and mode, each metric's sorted rows held once.
+`reverse_greedy` is its batch of one.  Every run numbers its facilities
+the same way and records its steps in the same arrays, which become the
+traces at the end; two things alone depend on the run count.
+A batch picks by numpy calls over all runs' argmin sets, and scans its
+arrays for stale clients.  A single run picks item by item through
+memoryviews, and finds its stale clients in per-facility client lists, each
+the clients whose nearest or second-nearest that facility is: as pointers
+only move forward, the lists only grow, and a removed facility's list is
+its stale set.
 """
 
 from __future__ import annotations
@@ -60,6 +64,11 @@ class TiePolicy:
     def __post_init__(self):
         if self.kind not in ("lowest-index", "seeded-random", "scripted"):
             raise ValueError(f"unknown tie policy {self.kind!r}")
+        # A field the kind does not read would still go into the trace.
+        if self.seed is not None and self.kind != "seeded-random":
+            raise ValueError(f"{self.kind} policy takes no seed")
+        if self.script is not None and self.kind != "scripted":
+            raise ValueError(f"{self.kind} policy takes no removal sequence")
         if self.kind == "seeded-random":
             if self.seed is None:
                 raise ValueError("seeded-random policy needs a seed")
@@ -226,12 +235,9 @@ def _ranked_rows(rows: np.ndarray) -> np.ndarray:
 def _illegal_step(i: int, removed: int, n: int, margin=None,
                   minimum=None) -> ScriptedStepError:
     """The error of an illegal scripted removal at step i, by the first check
-    it fails: a point of 0..n - 1, then live (no margin given), then no
-    costlier than the minimum."""
+    it fails: a point of 0..n - 1, then no costlier than the minimum."""
     if not 0 <= removed < n:
         why = f"is not a point of 0..{n - 1}"
-    elif margin is None:
-        why = "already removed"
     else:
         why = f"has marginal cost {margin} > minimum {minimum}"
     return ScriptedStepError(f"illegal scripted step {i}: facility {removed} {why}")
@@ -244,13 +250,14 @@ def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
 
     `m` is one metric shared by every run, or one metric per run; all must
     have the same n and mode.  Each step makes one set of numpy calls for
-    all runs, the picks included: a seeded run draws from its own
+    all runs, the picks of a batch included: a seeded run draws from its own
     Random(seed) as it would alone, and of several illegal scripted runs the
-    lowest-numbered raises the error it raises alone.  Each run's trace is
-    built from arrays of removals and costs at the end.  A single run picks
-    item by item through memoryviews instead.  Entry
-    r*n + c of the per-client arrays is client c of run r, and r*n + g is
-    facility g of run r.  Each distinct table is sorted once, and its sorted
+    lowest-numbered raises the error it raises alone.  A single run picks
+    item by item through memoryviews instead, and finds its stale clients in
+    client lists rather than by a scan.  Each run's trace is built from
+    arrays of removals and costs at the end.  Entry r*n + c of the
+    per-client arrays is client c of run r, and r*n + g is facility g of
+    run r.  Each distinct table is sorted once, and its sorted
     rows are held once however many runs read them.  Each client keeps its
     nearest and second-nearest live facility, the latter as a pointer into
     its sorted row; a removal advances only the pointers that named it.
@@ -273,20 +280,23 @@ def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
             raise ValueError(f"scripted policy names {len(policy.script)} "
                              f"removals, need {n - k}")
 
-    # Scripted runs know their margins in the loop; only runs that pick from
-    # their argmin sets, or record them, list them.
-    listed = record_argmin or any(p.kind != "scripted" for p in policies)
+    # A single scripted run knows its margin in the loop and lists its argmin
+    # set only to record it; a batch lists every run's, for its numpy picks.
+    listed = record_argmin or runs > 1 or policies[0].kind != "scripted"
     above_all = _above_all(first)
     top = above_all.item()
     size = runs * n
     live = np.ones(size, dtype=bool)
+    # Every run records each step's removal and cost as a row, one column per
+    # run, and its argmin sets as (every run's tied facilities, their bounds).
+    removals = np.empty((n - k, runs), np.intp)
+    costs = np.empty((n - k, runs), above_all.dtype)
+    argmins = []
     if runs == 1:
         policy = policies[0]
         rng = Random(policy.seed) if policy.kind == "seeded-random" else None
-        steps: list[TraceStep] = []
     else:
-        # A batch picks for all runs of a kind at once and records each
-        # step's removals and costs as a row, one column per run.
+        # A batch picks for all runs of a kind at once.
         seeded, scripted = (np.flatnonzero([p.kind == kind for p in policies])
                             for kind in ("seeded-random", "scripted"))
         rngs = [Random(policies[r].seed) for r in seeded.tolist()]
@@ -297,9 +307,6 @@ def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
                                for r in scripted.tolist()]).T
             script_base = scripted * n  # facility 0 of each scripted run
         run_base = np.arange(runs) * n
-        removals = np.empty((n - k, runs), np.intp)
-        costs = np.empty((n - k, runs), above_all.dtype)
-        argmins = []  # per step: every run's tied facilities, and their bounds
 
     if n > k:
         # Runs read the distinct tables, stacked (one table as it is).
@@ -315,14 +322,14 @@ def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
         ranked = _ranked_rows(table.reshape(-1, n))
         # Entry r*n + c reads row t*n + c of ranked, for run r's table t.
         rows = np.arange(size) % n
-        offset = np.arange(size) - rows if runs > 1 else 0  # r*n: run r's facilities
+        offset = np.arange(size) - rows  # r*n: run r's facilities
         if len(distinct) > 1:
             place = {id(x): t * n for t, x in enumerate(distinct)}
             rows += np.repeat([place[id(x)] for x in metrics], n)
         second = rows * n + 1
         # ranked holds facilities g of a table; entry i reads g as facility
-        # offset[i] + g of its own run (offset 0 for one run, whose adds
-        # below are skipped).  The adds widen: ranked's type holds n - 1.
+        # offset[i] + g of its own run.  The adds widen: ranked's type holds
+        # n - 1.
         f1, f2 = ranked[second - 1] + offset, ranked[second] + offset
         # Client c of run r lies table[c, g] from facility r*n + g, which is
         # flat entry rows*n + g of the stacked tables: base + (r*n + g).
@@ -341,11 +348,12 @@ def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
         np.maximum.at(worst, f1, d2)
         floor = d1.reshape(runs, n).max(axis=1)
         f1v, f2v, worstv = (a.reshape(runs, n) for a in (f1, f2, worst))
-        # The same arrays, item by item, for a single run's picks and for a
-        # step with few stale clients.
-        (rankedm, secondm, f1m, f2m, d2m, distm, basem, livem, worstm,
-         floorm) = map(memoryview, (ranked, second, f1, f2, d2, dist, base, live, worst,
-                                    floor))
+        # The same arrays, item by item, for a single run's picks and records
+        # and for a step with few stale clients.
+        (rankedm, secondm, f1m, f2m, d2m, distm, basem, livem, worstm, floorm,
+         removalsm, costsm) = map(memoryview, (ranked, second, f1, f2, d2, dist, base,
+                                               live, worst, floor, removals.reshape(-1),
+                                               costs.reshape(-1)))
         if runs == 1:
             # A single run lists, per facility, the clients whose nearest
             # or second-nearest it is.  Pointers only move forward, so a
@@ -358,18 +366,20 @@ def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
 
     for i in range(1, n - k + 1):
         minima = None
+        if listed:
+            minima = np.maximum(worstv.min(axis=1), floor)
+            # margin <= minimum exactly when worst is, as floor <= minimum.
+            # Every run's argmin set in turn, as facilities r*n + g.
+            ties = worstv <= minima[:, None]
+            tied = ties.ravel().nonzero()[0]
         if runs == 1:
-            if listed:
-                minima = np.maximum(worstv.min(axis=1), floor)
-                # margin <= minimum exactly when worst is, as floor <= minimum.
-                tied = (worstv <= minima[:, None]).ravel().nonzero()[0]
             if policy.kind == "lowest-index":
                 pick = int(tied[0])
             elif policy.kind == "seeded-random":
                 pick = int(tied[rng.randrange(tied.size)])
             else:
                 pick = policy.script[i - 1]
-                if not (0 <= pick < n and livem[pick]):
+                if not 0 <= pick < n:
                     raise _illegal_step(i, pick, n)
             margin = max(worstm[pick], floorm[0])
             # Only a scripted removal can lie outside the argmin set, and
@@ -380,50 +390,37 @@ def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
                     minima = np.maximum(worstv.min(axis=1), floor)
                 if margin > minima[0]:
                     raise _illegal_step(i, pick, n, margin, minima[0].item())
-            steps.append(TraceStep(pick, margin,
-                                   tuple(tied.tolist()) if record_argmin else None))
-            floorm[0] = margin
+            if record_argmin:
+                argmins.append((tied.tolist(), [0, tied.size]))
+            removalsm[i - 1] = pick
+            costsm[i - 1] = floorm[0] = margin
             livem[pick] = False
             worstm[pick] = top
         else:
-            if listed:
-                minima = np.maximum(worstv.min(axis=1), floor)
-                ties = worstv <= minima[:, None]
-                # Every run's argmin set in turn, as facilities r*n + g: run
-                # r's starts at position pos[r] of tied and holds counts[r].
-                tied = ties.ravel().nonzero()[0]
-                counts = np.count_nonzero(ties, axis=1)
-                pos = counts.cumsum() - counts
-                # A lowest-index run takes its first tie, a seeded run the
-                # tie its own Random draws, as it would alone.
-                if rngs:
-                    pos[seeded] += [rng.randrange(count) for rng, count
-                                    in zip(rngs, counts[seeded].tolist())]
-                picks = tied[pos]
-                if record_argmin:
-                    argmins.append(((tied - offset[tied]).tolist(),
-                                    [0, *counts.cumsum().tolist()]))
-            else:
-                picks = np.empty(runs, np.intp)
+            # Run r's argmin set starts at position pos[r] of tied and holds
+            # counts[r].  A lowest-index run takes its first tie, a seeded
+            # run the tie its own Random draws, as it would alone.
+            counts = np.count_nonzero(ties, axis=1)
+            pos = counts.cumsum() - counts
+            if rngs:
+                pos[seeded] += [rng.randrange(count) for rng, count
+                                in zip(rngs, counts[seeded].tolist())]
+            picks = tied[pos]
+            if record_argmin:
+                argmins.append(((tied - offset[tied]).tolist(),
+                                [0, *counts.cumsum().tolist()]))
             if scripted.size:
                 removed = script[i - 1]
                 picks[scripted] = script_base + np.maximum(removed, 0)
             margins = np.maximum(worst[picks], floor)
             if scripted.size:
                 # The single run's checks, for all scripted runs at once: a
-                # point of 0..n - 1, live, and (past the floor) at the minimum.
-                alive = (removed >= 0) & live[picks[scripted]]
-                over = margins[scripted] > floor[scripted]
-                if over.any():
-                    if minima is None:
-                        minima = np.maximum(worstv.min(axis=1), floor)
-                    over = margins[scripted] > minima[scripted]
-                bad = ~alive | over
+                # point of 0..n - 1, and no costlier than the minimum.
+                bad = (removed < 0) | (margins[scripted] > minima[scripted])
                 if bad.any():
-                    j = int(bad.argmax())
-                    r = int(scripted[j])
-                    raise _illegal_step(i, policies[r].script[i - 1], n, *(
-                        (margins[r].item(), minima[r].item()) if alive[j] else ()))
+                    r = int(scripted[bad.argmax()])
+                    raise _illegal_step(i, policies[r].script[i - 1], n,
+                                        margins[r].item(), minima[r].item())
             removals[i - 1] = picks - run_base
             costs[i - 1] = floor = margins
             live[picks] = False
@@ -472,39 +469,29 @@ def reverse_greedy_runs(m: MetricSpace | Sequence[MetricSpace], k: int,
         for _ in range(2):
             if moving.size:
                 second[moving] += 1
-                found = ranked[second[moving]]
-                if runs > 1:
-                    found = found + offset[moving]
+                found = ranked[second[moving]] + offset[moving]
                 moving = moving[~live[found]]
         while moving.size:
             ahead = np.minimum(second[moving, None] + np.arange(1, width + 1),
                                ranked.size - 1)
-            found = ranked[ahead]
-            if runs > 1:
-                found = found + offset[moving, None]
-            window = live[found]
+            window = live[ranked[ahead] + offset[moving, None]]
             hit = window.any(axis=1)
             second[moving] += np.where(hit, window.argmax(axis=1) + 1, width)
             moving, width = moving[~hit], 2 * width
-        moved = ranked[second[stale]]
-        if runs > 1:
-            moved = moved + offset[stale]
-        else:
+        moved = ranked[second[stale]] + offset[stale]
+        if runs == 1:
             for c, g in zip(stale.tolist(), moved.tolist()):
                 clients[g].append(c)
         f2[stale] = moved
         d2[stale] = reach = dist[base[stale] + moved]
         np.maximum.at(worst, f1[stale], reach)
 
-    if runs == 1:
-        run_steps = [steps]
-    else:
-        # Each run's steps, built once from its columns.
-        run_argmins = ([[tuple(tied[bounds[r]:bounds[r + 1]]) for tied, bounds in argmins]
-                        for r in range(runs)] if record_argmin
-                       else [[None] * (n - k)] * runs)
-        run_steps = [list(map(TraceStep, *columns)) for columns in
-                     zip(removals.T.tolist(), costs.T.tolist(), run_argmins)]
+    # Each run's steps, built once from its columns.
+    run_argmins = ([[tuple(tied[bounds[r]:bounds[r + 1]]) for tied, bounds in argmins]
+                    for r in range(runs)] if record_argmin
+                   else [[None] * (n - k)] * runs)
+    run_steps = [list(map(TraceStep, *columns)) for columns in
+                 zip(removals.T.tolist(), costs.T.tolist(), run_argmins)]
     return [Trace(k=k, policy=policy.describe(), steps=steps,
                   final=frozenset(np.flatnonzero(row).tolist()))
             for policy, steps, row in zip(policies, run_steps, live.reshape(runs, n))]

@@ -108,9 +108,8 @@ def test_run_lowerbound_scripted_summary(capsys):
 def test_run_uniform_instance_any_policy(tmp_path, capsys):
     inst = tmp_path / "uniform.json"
     save_instance(inst, uniform_metric(6), k=3)
-    for policy in ("lowest-index", "seeded-random"):
-        assert run_cli(["run", "--instance", str(inst), "--policy", policy,
-                        "--seed", "4"]) == 0
+    for policy in (["lowest-index"], ["seeded-random", "--seed", "4"]):
+        assert run_cli(["run", "--instance", str(inst), "--policy", *policy]) == 0
         assert "final_cost=1 " in capsys.readouterr().out
 
 
@@ -623,6 +622,7 @@ def test_nonpositive_cap_rejected():
     # Flags a command does not read are not accepted.
     (["gen", "lowerbound", "--k", "3", "--seed", "1", "--out", "OUT"], 2),
     (["run", "--lowerbound", "3", "--gamma-cap", "5"], 2),
+    (["run", "--lowerbound", "3", "--policy", "lowest-index", "--seed", "5"], 2),
     (["verify", "lower", "--k", "2", "--exact-cap", "5"], 2),
     (["export-dot", "--lowerbound", "3", "--jobs", "1"], 2),
     # Flags that would make no instance, or an all-zero one.

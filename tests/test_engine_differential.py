@@ -673,14 +673,17 @@ def test_scripted_legality_branches(m, k):
 @pytest.mark.parametrize("record_argmin", [False, True])
 @pytest.mark.parametrize("k", [4, 5])
 def test_batch_of_scripted_and_listed_runs(k, record_argmin):
-    # Scripted runs on their own read the minimum only past the floor; with
-    # a listed run beside them, every step lists the argmin sets.
+    # A batch lists every run's argmin set at every step, scripted runs
+    # alone or beside listed ones, while a scripted run alone reads the
+    # minimum only past the floor.  A scripted-only batch holds a run that
+    # follows the family for k steps and then the lowest-index walk.
     inst = build_lower_bound_instance(k)
     m = inst.metric
     family = TiePolicy.scripted(scripted_schedule(inst).script())
     walk = TiePolicy.scripted(completed_script(m, k, []))
-    for policies in ([family, walk], [family, TiePolicy.seeded_random(k), walk,
-                                      TiePolicy.lowest_index()]):
+    branch = TiePolicy.scripted(completed_script(m, k, family.script[:k]))
+    for policies in ([family, walk], [walk, branch, family],
+                     [family, TiePolicy.seeded_random(k), walk, TiePolicy.lowest_index()]):
         traces = reverse_greedy_runs(m, k, policies, record_argmin=record_argmin)
         for policy, trace in zip(policies, traces):
             single = reverse_greedy(m, k, policy, record_argmin=record_argmin)
@@ -708,8 +711,9 @@ def test_signed_zeros_give_the_unsigned_trace():
 
 def illegal_scripts(m, k):
     """Scripts that follow a highest-index walk to a step i >= 2 and are
-    illegal there in each way a single run checks, by name, and one legal
-    at step i but above the minimum at step i + 1 ("later").  Facility 0 is
+    illegal there, by name: out of range, a facility already removed, or
+    above the minimum; and one legal at step i but above the minimum at
+    step i + 1 ("later").  Facility 0 is
     live and at the minimum at step i, so that a removal outside 0..n - 1
     fails by its range alone, whatever in-range facility stands in for it."""
     current, walk, above, zero_tied = set(range(m.n)), [], [], []
@@ -728,8 +732,9 @@ def illegal_scripts(m, k):
         rest = [g for g in range(m.n) if g not in walk[:step - 1] and g != removal]
         return [*walk[:step - 1], removal, *rest][:m.n - k]
 
-    # TiePolicy refuses a repeated removal, so the run's own check that a
-    # removal is live is reached only by a script changed after validation.
+    # TiePolicy refuses a repeated removal, so only a script changed after
+    # validation removes a facility twice; the run then reads its cost as the
+    # value that masks removed facilities.
     removed = TiePolicy.scripted(script(i, walk[i - 1]))
     object.__setattr__(removed, "script", (*walk[:i - 1], walk[0], *removed.script[i:]))
     return i, {"range": TiePolicy.scripted(script(i, m.n + 4)),
@@ -756,8 +761,9 @@ def test_several_illegal_scripts_fail_like_the_lowest_numbered_alone(m, k, liste
         alone[name] = str(err.value)
     assert alone["range"] == (f"illegal scripted step {i}: facility {m.n + 4} "
                               f"is not a point of 0..{m.n - 1}")
-    assert alone["removed"] == (f"illegal scripted step {i}: facility "
-                                f"{scripts['removed'].script[i - 1]} already removed")
+    assert alone["removed"].startswith(
+        f"illegal scripted step {i}: facility {scripts['removed'].script[i - 1]} "
+        f"has marginal cost {kcenter._above_all(m).item()} > minimum ")
     assert alone["above"].startswith(f"illegal scripted step {i}: facility "
                                      f"{scripts['above'].script[i - 1]} has marginal cost ")
     assert alone["later"].startswith(f"illegal scripted step {i + 1}: ")

@@ -9,7 +9,7 @@ from conftest import facility_sets, greedy_farthest_first, uniform_metric
 
 from revgreedy import kcenter
 from revgreedy.exact import exact_opt
-from revgreedy.kcenter import (ScriptedStepError, TiePolicy, TraceStep, cost,
+from revgreedy.kcenter import (ScriptedStepError, TiePolicy, cost,
                                load_trace, marginal_costs, reverse_greedy,
                                save_trace, serves)
 from revgreedy.lowerbound import (build_lower_bound_instance,
@@ -176,6 +176,19 @@ def test_seeded_random_seeds_must_be_integers(seed):
             make(seed)
 
 
+@pytest.mark.parametrize("kind, fields, unread", [
+    ("lowest-index", {"seed": 5}, "seed"),
+    ("lowest-index", {"seed": True}, "seed"),
+    ("scripted", {"seed": 0, "script": (0,)}, "seed"),
+    ("lowest-index", {"script": (5,)}, "removal sequence"),
+    ("seeded-random", {"seed": 0, "script": (5,)}, "removal sequence"),
+])
+def test_a_policy_takes_only_what_its_kind_reads(kind, fields, unread):
+    # describe() would write a seed into the trace's policy.
+    with pytest.raises(ValueError, match=f"^{kind} policy takes no {unread}$"):
+        TiePolicy(kind, **fields)
+
+
 def test_seeded_random_seeds_are_held_as_python_ints():
     policy = TiePolicy("seeded-random", seed=np.int16(3))
     assert type(policy.seed) is int
@@ -228,14 +241,16 @@ def test_record_argmin_captures_tied_candidates():
 def window_rounds_per_step(m, k, policy):
     """Window rounds of each step's pointer advance, counted with a profile
     hook: a window round is the engine's one call of ndarray.argmax, and a
-    step ends when its TraceStep is built."""
+    step's advance ends at the next call of nonzero, which lists the next
+    step's argmin set (after the last step, the final set)."""
     per_step, rounds = [], 0
 
     def hook(frame, event, arg):
         nonlocal rounds
-        if event == "c_call" and getattr(arg, "__name__", None) == "argmax":
+        name = getattr(arg, "__name__", None) if event == "c_call" else None
+        if name == "argmax":
             rounds += 1
-        elif event == "call" and frame.f_code is TraceStep.__init__.__code__:
+        elif name == "nonzero":
             per_step.append(rounds)
             rounds = 0
 

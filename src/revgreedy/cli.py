@@ -46,7 +46,7 @@ def positive_int(text: str) -> int:
 
 
 def _write_report(out: str | None, doc: dict) -> None:
-    if out:
+    if out is not None:
         metric.write_document(out, doc)
 
 
@@ -76,7 +76,7 @@ def cmd_gen_lowerbound(args) -> int:
     metric.save_instance(args.out, inst.metric, k=args.k, graph=inst.graph)
     print(f"n={inst.n} k={args.k} formula_n={lowerbound.size_formula(args.k)} "
           f"-> {args.out}")
-    if args.schedule_out:
+    if args.schedule_out is not None:
         lowerbound.save_schedule(args.schedule_out,
                                  lowerbound.scripted_schedule(inst))
         print(f"schedule -> {args.schedule_out}")
@@ -110,7 +110,7 @@ def cmd_run(args) -> int:
     elif args.policy == "seeded-random":
         policy = kcenter.TiePolicy.seeded_random(args.seed or 0)
     else:
-        if args.schedule:
+        if args.schedule is not None:
             sched = lowerbound.load_schedule(args.schedule)
             if (sched.k, sched.n) != (k, m.n):
                 raise ValueError(f"schedule k/n {sched.k}/{sched.n} is not "
@@ -123,7 +123,7 @@ def cmd_run(args) -> int:
         policy = kcenter.TiePolicy.scripted(sched.script())
     trace = kcenter.reverse_greedy(m, k, policy)
 
-    if args.out:
+    if args.out is not None:
         kcenter.save_trace(args.out, trace)
     try:
         opt_value = (lowerbound.known_opt(lb).opt_value if lb is not None
@@ -306,7 +306,7 @@ def cmd_sweep(args) -> int:
         writer.writerow([k, report.n, final, 1, "" if final is None else f"{final:g}",
                          f"{elapsed:.4f}", "verified" if report.ok else "FAIL"])
     text = buf.getvalue()
-    if args.out:
+    if args.out is not None:
         Path(args.out).write_text(text)
         print(f"{len(args.k)} rows -> {args.out}")
     else:
@@ -316,11 +316,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_export_dot(args) -> int:
     m, k, lb = _load_source(args.instance, args.lowerbound, args.k, args.n)
-    trace = kcenter.load_trace(args.trace) if args.trace else None
+    trace = kcenter.load_trace(args.trace) if args.trace is not None else None
     if lb is None:
         raise ValueError("DOT export needs a lower-bound instance")
     text = lowerbound.export_dot(lb, trace)
-    if args.out:
+    if args.out is not None:
         Path(args.out).write_text(text)
         print(f"dot -> {args.out}")
     else:

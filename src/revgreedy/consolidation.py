@@ -16,7 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations, islice
 
-from .exact import (OptimalSolution, _BudgetExhausted, _bits, _branch, _columns,
+from .exact import (OptimalSolution, _SearchState, _bits, _branch, _columns,
                     _cover_masks)
 from .kcenter import Trace
 from .metric import MetricSpace
@@ -142,13 +142,10 @@ def gamma(m: MetricSpace, opt: OptimalSolution, facilities, *,
     # reduction (exact._can_cover) would drop none of them.
     k = len(opt.balls)
     for size in range(1, k + 1):
-        try:
-            if _branch(columns, size, [0]):
-                return size
-        except _BudgetExhausted as err:
-            raise GammaCapError(
-                f"gamma brute force infeasible: more than {err.args[0]} "
-                f"backtrack nodes at size {size}") from None
+        state = _SearchState(GammaCapError, f"gamma brute force infeasible: more "
+                             f"than %d backtrack nodes at size {size}")
+        if _branch(state, columns, size):
+            return size
     raise GammaCapError(f"gamma not settled: no consolidation of at most {k} sets within "
                         f"2*OPT (the table breaks the triangle inequality)")
 

@@ -9,15 +9,17 @@ balls.  Two exact bounds answer most decisions before any search table
 is built: a packing of uncovered clients with pairwise-disjoint coverer
 sets refutes (each needs a mask of its own, the p-center packing bound),
 and a greedy cover within the free slots proves.  Only what neither decides
-goes to `_can_cover`, which cuts the masks to the bits left to cover and
-drops those contained in another before it runs `_search`,
-most-constrained-first backtracking (`_branch`) over columns (the masks
-covering a bit).  Radii compare the stored entries exactly, and the table
-must be exactly symmetric, so one mask table (`_cover_masks`) also lists
-each client's coverers.  gamma builds its graph with `_cover_masks` and
-searches it with `_branch`, which alone counts nodes against
-_SEARCH_BUDGET: past it, OracleCapError or GammaCapError; a decision
-settled by a bound spends no nodes.
+goes to `_can_cover`, which cuts the masks to the bits left to cover,
+drops those contained in another, and runs most-constrained-first
+backtracking (`_branch`) over columns (the masks covering a bit).  Radii
+compare the stored entries exactly, and the table must be exactly
+symmetric, so one mask table (`_cover_masks`) also lists each client's
+coverers.  gamma builds its graph with `_cover_masks` and searches it with
+`_branch`.  One `_SearchState` per oracle call, and per size gamma tries,
+holds the node count of the search under way and the caller's refusal:
+past _SEARCH_BUDGET nodes in one search, `_branch` raises the state's
+OracleCapError or GammaCapError; a decision settled by a bound spends no
+nodes.
 The oracle is the trust anchor for every ratio claim downstream, so the
 test suite checks it against an independent reference that tries every
 k-subset.
@@ -25,7 +27,6 @@ k-subset.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_
@@ -81,8 +82,15 @@ def _cover_masks(m: MetricSpace, radius, points=None) -> list[int]:
 _SEARCH_BUDGET = 5_000_000
 
 
-class _BudgetExhausted(RuntimeError):
-    """A cover search ran past _SEARCH_BUDGET nodes, its one argument."""
+class _SearchState:
+    """One caller's cover searches, one at a time: the node count of the
+    search under way and the refusal past _SEARCH_BUDGET nodes, `error`
+    raised with `text` % _SEARCH_BUDGET."""
+
+    __slots__ = ("nodes", "error", "text")
+
+    def __init__(self, error: type[RuntimeError], text: str):
+        self.nodes, self.error, self.text = 0, error, text
 
 
 def _bits(x: int):
@@ -104,31 +112,26 @@ def _columns(masks: list[int], full: int) -> list[int]:
     return list(columns.values())
 
 
-def _search(masks: list[int], full: int, slots: int) -> bool:
-    """Do at most `slots` of `masks` cover every bit of `full`?"""
-    return _branch(list(dict.fromkeys(_columns(masks, full))), slots, [0])
-
-
-def _branch(columns: list[int], slots: int, nodes: list[int]) -> bool:
-    """One search node, counted in nodes[0]: can `slots` positions hit every column?"""
+def _branch(state: _SearchState, columns: list[int], slots: int) -> bool:
+    """One search node, counted in `state`: can `slots` positions hit every column?"""
     if not columns or not slots:
         return not columns
-    nodes[0] += 1
-    if nodes[0] > _SEARCH_BUDGET:
-        raise _BudgetExhausted(_SEARCH_BUDGET)
+    state.nodes += 1
+    if state.nodes > _SEARCH_BUDGET:
+        raise state.error(state.text % _SEARCH_BUDGET)
     if slots == 1:  # a child with no slot is not a node: one position hits all
         return reduce(and_, columns) != 0
     best = min(columns, key=int.bit_count)
     while best:
         low = best & -best
-        if _branch([c for c in columns if not c & low], slots - 1, nodes):
+        if _branch(state, [c for c in columns if not c & low], slots - 1):
             return True
         best ^= low
     return False
 
 
-def _can_cover(masks: list[int], full: int, slots: int, covered: int = 0,
-               first: int = 0) -> bool:
+def _can_cover(state: _SearchState, masks: list[int], full: int, slots: int,
+               covered: int = 0, first: int = 0) -> bool:
     """Do at most `slots` masks from masks[first:], together with
     `covered`, cover every bit of `full`?
 
@@ -136,7 +139,8 @@ def _can_cover(masks: list[int], full: int, slots: int, covered: int = 0,
     duplicate masks and every mask contained in another are dropped (the
     subset rule of Weihe's data reduction for set cover): a cover that uses
     a dropped mask still covers with its container instead, so the answer
-    is unchanged.  _search then tries the kept masks largest first.
+    is unchanged.  A new search, counted in `state` from zero, then
+    branches over the columns of the kept masks, largest mask first.
     """
     full &= ~covered
     kept: list[int] = []
@@ -146,11 +150,12 @@ def _can_cover(masks: list[int], full: int, slots: int, covered: int = 0,
                        key=int.bit_count, reverse=True):
         if all(mask & other != mask for other in kept):
             kept.append(mask)
-    return _search(kept, full, slots)
+    state.nodes = 0
+    return _branch(state, list(dict.fromkeys(_columns(kept, full))), slots)
 
 
-def _decide(masks: list[int], full: int, slots: int, covered: int = 0,
-            first: int = 0) -> bool:
+def _decide(state: _SearchState, masks: list[int], full: int, slots: int,
+            covered: int = 0, first: int = 0) -> bool:
     """_can_cover's answer, settled where they can by two bounds that build
     no search table; masks[q] is also q's coverers, as _cover_masks' are.
 
@@ -178,10 +183,10 @@ def _decide(masks: list[int], full: int, slots: int, covered: int = 0,
             break
         gains = [(mask & left).bit_count() for mask in pool]
         left &= ~pool[gains.index(max(gains))]
-    return not left or _can_cover(masks, full, slots, covered, first)
+    return not left or _can_cover(state, masks, full, slots, covered, first)
 
 
-def _first_cover(masks: list[int], full: int, k: int) -> list[int]:
+def _first_cover(state: _SearchState, masks: list[int], full: int, k: int) -> list[int]:
     """The lexicographically smallest k indices whose masks cover `full`
     (one must exist), filling the slots in turn with the smallest index
     that still extends to a cover (asked of `_decide`).  That index is at
@@ -192,21 +197,16 @@ def _first_cover(masks: list[int], full: int, k: int) -> list[int]:
     for slot in range(k):
         start = chosen[-1] + 1 if chosen else 0
         c = next(c for c in range(start, len(masks))
-                 if _decide(masks, full, k - slot - 1, covered | masks[c], c + 1))
+                 if _decide(state, masks, full, k - slot - 1, covered | masks[c], c + 1))
         chosen.append(c)
         covered |= masks[c]
     return chosen
 
 
-@contextmanager
-def _refusing(n: int, k: int):
-    """Turn a cover search's exhausted budget into OracleCapError."""
-    try:
-        yield
-    except _BudgetExhausted as err:
-        raise OracleCapError(f"exact oracle cap exceeded (more than "
-                             f"{err.args[0]} backtrack nodes in one cover "
-                             f"search, n={n}, k={k})") from None
+def _oracle_state(n: int, k: int) -> _SearchState:
+    """The search state of one oracle call, refusing with OracleCapError."""
+    return _SearchState(OracleCapError, f"exact oracle cap exceeded (more than %d "
+                        f"backtrack nodes in one cover search, n={n}, k={k})")
 
 
 def opt_value(m: MetricSpace, k: int, *, cap: int = 20) -> int | float:
@@ -227,13 +227,13 @@ def opt_value(m: MetricSpace, k: int, *, cap: int = 20) -> int | float:
     full = (1 << n) - 1
     cands = np.unique(m.dist[np.triu_indices(n, k=1)])
     lo, hi = 0, len(cands) - 1
-    with _refusing(n, k):
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if _decide(_cover_masks(m, cands[mid]), full, k):
-                hi = mid
-            else:
-                lo = mid + 1
+    state = _oracle_state(n, k)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _decide(state, _cover_masks(m, cands[mid]), full, k):
+            hi = mid
+        else:
+            lo = mid + 1
     return int(cands[lo]) if m.mode == "int" else float(cands[lo])
 
 
@@ -247,6 +247,5 @@ def exact_opt(m: MetricSpace, k: int, *, cap: int = 20) -> OptimalSolution:
     n = m.n
     if k == n:
         return optimal_solution(m, value, range(n))
-    with _refusing(n, k):
-        chosen = _first_cover(_cover_masks(m, value), (1 << n) - 1, k)
+    chosen = _first_cover(_oracle_state(n, k), _cover_masks(m, value), (1 << n) - 1, k)
     return optimal_solution(m, value, chosen)

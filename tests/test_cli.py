@@ -629,6 +629,15 @@ def test_nonpositive_cap_rejected():
     (["gen", "random", "--kind", "euclidean", "--n", "3", "--dim", "0", "--out", "OUT"], 2),
     (["gen", "random", "--kind", "random-graph", "--n", "3", "--edge-prob", "nan",
       "--out", "OUT"], 2),
+    # An empty path is a path, not a flag left out: nothing can be read or
+    # written there.
+    (["run", "--lowerbound", "3", "--policy", "scripted", "--schedule", ""], 2),
+    (["run", "--lowerbound", "3", "--out", ""], 2),
+    (["export-dot", "--lowerbound", "3", "--trace", ""], 2),
+    (["export-dot", "--lowerbound", "3", "--out", ""], 2),
+    (["verify", "lower", "--k", "2", "--out", ""], 2),
+    (["sweep", "--k", "2", "--out", ""], 2),
+    (["gen", "lowerbound", "--k", "3", "--out", "OUT", "--schedule-out", ""], 2),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
 def test_bad_input_exit_code_without_traceback(tmp_path, capsys, argv, code):
     # K0 and K7: a 5-point instance file whose k is 0 or above n.

@@ -8,11 +8,12 @@ masks within `full`, `covered`, `first` and slot count.  (That `_first_cover`
 still returns the first covering combination in lexicographic order is
 checked in test_exact.py.)
 
-`exact._search` branches over columns, one per distinct set of coverers of
-a bit.  Its reference is the search over a bit -> coverers table that
-scans every bit at each node; both must give the same answer after the
-same number of nodes, and so must `gamma` against the same reference over
-its old encoding, one extra bit per required pair in every clique mask.
+`exact._branch` branches over columns, one per distinct set of coverers of
+a bit, counting its nodes in a search state.  Its reference is the search
+over a bit -> coverers table that scans every bit at each node; both must
+give the same answer after the same number of nodes, and so must `gamma`
+against the same reference over its old encoding, one extra bit per
+required pair in every clique mask.
 """
 
 import re
@@ -25,12 +26,22 @@ from hypothesis import example, given, settings, strategies as st
 from revgreedy import cli, consolidation, exact, kcenter
 from revgreedy.consolidation import (_maximal_cliques, critical_indices, gamma,
                                      required_pairs)
-from revgreedy.exact import (OracleCapError, _BudgetExhausted, _can_cover, _cover_masks,
-                             _search, exact_opt, opt_value)
+from revgreedy.exact import (OracleCapError, _branch, _can_cover, _columns, _cover_masks,
+                             _SearchState, exact_opt, opt_value)
 from revgreedy.lowerbound import build_lower_bound_instance, known_opt, scripted_schedule
 from revgreedy.metric import random_metric
 
 COMMON = dict(deadline=None, derandomize=True)
+
+
+def fresh_state():
+    """A search state at zero nodes that refuses as the oracle does."""
+    return _SearchState(OracleCapError, "more than %d backtrack nodes")
+
+
+def search(state, masks, full, slots):
+    """The search `_can_cover` runs on its kept masks, over `masks` as given."""
+    return _branch(state, list(dict.fromkeys(_columns(masks, full))), slots)
 
 
 def can_cover_unreduced(masks, full, slots, covered=0, first=0):
@@ -89,7 +100,7 @@ def mask_sets(draw):
 @example(case=([], 1, 1, 1, 0))
 def test_reduced_search_answers_like_the_unreduced_one(case):
     masks, full, slots, covered, first = case
-    assert (_can_cover(masks, full, slots, covered, first)
+    assert (_can_cover(fresh_state(), masks, full, slots, covered, first)
             == can_cover_unreduced(masks, full, slots, covered, first))
 
 
@@ -98,12 +109,16 @@ def test_budget_counts_branching_nodes_of_the_reduced_search(monkeypatch):
     # Every mask but the last lies inside it, so the reduced search keeps
     # one mask and branches once; the masks as given would branch twice.
     monkeypatch.setattr(exact, "_SEARCH_BUDGET", 1)
-    assert _can_cover([1 << b for b in range(6)] + [full], full, 2)
-    with pytest.raises(_BudgetExhausted):
-        _can_cover([1 << b for b in range(6)], full, 6)
+    state = fresh_state()
+    assert _can_cover(state, [1 << b for b in range(6)] + [full], full, 2)
+    assert state.nodes == 1
+    with pytest.raises(OracleCapError, match="^more than 1 backtrack nodes$"):
+        _can_cover(state, [1 << b for b in range(6)], full, 6)
     # 0b100 lies inside 0b1111: kept, it would cost the search a third node.
     monkeypatch.setattr(exact, "_SEARCH_BUDGET", 2)
-    assert _can_cover([0b111000, 0b101011, 0b1111, 0b100], full, 3)
+    assert _can_cover(state, [0b111000, 0b101011, 0b1111, 0b100], full, 3)
+    # Each search counts from zero in the caller's one state.
+    assert state.nodes == 2
 
 
 def test_oracle_budget_exhausted_raises_cap_error(monkeypatch):
@@ -209,15 +224,17 @@ def cover_cases(draw):
 def test_column_search_matches_the_coverers_table(case):
     masks, full, slots = case
     answer, nodes = search_by_coverers(masks, full, slots)
-    assert _search(masks, full, slots) == answer
+    state = fresh_state()
+    assert search(state, masks, full, slots) == answer
+    assert state.nodes == nodes
     # Same visiting order: the budget is first exceeded at the same node.
     # (A function-scoped monkeypatch would outlive one drawn example.)
     with patch.object(exact, "_SEARCH_BUDGET", nodes):
-        assert _search(masks, full, slots) == answer
+        assert search(fresh_state(), masks, full, slots) == answer
     if nodes:
         with patch.object(exact, "_SEARCH_BUDGET", nodes - 1), \
-                pytest.raises(_BudgetExhausted):
-            _search(masks, full, slots)
+                pytest.raises(OracleCapError):
+            search(fresh_state(), masks, full, slots)
 
 
 def gamma_by_pair_bits(m, opt, facilities):
@@ -262,9 +279,9 @@ def test_gamma_columns_match_the_pair_bit_search(case, monkeypatch):
     _, m, opt, trace = case
     counts = []
 
-    def counting_branch(columns, slots, nodes):
-        answer = exact._branch(columns, slots, nodes)
-        counts.append(nodes[0])
+    def counting_branch(state, columns, slots):
+        answer = exact._branch(state, columns, slots)
+        counts.append(state.nodes)
         return answer
 
     monkeypatch.setattr(consolidation, "_branch", counting_branch)

@@ -8,11 +8,12 @@ from conftest import exact_opt_enumeration, uniform_metric
 from hypothesis import given, settings, strategies as st
 
 from revgreedy.consolidation import gamma
-from revgreedy.exact import (OracleCapError, _can_cover, _first_cover, _search,
-                             exact_opt, optimal_solution)
+from revgreedy.exact import (OracleCapError, _can_cover, _first_cover, exact_opt,
+                             opt_value, optimal_solution)
 from revgreedy.kcenter import cost
 from revgreedy.lowerbound import build_lower_bound_instance, known_opt
 from revgreedy.metric import MetricSpace, random_metric
+from test_cover_differential import fresh_state, search
 
 
 def test_k_equals_n():
@@ -149,9 +150,9 @@ def test_first_cover_is_first_covering_combination():
         covering = [c for c in combinations(range(n), k)
                     if sum(1 << b for b in range(n)
                            if any(masks[i] >> b & 1 for i in c)) == full]
-        assert _can_cover(masks, full, k) == bool(covering), trial
+        assert _can_cover(fresh_state(), masks, full, k) == bool(covering), trial
         if covering:
-            assert _first_cover(masks, full, k) == list(covering[0]), trial
+            assert _first_cover(fresh_state(), masks, full, k) == list(covering[0]), trial
 
 
 def test_no_smaller_cost_among_k_subsets():
@@ -182,17 +183,20 @@ def test_lower_bound_k3_exact_matches_known():
 
 
 def test_searches_leave_no_garbage_cycles():
-    # A cycle would hold a search's coverer table or adjacency until a full
-    # collection; with the collector off, none may be left to collect.
+    # A cycle would hold a search's state, coverer table or adjacency until
+    # a full collection; with the collector off, none may be left to collect.
     inst = build_lower_bound_instance(6)
     opt = known_opt(inst)
     masks = [0b0011, 0b0110, 0b1100, 0b1000]
+    m = random_metric("random-graph", 12, 5)
     gc.collect()
     gc.disable()
     try:
-        assert _search(masks, 0b1111, 2)
+        assert search(fresh_state(), masks, 0b1111, 2)
         assert gc.collect() == 0
-        assert _can_cover(masks, 0b1111, 2)
+        assert _can_cover(fresh_state(), masks, 0b1111, 2)
+        assert gc.collect() == 0
+        assert opt_value(m, 3) == exact_opt(m, 3).opt_value
         assert gc.collect() == 0
         assert gamma(inst.metric, opt, frozenset(range(inst.n))) >= 1
         assert gc.collect() == 0

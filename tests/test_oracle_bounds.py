@@ -19,10 +19,10 @@ from conftest import exact_opt_enumeration, near_tied_table
 from hypothesis import example, given, settings, strategies as st
 
 from revgreedy import exact
-from revgreedy.exact import (_BudgetExhausted, _can_cover, _cover_masks, _decide,
+from revgreedy.exact import (OracleCapError, _can_cover, _cover_masks, _decide,
                              exact_opt, opt_value, optimal_solution)
 from revgreedy.metric import MetricSpace, random_metric
-from test_cover_differential import can_cover_unreduced
+from test_cover_differential import can_cover_unreduced, fresh_state
 
 COMMON = dict(deadline=None, derandomize=True)
 
@@ -68,26 +68,29 @@ def square_cases(draw):
                0b111111111, 2, 0b11, 2))
 def test_bounded_decision_answers_like_the_unreduced_search(case):
     masks, full, slots, covered, first = case
-    assert (_decide(masks, full, slots, covered, first)
+    assert (_decide(fresh_state(), masks, full, slots, covered, first)
             == can_cover_unreduced(masks, full, slots, covered, first))
 
 
 def test_a_decision_by_a_bound_spends_no_search_node():
     # A path of five points, each covering its neighbours.
     masks = [0b00011, 0b00111, 0b01110, 0b11100, 0b11000]
+    state = fresh_state()
     with patch.object(exact, "_SEARCH_BUDGET", 0):
         # Points 0 and 4 share no coverer: one mask cannot serve both.
-        assert not _decide(masks, 0b11111, 1)
+        assert not _decide(state, masks, 0b11111, 1)
         # No mask from index 2 on covers point 0.
-        assert not _decide(masks, 0b11111, 3, first=2)
+        assert not _decide(state, masks, 0b11111, 3, first=2)
         # Greedy takes masks 1 and 3, which cover everything.
-        assert _decide(masks, 0b11111, 2)
+        assert _decide(state, masks, 0b11111, 2)
+    assert state.nodes == 0
     # Greedy takes the largest mask, 0, first and then needs two more, while
-    # packing allows two: only the search finds masks 3 and 4, at a node.
+    # packing allows two: only the search finds masks 3 and 4, in two nodes.
     masks = [0b11001, 0b10010, 0b01100, 0b01101, 0b10011]
-    assert _decide(masks, 0b11111, 2)
-    with patch.object(exact, "_SEARCH_BUDGET", 0), pytest.raises(_BudgetExhausted):
-        _decide(masks, 0b11111, 2)
+    assert _decide(state, masks, 0b11111, 2)
+    assert state.nodes == 2
+    with patch.object(exact, "_SEARCH_BUDGET", 0), pytest.raises(OracleCapError):
+        _decide(fresh_state(), masks, 0b11111, 2)
 
 
 def same_value(value, expected):
@@ -102,9 +105,10 @@ def exact_opt_by_searches(m, k):
     full = (1 << n) - 1
     cands = np.unique(m.dist[np.triu_indices(n, k=1)])
     lo, hi = 0, len(cands) - 1
+    state = fresh_state()
     while lo < hi:
         mid = (lo + hi) // 2
-        if _can_cover(_cover_masks(m, cands[mid]), full, k):
+        if _can_cover(state, _cover_masks(m, cands[mid]), full, k):
             hi = mid
         else:
             lo = mid + 1
@@ -113,7 +117,7 @@ def exact_opt_by_searches(m, k):
     for slot in range(k):
         start = chosen[-1] + 1 if chosen else 0
         c = next(c for c in range(start, n)
-                 if _can_cover(masks, full, k - slot - 1, covered | masks[c], first=c + 1))
+                 if _can_cover(state, masks, full, k - slot - 1, covered | masks[c], c + 1))
         chosen.append(c)
         covered |= masks[c]
     value = int(cands[lo]) if m.mode == "int" else float(cands[lo])
@@ -129,6 +133,31 @@ def test_oracle_matches_the_search_loop_on_the_battery(block):
         expected = exact_opt_by_searches(m, 5)
         assert exact_opt(m, 5, cap=40) == expected, t
         assert same_value(opt_value(m, 5, cap=40), expected.opt_value), t
+
+
+def test_the_battery_keeps_its_decision_and_node_counts(monkeypatch):
+    # The 60 values `verify upper --n 32 --k 5 --exact-cap 40` asks for, one
+    # search state per call: most decisions are settled by a bound, and the
+    # largest search is the one _SEARCH_BUDGET's comment names.
+    decide, can_cover = exact._decide, exact._can_cover
+    decisions, searches = [], []
+
+    def counting_decide(state, *args):
+        decisions.append(state)
+        return decide(state, *args)
+
+    def counting_can_cover(state, *args):
+        answer = can_cover(state, *args)
+        searches.append(state.nodes)
+        return answer
+
+    monkeypatch.setattr(exact, "_decide", counting_decide)
+    monkeypatch.setattr(exact, "_can_cover", counting_can_cover)
+    for t in range(60):
+        opt_value(random_metric("euclidean" if t % 2 == 0 else "random-graph", 32, t),
+                  5, cap=40)
+    assert (len(decisions), len(searches), max(searches)) == (368, 123, 137)
+    assert len({id(state) for state in decisions}) == 60
 
 
 def test_oracle_matches_the_search_loop_on_tables_symmetric_within_the_slack():
